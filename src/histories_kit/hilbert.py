@@ -1,11 +1,12 @@
 """Dense complex linear algebra and projector/PDI calculus.
 
-Everything lives on small finite-dimensional Hilbert spaces (target dims well
-under 64), so storage is dense numpy throughout and every algebraic identity
-is checked in max-entry norm against the shared tolerance bundle. Degenerate
-eigenspaces are kept whole: spectral decomposition yields one rank-k projector
-per distinct eigenvalue, and all equality reasoning is done on projector
-matrices, never on individual eigenvectors.
+Everything lives on finite-dimensional Hilbert spaces (the spec language
+accepts dimensions up to `dsl.MAX_DIM` = 1024), so storage is dense numpy
+throughout and every algebraic identity is checked in max-entry norm against
+the shared tolerance bundle. Degenerate eigenspaces are kept whole: spectral
+decomposition yields one rank-k projector per distinct eigenvalue, and all
+equality reasoning is done on projector matrices, never on individual
+eigenvectors.
 """
 
 from __future__ import annotations

@@ -4,10 +4,16 @@ A family fixes an initial state, unitary propagators between successive
 times, and one PDI per later time; a history picks one event label per time.
 Chain vectors K(Y)|psi0> are built by alternately applying propagators and
 event projectors (the initial event is [psi0], which acts trivially on
-psi0). Off-diagonal chain-vector inner products are the decoherence
-functional; the family is consistent when every off-diagonal modulus falls
-below the algebraic tolerance, and only then are squared chain norms handed
-out as probabilities.
+psi0). They are built level by level over the prefix tree of the
+histories, one (prefixes, d) array per time, so each shared prefix is
+propagated once. Off-diagonal chain-vector inner products are the
+decoherence functional; the family is consistent when every off-diagonal
+modulus falls below the algebraic tolerance, and only then are squared chain
+norms handed out as probabilities. The largest off-diagonal modulus is
+streamed over blocks of Gram rows with exactly-zero chains skipped, so the
+check holds O(H*d) memory plus one row block for H histories; the dense
+H x H Gram matrix is assembled, at O(H^2), only when `ConsistencyReport.gram`
+is read.
 """
 
 from __future__ import annotations
@@ -139,13 +145,33 @@ class HistoryFamily:
         return tuple(product(*(pdi.labels for pdi in self.event_pdis)))
 
 
+# Gram rows per block of the streamed off-diagonal scan; a block holds at
+# most _GRAM_BLOCK x H complex entries (16 MiB at H = 4096).
+_GRAM_BLOCK = 256
+
+
 @dataclass(frozen=True, eq=False)
 class ConsistencyReport:
+    """Consistency verdict plus the chain vectors it was computed from.
+
+    `chains` holds one chain vector per history, as rows in `histories`
+    order, and `weights` their squared norms (the Gram diagonal). The dense
+    Gram matrix is assembled only on access to `gram`, at O(H^2) time and
+    memory.
+    """
+
     histories: tuple[tuple[str, ...], ...]
-    gram: np.ndarray
+    chains: np.ndarray
+    weights: np.ndarray
     max_offdiag: float
     consistent: bool
     tolerance: float
+
+    @property
+    def gram(self) -> np.ndarray:
+        gram = self.chains.conj() @ self.chains.T
+        gram.setflags(write=False)
+        return gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +184,59 @@ class ProbabilityTable:
     exhaustive: bool
 
 
+def _chain_matrix(fam: HistoryFamily, histories=None) -> np.ndarray:
+    """Chain vectors as rows, propagating each prefix-tree node once.
+
+    `histories` None stands for every history, with rows in all_histories()
+    order; otherwise it is a sequence of valid label tuples, rows come out in
+    that order, and only the prefixes they contain are built. Level t holds
+    one vector per distinct length-t prefix: its parent's vector moved by
+    propagator t, then projected by its own event at time t. Vectors are kept
+    as a stack of (d, 1) columns so each operator acts through the same
+    matrix-vector product as on a single history, which keeps the result
+    bit-identical to chaining one history at a time.
+    """
+    cols = fam.initial.amplitudes[None, :, None]
+    prefixes: list[tuple[str, ...]] = [()]
+    for t, (pdi, prop) in enumerate(zip(fam.event_pdis, fam.grid.propagators)):
+        moved = prop.entries @ cols
+        if histories is None:
+            n_events = len(pdi.projectors)
+            parents = np.repeat(np.arange(len(cols)), n_events)
+            events = np.tile(np.arange(n_events), len(cols))
+        else:
+            parent_index = {prefix: i for i, prefix in enumerate(prefixes)}
+            prefixes = list(dict.fromkeys(h[: t + 1] for h in histories))
+            parents = np.array([parent_index[p[:-1]] for p in prefixes], dtype=np.intp)
+            events = np.array([pdi.labels.index(p[-1]) for p in prefixes], dtype=np.intp)
+        cols = np.empty((len(parents), fam.grid.dim, 1), dtype=complex)
+        for j, proj in enumerate(pdi.projectors):
+            chosen = events == j
+            cols[chosen] = proj.entries @ moved[parents[chosen]]
+    return cols[:, :, 0]
+
+
+def _gram_scan(chains: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gram diagonal and largest |<K(Y)|K(Z)>| over Y != Z, by row blocks.
+
+    Exactly-zero chains have exactly-zero inner products, so they are
+    skipped: their diagonal entries stay 0.0 and the maximum is unchanged.
+    The Gram matrix is Hermitian, so each block covers only the columns from
+    its own first row on, and the block's own diagonal is the Gram diagonal.
+    """
+    live = np.flatnonzero(chains.any(axis=1))
+    rows = chains[live]
+    diag = np.zeros(len(chains), dtype=complex)
+    worst = 0.0
+    for start in range(0, len(rows), _GRAM_BLOCK):
+        block = rows[start : start + _GRAM_BLOCK].conj() @ rows[start:].T
+        own = np.arange(len(block))
+        diag[live[start : start + _GRAM_BLOCK]] = block[own, own]
+        block[own, own] = 0.0
+        worst = max(worst, float(np.abs(block).max()))
+    return diag, worst
+
+
 def chain_vector(fam: HistoryFamily, history) -> np.ndarray:
     """Unnormalized chain vector; its squared norm is the history weight."""
     labels = tuple(str(l) for l in history)
@@ -165,38 +244,34 @@ def chain_vector(fam: HistoryFamily, history) -> np.ndarray:
         raise UnknownLabelError(
             f"history picks {len(labels)} events but the family has {fam.n_times} times"
         )
-    vec = fam.initial.amplitudes
-    for label, pdi, prop in zip(labels, fam.event_pdis, fam.grid.propagators):
-        try:
-            proj = pdi.by_label(label)
-        except KeyError:
-            raise UnknownLabelError(f"no event labeled {label!r} at that time") from None
-        vec = proj.entries @ (prop.entries @ vec)
-    return vec
+    for label, pdi in zip(labels, fam.event_pdis):
+        if label not in pdi.labels:
+            raise UnknownLabelError(f"no event labeled {label!r} at that time")
+    return _chain_matrix(fam, [labels])[0]
 
 
 def consistency_check(fam: HistoryFamily) -> ConsistencyReport:
-    """Gram matrix of chain vectors; consistent iff all off-diagonals vanish.
+    """Chain vectors of every history; consistent iff all off-diagonals vanish.
 
     This is the medium decoherence condition: the full complex modulus of
-    every off-diagonal entry must fall below the algebraic tolerance.
+    every off-diagonal Gram entry must fall below the algebraic tolerance.
+    The Gram matrix itself is never held; see `_gram_scan`.
     """
     histories = fam.all_histories()
-    vectors = np.array([chain_vector(fam, h) for h in histories])
-    gram = vectors.conj() @ vectors.T
-    gram = np.asarray(gram)
-    offdiag = np.abs(gram - np.diag(np.diag(gram)))
-    max_offdiag = float(offdiag.max()) if len(histories) > 1 else 0.0
-    diag = np.diag(gram)
+    chains = _chain_matrix(fam, fam.histories)
+    diag, max_offdiag = _gram_scan(chains)
     if float(diag.real.min()) < -TOLERANCES.probability or float(np.abs(diag.imag).max()) > TOLERANCES.probability:
         raise VerificationFailedError("gram diagonal is not a real nonnegative weight vector")
     if fam.exhaustive and float(diag.real.sum()) > 1 + TOLERANCES.reconstruction:
         raise VerificationFailedError("exhaustive family weights exceed 1")
-    gram.setflags(write=False)
+    weights = diag.real
+    chains.setflags(write=False)
+    weights.setflags(write=False)
     tol = TOLERANCES.algebraic
     return ConsistencyReport(
         histories=histories,
-        gram=gram,
+        chains=chains,
+        weights=weights,
         max_offdiag=max_offdiag,
         consistent=max_offdiag < tol,
         tolerance=tol,
@@ -212,7 +287,7 @@ def family_probabilities(fam: HistoryFamily) -> ProbabilityTable:
             f"tolerance {report.tolerance:g}); probabilities are undefined",
             report=report,
         )
-    probs = {h: float(w) for h, w in zip(report.histories, np.diag(report.gram).real)}
+    probs = {h: float(w) for h, w in zip(report.histories, report.weights)}
     total = float(sum(probs.values()))
     if fam.exhaustive:
         if abs(total - 1.0) > TOLERANCES.reconstruction:
@@ -229,14 +304,15 @@ def conditional_probability(fam: HistoryFamily, given, target) -> float:
     """Pr(target | given) for events (time_index, label), time_index 1-based.
 
     Works for retrodiction (target earlier than given) and prediction alike;
-    conditioning on a zero-probability event is an error, not a NaN.
+    conditioning on a zero-probability event is an error, not a NaN. Both
+    events are validated before any probability is computed.
     """
-    table = family_probabilities(fam)
     for time_index, label in (given, target):
         if not 1 <= time_index <= fam.n_times:
             raise UnknownLabelError(f"time index {time_index} outside 1..{fam.n_times}")
         if str(label) not in fam.event_pdis[time_index - 1].labels:
             raise UnknownLabelError(f"no event labeled {label!r} at time {time_index}")
+    table = family_probabilities(fam)
     gi, gl = given[0] - 1, str(given[1])
     ti, tl = target[0] - 1, str(target[1])
     pr_given = sum(p for h, p in table.probabilities.items() if h[gi] == gl)

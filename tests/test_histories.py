@@ -19,6 +19,7 @@ from histories_kit.hilbert import (
     PDI,
     Ket,
     Operator,
+    Projector,
     builtin_operator,
     spectral_decompose,
     tensor_state,
@@ -158,6 +159,73 @@ class TestConsistency:
         assert table.exhaustive and table.omitted == 0.0
 
 
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return Operator(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+def random_pdi(rng, d):
+    if rng.random() < 0.5:
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return spectral_decompose(Operator(a + a.conj().T)).pdi
+    # coordinate projectors onto a random partition of the basis; with
+    # identity propagators they give exactly-zero chain vectors
+    cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(1, d), replace=False))
+    parts = np.split(rng.permutation(d), cuts)
+    return PDI(
+        [Projector(Operator(np.diag(np.isin(np.arange(d), part)).astype(complex))) for part in parts]
+    )
+
+
+def random_family(seed, subset):
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+    props = tuple(
+        random_unitary(rng, d) if rng.random() < 0.5 else Operator(np.eye(d, dtype=complex))
+        for _ in range(n)
+    )
+    fam = HistoryFamily(
+        grid=TimeGrid(tuple(f"t{i}" for i in range(n + 1)), props),
+        initial=Ket(rng.standard_normal(d) + 1j * rng.standard_normal(d)),
+        event_pdis=tuple(random_pdi(rng, d) for _ in range(n)),
+    )
+    if not subset:
+        return fam
+    every = fam.all_histories()
+    picked = rng.choice(len(every), size=rng.integers(1, len(every) + 1), replace=False)
+    return HistoryFamily(fam.grid, fam.initial, fam.event_pdis, histories=[every[i] for i in picked])
+
+
+def reference_chains(fam):
+    """One history at a time, straight from the definition K(Y) = P_n U_n ... P_1 U_1."""
+    chains = []
+    for history in fam.all_histories():
+        vec = fam.initial.amplitudes
+        for label, pdi, prop in zip(history, fam.event_pdis, fam.grid.propagators):
+            vec = pdi.by_label(label).entries @ (prop.entries @ vec)
+        chains.append(vec)
+    return np.array(chains)
+
+
+class TestConsistencyDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_dense_reference(self, seed, subset):
+        fam = random_family(seed, subset)
+        chains = reference_chains(fam)
+        gram = chains.conj() @ chains.T
+        offdiag = np.abs(gram - np.diag(np.diag(gram)))
+        max_offdiag = float(offdiag.max()) if len(chains) > 1 else 0.0
+        report = consistency_check(fam)
+        assert len(report.histories) == len(chains)
+        assert report.max_offdiag == pytest.approx(max_offdiag, rel=0, abs=1e-12)
+        assert report.consistent == (max_offdiag < report.tolerance)
+        np.testing.assert_allclose(report.weights, np.diag(gram).real, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.gram, gram, rtol=0, atol=1e-12)
+        for history, vec in zip(fam.all_histories(), chains):
+            np.testing.assert_allclose(chain_vector(fam, history), vec, rtol=0, atol=1e-12)
+
+
 class TestConditional:
     def test_prediction_and_retrodiction(self):
         model = z_model()
@@ -181,6 +249,11 @@ class TestConditional:
             conditional_probability(fams.f2, given=(3, "0"), target=(1, "0"))
         with pytest.raises(UnknownLabelError):
             conditional_probability(fams.f2, given=(2, "zzz"), target=(1, "0"))
+
+    def test_events_validated_before_consistency(self):
+        # a bad event is reported as such even when the family is inconsistent
+        with pytest.raises(UnknownLabelError):
+            conditional_probability(interference_family(), given=(3, "0"), target=(1, "plus"))
 
 
 class TestMeasurementModel:

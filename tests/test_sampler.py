@@ -20,6 +20,7 @@ from histories_kit.hilbert import (
 )
 from histories_kit.sampler import (
     RunConfig,
+    _mix,
     empirical_chsh,
     sample_pdi,
     uniform_stream,
@@ -54,6 +55,15 @@ class TestUniformStream:
 
     def test_empty_stream(self):
         assert uniform_stream(7, 0, 0).shape == (0,)
+
+    def test_splitmix64_known_answers(self):
+        # published splitmix64 outputs for seed 0 (Steele, Lea, Flood, OOPSLA 2014)
+        known = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        counters = np.array(
+            [(i * 0x9E3779B97F4A7C15) % 2**64 for i in (1, 2, 3)], dtype=np.uint64
+        )
+        assert [int(x) for x in _mix(counters)] == known
+        assert uniform_stream(0, 0, 3).tolist() == [(v >> 11) * 2.0**-53 for v in known]
 
     def test_roughly_uniform(self):
         xs = uniform_stream(2020, 0, 100000)
