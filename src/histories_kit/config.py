@@ -1,9 +1,11 @@
 """Global numeric tolerance bundle.
 
 All algebraic checks (hermiticity, unitarity, projector idempotency,
-commutation, PDI orthogonality/completeness) share one max-entry-norm knob so
-reports can state exactly what was enforced. The remaining knobs cover
-eigenvalue grouping, probability-table sums, and spectral reconstruction.
+commutation, PDI orthogonality/completeness) share one knob so reports can
+state exactly what was enforced. It bounds max-entry norms, or for members
+built from orthonormal bases the Gram-block Frobenius norms that bound them.
+The remaining knobs cover eigenvalue grouping, probability-table sums, and
+spectral reconstruction.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ class Tolerances:
     algebraic: float = 1e-10      # max-entry norm for operator identities
     eigen_grouping: float = 1e-8  # absolute gap below which eigenvalues merge
     probability: float = 1e-12    # probability sums / zero-probability guards
-    reconstruction: float = 1e-9  # spectral round-trip defect
+    reconstruction: float = 1e-9  # spectral round-trip defect per unit of max(1, max|H|)
     ket_norm: float = 1e-12       # state normalization drift
 
     def as_dict(self) -> dict[str, float]:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
+from typing import NamedTuple
 
 import numpy as np
 
@@ -236,10 +237,10 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_TOKEN_KINDS = {"imag": "IMAG", "number": "NUMBER", "name": "NAME", "punct": "PUNCT"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME | NUMBER | IMAG | PUNCT | NEWLINE | EOF
     text: str
     line: int
@@ -271,15 +272,7 @@ def _tokenize(source: str) -> tuple[list[_Token], list[ParseError]]:
                 break
             kind = m.lastgroup
             if kind != "ws":
-                text = m.group()
-                tokens.append(
-                    _Token(
-                        {"imag": "IMAG", "number": "NUMBER", "name": "NAME", "punct": "PUNCT"}[kind],
-                        text,
-                        lineno,
-                        pos + 1,
-                    )
-                )
+                tokens.append(_Token(_TOKEN_KINDS[kind], m.group(), lineno, pos + 1))
             pos = m.end()
         tokens.append(_Token("NEWLINE", "", lineno, len(raw) + 1))
     tokens.append(_Token("EOF", "", len(lines), len(lines[-1]) + 1))
@@ -820,7 +813,7 @@ class _Parser:
         if isinstance(node, Proj):
             tok = _Token("NAME", node.ket, at.line, at.col)
             ket = self.lookup(tok, "ket")
-            return Operator(ket.projector().entries)
+            return ket.projector().op
         if isinstance(node, Neg):
             return -self._eval(node.inner, at)
         if isinstance(node, Kron):

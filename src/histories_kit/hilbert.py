@@ -2,16 +2,22 @@
 
 Everything lives on finite-dimensional Hilbert spaces (the spec language
 accepts dimensions up to `dsl.MAX_DIM` = 1024), so storage is dense numpy
-throughout and every algebraic identity is checked in max-entry norm against
-the shared tolerance bundle. Degenerate eigenspaces are kept whole: spectral
-decomposition yields one rank-k projector per distinct eigenvalue, and all
-equality reasoning is done on projector matrices, never on individual
-eigenvectors.
+throughout. Algebraic identities on matrices are checked in max-entry norm
+against the shared tolerance bundle. A projector built from orthonormal
+columns V (P = VV-dagger: `Ket.projector`, `spectral_decompose`) keeps V and
+is certified by V-dagger V = I instead; a PDI of such projectors is certified
+from one Gram matrix of the stacked bases, whose block Frobenius norms are
+upper bounds on the max-entry defects of the projector products. Degenerate
+eigenspaces are kept whole: spectral decomposition yields one rank-k
+projector per distinct eigenvalue, and all equality reasoning is done on
+projector matrices, never on individual eigenvectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -95,7 +101,7 @@ class Ket:
 
     def projector(self) -> "Projector":
         """[psi] = |psi><psi|."""
-        return Projector(Operator(np.outer(self.amplitudes, self.amplitudes.conj())))
+        return Projector.from_basis(self.amplitudes.reshape(-1, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +172,45 @@ def commutes(a: Operator, b: Operator, tol: float | None = None) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Orthogonal projector: op = op-dagger and op squared = op, entrywise."""
+    """Orthogonal projector: op = op-dagger and op squared = op, entrywise.
+
+    `basis` is None for a projector built from a matrix. `from_basis` sets it
+    to the (d, r) isometry V with op = V V-dagger, which `pdi_validate` uses in
+    place of dense products.
+    """
 
     op: Operator
+    basis: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def from_basis(cls, basis) -> "Projector":
+        """Projector onto the span of orthonormal columns, P = V V-dagger.
+
+        The columns are certified by max|V-dagger V - I| < tolerance, which
+        costs O(d r^2) instead of the O(d^3) idempotency product.
+        """
+        vecs = np.array(basis, dtype=complex)
+        if vecs.ndim != 2 or vecs.shape[1] < 1:
+            raise ValueError(f"expected a (d, r) basis with r >= 1, got shape {vecs.shape}")
+        adjoint = vecs.conj().T
+        gram = adjoint @ vecs
+        diagonal = gram.reshape(-1)[:: vecs.shape[1] + 1]
+        diagonal -= 1.0
+        defect = float(np.abs(gram).max())
+        if not defect < TOLERANCES.algebraic:  # also rejects NaN entries
+            raise ValueError(f"basis columns are not orthonormal: defect {defect:.3g}")
+        proj = vecs @ adjoint
+        proj = proj + proj.conj().T  # (P + P-dagger) / 2 scrubs rounding asymmetry
+        proj *= 0.5
+        proj.setflags(write=False)
+        vecs.setflags(write=False)
+        # both arrays are fresh and owned here, so skip Operator's defensive copy
+        op = object.__new__(Operator)
+        object.__setattr__(op, "entries", proj)
+        made = object.__new__(cls)
+        object.__setattr__(made, "op", op)
+        object.__setattr__(made, "basis", vecs)
+        return made
 
     def __post_init__(self):
         ent = self.op.entries
@@ -199,7 +241,13 @@ class Projector:
 
 @dataclass(frozen=True)
 class PDIValidation:
-    """Defect report for a candidate projective decomposition of the identity."""
+    """Defect report for a candidate projective decomposition of the identity.
+
+    Defects are max-entry norms of P_j P_k (j != k), P_j^2 - P_j and
+    sum(P_j) - I, except that a pair or member whose projectors all carry a
+    basis reports the Frobenius norm of its block of V-dagger V - I, an upper
+    bound on the same max-entry defect.
+    """
 
     orthogonality_defect: float
     idempotency_defect: float
@@ -208,8 +256,38 @@ class PDIValidation:
     passes: bool
 
 
+def _gram_block_defects(bases: list[np.ndarray]) -> tuple[float, float]:
+    """(orthogonality, idempotency) bounds from G = V-dagger V of stacked bases.
+
+    With V_j-dagger V_k the (j, k) block of G, P_j P_k = V_j G_jk V_k-dagger.
+    The rows of an isometry have norm at most 1 (up to its certified defect),
+    so every entry of P_j P_k is at most the spectral norm of G_jk, which is
+    at most its Frobenius norm; likewise P_j^2 - P_j = V_j (G_jj - I) V_j-dagger.
+    """
+    count = len(bases)
+    stacked = np.concatenate(bases, axis=1)
+    size = stacked.shape[1]
+    gram = stacked.conj().T @ stacked
+    diagonal = gram.reshape(-1)[:: size + 1]
+    diagonal -= 1.0
+    sq = np.square(np.abs(gram))
+    if count != size:  # some member has rank > 1: sum each block
+        starts = list(accumulate([b.shape[1] for b in bases[:-1]], initial=0))
+        sq = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
+    diagonal = sq.reshape(-1)[:: count + 1]
+    idem = float(diagonal.max())
+    diagonal[:] = 0.0
+    return math.sqrt(sq.max()), math.sqrt(idem)
+
+
 def pdi_validate(projectors: "PDI | Sequence[Projector]") -> PDIValidation:
-    """Report max pairwise-product, idempotency, and sum-to-identity defects."""
+    """Report max pairwise-product, idempotency, and sum-to-identity defects.
+
+    Members that carry a basis (`Projector.from_basis`) are checked together
+    through one Gram matrix in O(d^3) and report Frobenius-norm upper bounds
+    (see `PDIValidation`); a pair involving a member built from a bare matrix
+    is multiplied out densely, as is the idempotency of such a member.
+    """
     if isinstance(projectors, PDI):
         projs = projectors.projectors
     else:
@@ -220,16 +298,24 @@ def pdi_validate(projectors: "PDI | Sequence[Projector]") -> PDIValidation:
     for p in projs:
         if p.dim != dim:
             raise DimensionMismatchError("projectors have mixed dimensions")
-    ortho = 0.0
-    idem = 0.0
-    total = np.zeros((dim, dim), dtype=complex)
+    bases = [p.basis for p in projs if p.basis is not None]
+    ortho, idem = _gram_block_defects(bases) if bases else (0.0, 0.0)
     for j, p in enumerate(projs):
+        if p.basis is not None:
+            continue
         ent = p.entries
         idem = max(idem, float(np.abs(ent @ ent - ent).max()))
-        total += ent
-        for k in range(j + 1, len(projs)):
-            ortho = max(ortho, float(np.abs(ent @ projs[k].entries).max()))
-    complete = float(np.abs(total - np.eye(dim)).max())
+        for k, q in enumerate(projs):  # each pair once, earlier member on the left
+            if k > j:
+                ortho = max(ortho, float(np.abs(ent @ q.entries).max()))
+            elif q.basis is not None:
+                ortho = max(ortho, float(np.abs(q.entries @ ent).max()))
+    total = np.zeros((dim, dim), dtype=complex)
+    for p in projs:
+        total += p.entries
+    diagonal = total.reshape(-1)[:: dim + 1]
+    diagonal -= 1.0
+    complete = float(np.abs(total).max())
     tol = TOLERANCES.algebraic
     return PDIValidation(
         orthogonality_defect=ortho,
@@ -382,23 +468,20 @@ def spectral_decompose(h: Operator) -> Observable:
         )
     evals, evecs = np.linalg.eigh(h.entries)
     gap = TOLERANCES.eigen_grouping
-    groups: list[list[int]] = [[0]]
-    for i in range(1, evals.shape[0]):
-        if evals[i] - evals[groups[-1][-1]] <= gap:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    ascending = evals.tolist()
+    # eigh sorts ascending, so each group is a run of neighbours closer than gap
+    cuts = [i for i in range(1, len(ascending)) if ascending[i] - ascending[i - 1] > gap]
+    bounds = list(zip([0] + cuts, cuts + [len(ascending)]))
     values = []
     projectors = []
-    for members in reversed(groups):  # descending eigenvalue order
-        vecs = evecs[:, members]
-        proj = vecs @ vecs.conj().T
-        proj = (proj + proj.conj().T) / 2.0  # scrub rounding asymmetry
-        values.append(float(np.mean(evals[members])))
-        projectors.append(Projector(Operator(proj)))
+    for lo, hi in reversed(bounds):  # descending eigenvalue order
+        values.append(ascending[lo] if hi - lo == 1 else float(np.mean(evals[lo:hi])))
+        projectors.append(Projector.from_basis(evecs[:, lo:hi]))
     obs = Observable(tuple(values), PDI(tuple(projectors)))
+    # rounding in eigh and in the rebuilt sum scales with the largest entry
+    scale = max(1.0, float(np.abs(h.entries).max()))
     defect = float(np.abs(obs.operator().entries - h.entries).max())
-    if defect >= TOLERANCES.reconstruction:
+    if defect >= TOLERANCES.reconstruction * scale:
         raise VerificationFailedError(f"spectral reconstruction defect {defect:.3g}")
     return obs
 

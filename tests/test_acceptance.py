@@ -346,3 +346,20 @@ def test_criterion_10_dsl_corpus_and_fuzz():
                 parse_spec(text)
             except ParseError:
                 pass
+
+
+def test_criterion_11_spectral_spec_parse_scales_to_d192():
+    dim = 192
+    rng = np.random.default_rng(192)
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0].T  # rows are orthonormal
+    values = [f"{1.0 + 0.05 * i:.6f}" for i in rng.permutation(dim)]
+    lines = [f"ket v{i} = [{', '.join(f'{x:.15f}' for x in row)}]" for i, row in enumerate(basis)]
+    lines.append("op H = " + " + ".join(f"{lam}*proj(v{i})" for i, lam in enumerate(values)))
+    lines.append("pdi P = spectral(H)")
+    text = "\n".join(lines) + "\n"
+    with _Budget(11, "spectral(H) spec with d=192 distinct eigenvalues parses", 10.0):
+        spec = parse_spec(text)
+    binding = spec.environment["P"]
+    assert len(binding.value) == dim
+    expected = sorted((float(v) for v in values), reverse=True)
+    assert np.abs(np.array(binding.extra) - expected).max() < 1e-9

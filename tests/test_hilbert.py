@@ -129,6 +129,20 @@ class TestProjector:
         q = basis_ket(4, 2).projector()
         assert np.abs(p.entries @ q.entries).max() == 0.0
 
+    def test_from_basis(self):
+        rng = np.random.default_rng(5)
+        vecs = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0][:, :2]
+        p = Projector.from_basis(vecs)
+        outer = vecs @ vecs.conj().T
+        assert np.array_equal(p.entries, (outer + outer.conj().T) / 2.0)
+        assert p.rank == 2
+        assert not p.basis.flags.writeable and not p.entries.flags.writeable
+        assert Projector(Operator(p.entries)).basis is None
+        with pytest.raises(ValueError):
+            Projector.from_basis(vecs * (1 + 1e-9))  # columns not unit length
+        with pytest.raises(ValueError):
+            Projector.from_basis(vecs[:, 0])  # not a (d, r) array
+
 
 class TestPDI:
     def test_default_labels(self):
@@ -197,6 +211,13 @@ class TestSpectralDecompose:
         assert len(obs.eigenvalues) == 2
         assert obs.pdi.projectors[0].rank == 2
 
+    @pytest.mark.parametrize("scale", [1e6, 1e7])
+    def test_reconstruction_tolerance_scales_with_entries(self, scale):
+        h = random_hermitian(np.random.default_rng(0), 8) * scale
+        obs = spectral_decompose(h)
+        assert len(obs.eigenvalues) == 8
+        assert np.abs(obs.operator().entries - h.entries).max() < 1e-9 * scale
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
     def test_reconstructs_random_hermitian(self, seed, dim):
@@ -209,6 +230,104 @@ class TestSpectralDecompose:
         )
         assert np.abs(rebuilt.entries - h.entries).max() < TOLERANCES.reconstruction
         assert all(a > b for a, b in zip(obs.eigenvalues, obs.eigenvalues[1:]))
+
+
+def isometry_blocks(seed, dim, coordinate, angle):
+    """Orthonormal bases of a random PDI: a random unitary's columns split into
+    at least two blocks (with `coordinate`, each block spans coordinate axes
+    mixed by a unitary inside the block). A nonzero angle rotates one column of
+    one block toward another block's span, so every block stays an isometry
+    while that pair stops being orthogonal."""
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=int(rng.integers(1, dim)), replace=False))
+    bounds = list(zip([0, *cuts.tolist()], [*cuts.tolist(), dim]))
+
+    def unitary(n):
+        return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+    if coordinate:
+        axes = np.eye(dim)[:, rng.permutation(dim)]
+        blocks = [axes[:, lo:hi] @ unitary(hi - lo) for lo, hi in bounds]
+    else:
+        q = unitary(dim)
+        blocks = [q[:, lo:hi].copy() for lo, hi in bounds]
+    if angle:
+        j, k = rng.choice(len(blocks), size=2, replace=False)
+        pk = blocks[k] @ blocks[k].conj().T
+        target = pk[:, int(np.argmax(pk.diagonal().real))]  # most axis-aligned direction in block k
+        col = int(rng.integers(blocks[j].shape[1]))
+        blocks[j][:, col] = math.cos(angle) * blocks[j][:, col] + math.sin(angle) * target / np.linalg.norm(target)
+    return blocks
+
+
+def dense_defects(projs):
+    """Max-entry orthogonality and idempotency defects from dense products."""
+    mats = [p.entries for p in projs]
+    ortho = max(
+        float(np.abs(a @ b).max()) for j, a in enumerate(mats) for b in mats[j + 1 :]
+    )
+    idem = max(float(np.abs(a @ a - a).max()) for a in mats)
+    return ortho, idem
+
+
+class TestGramCertificate:
+    """pdi_validate on basis-built members against dense products of the same matrices."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.booleans(),
+        st.sampled_from([0.0, 1e-8, 1e-5, 1e-2]),
+    )
+    def test_reported_defects_bound_dense_defects(self, seed, dim, coordinate, angle):
+        projs = [Projector.from_basis(b) for b in isometry_blocks(seed, dim, coordinate, angle)]
+        report = pdi_validate(projs)
+        ortho, idem = dense_defects(projs)
+        rounding = 16 * dim * np.finfo(float).eps  # error of the dense products themselves
+        assert report.orthogonality_defect + rounding >= ortho
+        assert report.idempotency_defect + rounding >= idem
+        assert report.passes == (angle == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.booleans())
+    def test_rotation_rejected_by_both_paths(self, seed, dim, coordinate):
+        for angle in (0.0, 1e-8):
+            factored = [Projector.from_basis(b) for b in isometry_blocks(seed, dim, coordinate, angle)]
+            dense = [Projector(Operator(p.entries)) for p in factored]
+            if angle:
+                for projs in (factored, dense):
+                    with pytest.raises(InvalidPDIError):
+                        PDI(projs)
+            else:
+                PDI(factored)
+                PDI(dense)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.booleans(),
+        st.sampled_from([0.0, 1e-8, 1e-5]),
+    )
+    def test_mixed_members_match_dense_verdict(self, seed, dim, coordinate, angle):
+        blocks = isometry_blocks(seed, dim, coordinate, angle)
+        mixed = []
+        for i, b in enumerate(blocks):
+            if b.shape[1] == 1:
+                mixed.append(Ket(b[:, 0]).projector())
+            elif i % 2:
+                mixed.append(Projector(Operator(b @ b.conj().T)))
+            else:
+                mixed.append(Projector.from_basis(b))
+        if all(p.basis is not None for p in mixed):  # keep one bare member
+            mixed[-1] = Projector(Operator(mixed[-1].entries))
+        dense = [Projector(Operator(p.entries)) for p in mixed]
+        report, reference = pdi_validate(mixed), pdi_validate(dense)
+        assert report.passes == reference.passes == (angle == 0.0)
+        assert report.completeness_defect == reference.completeness_defect
+        rounding = 16 * dim * np.finfo(float).eps
+        assert report.orthogonality_defect + rounding >= reference.orthogonality_defect
 
 
 class TestRefinementAndCompatibility:
