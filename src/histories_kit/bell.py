@@ -3,6 +3,9 @@ the fixed-setting hidden-variable model, correlator-polytope feasibility,
 and EPR-Bohm singlet calculus (joint probabilities, collapse conditionals,
 no-signaling verification).
 
+Local models fill a 4-D cross-polytope of correlator tables (Fine, PRL 48,
+291, 1982), so the witness mixture of a feasible table has a closed form.
+
 Correlators are always assembled the way a laboratory would assemble them:
 one Born-rule average per setting pair over the common refinement of the two
 commuting one-party decompositions, then combined with the CHSH signs. The
@@ -32,6 +35,7 @@ from .hilbert import (
     Operator,
     Projector,
     builtin_operator,
+    commutator_defect,
     partial_trace,
     spectral_decompose,
     tensor_product,
@@ -100,7 +104,7 @@ class CHSHOperators:
                 )
         for an, a in (("A0", self.a0), ("A1", self.a1)):
             for bn, b in (("B0", self.b0), ("B1", self.b1)):
-                defect = float(np.abs(a.entries @ b.entries - b.entries @ a.entries).max())
+                defect = commutator_defect(a, b)
                 if defect >= TOLERANCES.algebraic:
                     raise NonCommutingABError(
                         f"[{an}, {bn}] does not vanish (defect {defect:.3g})"
@@ -138,6 +142,8 @@ class CorrelationData:
         table = np.array(self.e, dtype=float)
         if table.shape != (2, 2):
             raise ValueError("correlator table must be 2x2")
+        if not np.isfinite(table).all():
+            raise ValueError(f"correlator entries must be finite: {table.tolist()}")
         if float(np.abs(table).max()) > 1 + TOLERANCES.probability:
             raise ValueError(f"correlator magnitude exceeds 1: {table!r}")
         table.setflags(write=False)
@@ -241,13 +247,18 @@ class LHVModel:
 
 
 def chsh_operator(ops: CHSHOperators) -> Operator:
-    """S = A0 B0 + A0 B1 + A1 B0 - A1 B1."""
-    for a in (ops.a0, ops.a1):
-        for b in (ops.b0, ops.b1):
-            defect = float(np.abs(a.entries @ b.entries - b.entries @ a.entries).max())
-            if defect >= TOLERANCES.algebraic:
-                raise NonCommutingABError(f"cross-party commutator defect {defect:.3g}")
+    """S = A0 B0 + A0 B1 + A1 B0 - A1 B1 (cross-party commutation is
+    enforced when `ops` is built)."""
     return (ops.a0 @ ops.b0) + (ops.a0 @ ops.b1) + (ops.a1 @ ops.b0) - (ops.a1 @ ops.b1)
+
+
+def _born_joints(psi: np.ndarray, obs_a: Observable, obs_b: Observable):
+    """(f_a, f_b, <psi| P_a P_b |psi>) for every eigenvalue pair, A-major."""
+    return [
+        (fa, fb, float(np.vdot(psi, pa.entries @ (pb.entries @ psi)).real))
+        for fa, pa in zip(obs_a.eigenvalues, obs_a.pdi.projectors)
+        for fb, pb in zip(obs_b.eigenvalues, obs_b.pdi.projectors)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,10 +283,8 @@ def chsh_value(state: Ket, ops: CHSHOperators) -> CHSHValue:
     e = np.zeros((2, 2))
     for a, b in product((0, 1), repeat=2):
         total = 0.0
-        for fa, pa in zip(obs_a[a].eigenvalues, obs_a[a].pdi.projectors):
-            for fb, pb in zip(obs_b[b].eigenvalues, obs_b[b].pdi.projectors):
-                pr = float(np.vdot(psi, pa.entries @ (pb.entries @ psi)).real)
-                total += fa * fb * pr
+        for fa, fb, pr in _born_joints(psi, obs_a[a], obs_b[b]):
+            total += fa * fb * pr
         e[a, b] = total
     corr = CorrelationData(e)
     direct = float(chsh_operator(ops).expectation(state).real)
@@ -296,16 +305,14 @@ class DeterministicBoundReport:
     min_s: float
     argmax: tuple[DeterministicStrategy, ...]
     strategies: tuple[DeterministicStrategy, ...]
-    mixture_check_max: float
     note: str
 
 
-def lhv_deterministic_bound(mixture_trials: int = 100) -> DeterministicBoundReport:
+def lhv_deterministic_bound() -> DeterministicBoundReport:
     """Exhaustive 16-strategy enumeration of the classical CHSH bound.
 
-    Every deterministic strategy lands on +-2; random convex mixtures are
-    spot-checked as well, though convexity already makes the vertex maximum
-    binding for them.
+    Every deterministic strategy lands on +-2; by convexity no mixture of
+    them can exceed the vertex maximum.
     """
     strategies = tuple(
         DeterministicStrategy(*vals) for vals in product((1, -1), repeat=4)
@@ -314,26 +321,11 @@ def lhv_deterministic_bound(mixture_trials: int = 100) -> DeterministicBoundRepo
     max_s = float(max(values))
     min_s = float(min(values))
     argmax = tuple(s for s, v in zip(strategies, values) if v == max_s)
-
-    # deterministic spot check of mixed models; counters feed a tiny LCG so
-    # no global RNG state is touched
-    corr_vectors = np.array([s.correlators() for s in strategies], dtype=float)
-    state = 0x2545F4914F6CDD1D
-    mixture_max = 0.0
-    for _ in range(mixture_trials):
-        weights = np.empty(16)
-        for i in range(16):
-            state = (6364136223846793005 * state + 1442695040888963407) % 2**64
-            weights[i] = (state >> 11) / 2**53
-        weights /= weights.sum()
-        e = weights @ corr_vectors
-        mixture_max = max(mixture_max, abs(float(e[0] + e[1] + e[2] - e[3])))
     return DeterministicBoundReport(
         max_s=max_s,
         min_s=min_s,
         argmax=argmax,
         strategies=strategies,
-        mixture_check_max=mixture_max,
         note=(
             "mixed models are convex combinations of the 16 deterministic "
             "strategies, so |S| cannot exceed the vertex maximum of 2"
@@ -357,18 +349,17 @@ def lambda_model_fixed_settings(state: Ket, ops: CHSHOperators, s: SettingPair) 
         raise DimensionMismatchError(f"state dim {state.dim} vs operator dim {ops.dim}")
     obs_a = spectral_decompose(ops.alice(s.a))
     obs_b = spectral_decompose(ops.bob(s.b))
-    psi = state.amplitudes
     lambdas = []
     prior = []
     resp_a = []
     resp_b = []
-    for fa, pa in zip(obs_a.eigenvalues, obs_a.pdi.projectors):
-        for fb, pb in zip(obs_b.eigenvalues, obs_b.pdi.projectors):
-            lambdas.append(_sign_label(fa) + _sign_label(fb))
-            weight = float(np.vdot(psi, pa.entries @ (pb.entries @ psi)).real)
-            prior.append(max(0.0, weight))
-            resp_a.append(1.0 if fa > 0 else 0.0)
-            resp_b.append(1.0 if fb > 0 else 0.0)
+    born = np.zeros((2, 2))
+    for fa, fb, weight in _born_joints(state.amplitudes, obs_a, obs_b):
+        lambdas.append(_sign_label(fa) + _sign_label(fb))
+        prior.append(max(0.0, weight))
+        resp_a.append(1.0 if fa > 0 else 0.0)
+        resp_b.append(1.0 if fb > 0 else 0.0)
+        born[0 if fa > 0 else 1, 0 if fb > 0 else 1] += weight
     model = LHVModel(
         lambdas=tuple(lambdas),
         prior=np.array(prior),
@@ -376,12 +367,6 @@ def lambda_model_fixed_settings(state: Ket, ops: CHSHOperators, s: SettingPair) 
         resp_b={s.b: np.array(resp_b)},
     )
     # the reproduction property is part of this function's contract
-    born = np.zeros((2, 2))
-    for fa, pa in zip(obs_a.eigenvalues, obs_a.pdi.projectors):
-        for fb, pb in zip(obs_b.eigenvalues, obs_b.pdi.projectors):
-            row = 0 if fa > 0 else 1
-            col = 0 if fb > 0 else 1
-            born[row, col] += float(np.vdot(psi, pa.entries @ (pb.entries @ psi)).real)
     defect = float(np.abs(model.joint(s) - born).max())
     if defect > TOLERANCES.probability:
         raise VerificationFailedError(f"lambda model misses the Born joints by {defect:.3g}")
@@ -390,10 +375,13 @@ def lambda_model_fixed_settings(state: Ket, ops: CHSHOperators, s: SettingPair) 
 
 # Correlator-polytope vertices: sign vectors with product +1. Each is realized
 # by a deterministic strategy (global outcome flips collapse the 16 strategies
-# onto these 8 correlator points).
+# onto these 8 correlator points). The first four, v_1..v_4 =
+# (1,1,1,1), (1,1,-1,-1), (1,-1,1,-1), (1,-1,-1,1), are mutually orthogonal,
+# and entry 7 - i is the negation of entry i.
 _VERTEX_SIGNS = tuple(
     signs for signs in product((1, -1), repeat=4) if signs[0] * signs[1] * signs[2] * signs[3] == 1
 )
+_VERTICES = np.array(_VERTEX_SIGNS, dtype=float)
 
 _ODD_SIGNS = tuple(
     signs for signs in product((1, -1), repeat=4) if signs[0] * signs[1] * signs[2] * signs[3] == -1
@@ -422,11 +410,14 @@ def lhv_feasibility(corr: CorrelationData) -> FeasibilityReport:
 
     The 2-setting/2-outcome correlator polytope is exactly the region where
     all eight odd-sign CHSH combinations stay within [-2, 2] (given each
-    |E| <= 1, which CorrelationData enforces). When feasible, an explicit
-    mixture over deterministic strategies is reconstructed by searching
-    supports of at most five polytope vertices and solving the resulting
-    square system, which must succeed for a point of a 4-dimensional
-    polytope.
+    |E| <= 1, which CorrelationData enforces); the verdict is that scan.
+
+    The polytope is the 4-D cross-polytope conv{+-v_i} over the four
+    orthogonal even sign vectors v_i (Fine, PRL 48, 291, 1982), so
+    E = sum_i c_i v_i with c_i = <E, v_i>/4, and E is feasible iff
+    sum_i |c_i| <= 1. The witness puts weight |c_i| on sign(c_i) v_i and
+    splits the slack 1 - sum_i |c_i| evenly over +-v_1; it is checked to
+    reproduce E with weights summing to 1.
     """
     flat = corr.e.reshape(-1)
     worst_value = 0.0
@@ -445,32 +436,29 @@ def lhv_feasibility(corr: CorrelationData) -> FeasibilityReport:
             mixture=None,
         )
 
-    columns = np.array([list(v) + [1.0] for v in _VERTEX_SIGNS], dtype=float).T  # 5 x 8
-    target = np.concatenate([flat, [1.0]])
-    for size in range(1, 6):
-        for support in combinations(range(len(_VERTEX_SIGNS)), size):
-            sub = columns[:, support]
-            weights, *_ = np.linalg.lstsq(sub, target, rcond=None)
-            if float(np.abs(sub @ weights - target).max()) > 1e-9:
-                continue
-            if float(weights.min()) < -1e-12:
-                continue
-            weights = np.clip(weights, 0.0, None)
-            weights /= weights.sum()
-            mixture = tuple(
-                (_vertex_strategy(_VERTEX_SIGNS[idx]), float(w))
-                for idx, w in zip(support, weights)
-                if w > 0
-            )
-            return FeasibilityReport(
-                feasible=True,
-                max_combination=abs(worst_value),
-                violated_signs=None,
-                violated_value=None,
-                mixture=mixture,
-            )
-    raise VerificationFailedError(
-        "no vertex mixture found for a point satisfying all CHSH inequalities"
+    coords = _VERTICES[:4] @ flat / 4.0
+    weights = np.zeros(len(_VERTEX_SIGNS))
+    for i, c in enumerate(coords):
+        weights[i if c >= 0 else 7 - i] = abs(c)
+    # sum |c_i| may exceed 1 by the scan's tolerance; weights stay >= 0
+    slack = max(0.0, 1.0 - float(np.abs(coords).sum()))
+    weights[0] += slack / 2
+    weights[7] += slack / 2
+    defect = max(
+        float(np.abs(weights @ _VERTICES - flat).max()), abs(float(weights.sum()) - 1.0)
+    )
+    if defect > 1e-9:
+        raise VerificationFailedError(f"vertex mixture misses the correlators by {defect:.3g}")
+    return FeasibilityReport(
+        feasible=True,
+        max_combination=abs(worst_value),
+        violated_signs=None,
+        violated_value=None,
+        mixture=tuple(
+            (_vertex_strategy(signs), float(w))
+            for signs, w in zip(_VERTEX_SIGNS, weights)
+            if w > 0
+        ),
     )
 
 

@@ -126,6 +126,25 @@ def _correlation_from_ops(env, query):
     return ops, state
 
 
+def _lhv_payload(corr: CorrelationData) -> dict:
+    report = lhv_feasibility(corr)
+    payload = {
+        "e": corr.e,
+        "s": corr.chsh,
+        "feasible": report.feasible,
+        "max_combination": report.max_combination,
+    }
+    if report.feasible:
+        payload["mixture"] = [
+            {"strategy": [s.a0, s.a1, s.b0, s.b1], "weight": w}
+            for s, w in report.mixture
+        ]
+    else:
+        payload["violated_signs"] = list(report.violated_signs)
+        payload["violated_value"] = report.violated_value
+    return payload
+
+
 def _run_query(query, env):
     """Execute one query against resolved bindings; returns (kind, payload)."""
     if isinstance(query, ChshQuery):
@@ -138,23 +157,7 @@ def _run_query(query, env):
         }
     if isinstance(query, LhvQuery):
         ops, state = _correlation_from_ops(env, query)
-        value = chsh_value(state, ops)
-        report = lhv_feasibility(value.correlations)
-        payload = {
-            "e": value.correlations.e,
-            "s": value.correlations.chsh,
-            "feasible": report.feasible,
-            "max_combination": report.max_combination,
-        }
-        if report.feasible:
-            payload["mixture"] = [
-                {"strategy": [s.a0, s.a1, s.b0, s.b1], "weight": w}
-                for s, w in report.mixture
-            ]
-        else:
-            payload["violated_signs"] = list(report.violated_signs)
-            payload["violated_value"] = report.violated_value
-        return "lhv", payload
+        return "lhv", _lhv_payload(chsh_value(state, ops).correlations)
     if isinstance(query, ProbsQuery):
         table = family_probabilities(env[query.family].value)
         return "probs", {
@@ -446,7 +449,6 @@ def _cmd_lhv_bound(args, out) -> int:
             "min_s": report.min_s,
             "n_strategies": len(report.strategies),
             "argmax": [[s.a0, s.a1, s.b0, s.b1] for s in report.argmax],
-            "mixture_check_max": report.mixture_check_max,
             "note": report.note,
         }
         _emit_json(payload, out)
@@ -456,46 +458,36 @@ def _cmd_lhv_bound(args, out) -> int:
         out.write(f"strategies attaining S = {report.max_s:g}:\n")
         for s in report.argmax:
             out.write(f"  a0={s.a0:+d} a1={s.a1:+d} b0={s.b0:+d} b1={s.b1:+d}\n")
-        out.write(
-            f"random mixtures stay inside: max |S| over trials = "
-            f"{_g(report.mixture_check_max)}\n"
-        )
     return 0
 
 
 def _cmd_lhv_check(args, out) -> int:
     table = np.array([[args.e00, args.e01], [args.e10, args.e11]])
-    corr = CorrelationData(table)
-    report = lhv_feasibility(corr)
+    payload = _lhv_payload(CorrelationData(table))
     if args.format == "json":
-        payload = {
-            "metadata": _metadata(),
-            "e": corr.e,
-            "s": corr.chsh,
-            "feasible": report.feasible,
-            "max_combination": report.max_combination,
-        }
-        if report.feasible:
-            payload["mixture"] = [
-                {"strategy": [s.a0, s.a1, s.b0, s.b1], "weight": w}
-                for s, w in report.mixture
-            ]
-        else:
-            payload["violated_signs"] = list(report.violated_signs)
-            payload["violated_value"] = report.violated_value
-        _emit_json(payload, out)
+        _emit_json({"metadata": _metadata(), **payload}, out)
+    elif payload["feasible"]:
+        out.write(f"feasible (max |CHSH combination| = {_g(payload['max_combination'])} <= 2)\n")
+        out.write("witness mixture:\n")
+        for item in payload["mixture"]:
+            s = item["strategy"]
+            out.write(
+                f"  weight {_g(item['weight'])} on strategy "
+                f"a0={s[0]:+d} a1={s[1]:+d} b0={s[2]:+d} b1={s[3]:+d}\n"
+            )
     else:
-        if report.feasible:
-            out.write(f"feasible (max |CHSH combination| = {_g(report.max_combination)} <= 2)\n")
-            out.write("witness mixture:\n")
-            for s, w in report.mixture:
-                out.write(
-                    f"  weight {_g(w)} on strategy "
-                    f"a0={s.a0:+d} a1={s.a1:+d} b0={s.b0:+d} b1={s.b1:+d}\n"
-                )
-        else:
-            out.write(f"infeasible (S={report.max_combination:g} > 2)\n")
+        out.write(f"infeasible (S={payload['max_combination']:g} > 2)\n")
     return 0
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -504,7 +496,7 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--format", choices=("human", "json"), default="human")
-        p.add_argument("--tol", type=float, default=None, help="algebraic tolerance override")
+        p.add_argument("--tol", type=_tolerance, default=None, help="algebraic tolerance override")
 
     p_run = sub.add_parser("run", help="execute a .spec file")
     p_run.add_argument("file")
@@ -549,6 +541,12 @@ def execute(argv: list[str] | None = None, out=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        env_tol = os.environ.get(_ENV_TOL)
+        if env_tol is not None:
+            try:
+                env_tol = _tolerance(env_tol)
+            except argparse.ArgumentTypeError as err:
+                parser.error(f"{_ENV_TOL} {err}")
     except _UsageError as err:
         sys.stderr.write(err.parser.format_usage())
         sys.stderr.write(f"error: {err}\n")
@@ -558,11 +556,10 @@ def execute(argv: list[str] | None = None, out=None) -> int:
 
     saved = TOLERANCES.as_dict()
     try:
-        env_tol = os.environ.get(_ENV_TOL)
         if env_tol is not None:
-            TOLERANCES.algebraic = float(env_tol)
+            TOLERANCES.algebraic = env_tol
         if args.tol is not None:
-            TOLERANCES.algebraic = float(args.tol)
+            TOLERANCES.algebraic = args.tol
         return _COMMANDS[args.command](args, out)
     except ParseError as err:
         sys.stderr.write(f"{err}\n")

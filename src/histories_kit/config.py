@@ -19,7 +19,6 @@ class Tolerances:
     eigen_grouping: float = 1e-8  # absolute gap below which eigenvalues merge
     probability: float = 1e-12    # probability sums / zero-probability guards
     reconstruction: float = 1e-9  # spectral round-trip defect per unit of max(1, max|H|)
-    ket_norm: float = 1e-12       # state normalization drift
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -27,7 +26,6 @@ class Tolerances:
             "eigen_grouping": self.eigen_grouping,
             "probability": self.probability,
             "reconstruction": self.reconstruction,
-            "ket_norm": self.ket_norm,
         }
 
 

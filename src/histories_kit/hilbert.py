@@ -51,6 +51,7 @@ __all__ = [
     "possesses",
     "region_projector",
     "builtin_operator",
+    "commutator_defect",
     "commutes",
     "pdi_compatible",
     "partial_trace",
@@ -163,11 +164,16 @@ class Operator:
         return float(np.abs(defect).max()) < tol
 
 
+def commutator_defect(a: "Operator | Projector", b: "Operator | Projector") -> float:
+    """Max-entry norm of AB - BA; callers compare it with their tolerance."""
+    return float(np.abs(a.entries @ b.entries - b.entries @ a.entries).max())
+
+
 def commutes(a: Operator, b: Operator, tol: float | None = None) -> bool:
     tol = TOLERANCES.algebraic if tol is None else tol
     if a.dim != b.dim:
         raise DimensionMismatchError(f"operator dims differ: {a.dim} vs {b.dim}")
-    return float(np.abs(a.entries @ b.entries - b.entries @ a.entries).max()) < tol
+    return commutator_defect(a, b) < tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,7 +504,7 @@ def common_refinement(p: PDI, q: PDI) -> PDI:
     tol = TOLERANCES.algebraic
     for lj, pj in p.items():
         for lk, qk in q.items():
-            defect = float(np.abs(pj.entries @ qk.entries - qk.entries @ pj.entries).max())
+            defect = commutator_defect(pj, qk)
             if defect >= tol:
                 raise NonCommutingError(
                     f"projectors {lj!r} and {lk!r} do not commute "
@@ -580,8 +586,7 @@ def pdi_compatible(p: "PDI | Projector", q: "PDI | Projector") -> bool:
         for b in _projs(q):
             if a.dim != b.dim:
                 raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-            defect = float(np.abs(a.entries @ b.entries - b.entries @ a.entries).max())
-            if defect >= tol:
+            if commutator_defect(a, b) >= tol:
                 return False
     return True
 

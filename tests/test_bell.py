@@ -1,10 +1,11 @@
 """CHSH operators, classical bounds, hidden-variable models, EPR calculus."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from histories_kit.bell import (
@@ -192,6 +193,11 @@ class TestCorrelationData:
         with pytest.raises(ValueError):
             CorrelationData(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_finite_guard(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CorrelationData(np.array([[bad, 0.0], [0.0, 0.0]]))
+
 
 class TestDeterministicBound:
     def test_sixteen_strategies_max_two(self):
@@ -200,7 +206,6 @@ class TestDeterministicBound:
         assert report.max_s == 2.0
         assert report.min_s == -2.0
         assert len(report.argmax) == 8
-        assert report.mixture_check_max <= 2.0
 
     def test_every_strategy_hits_plus_minus_two(self):
         values = {s.chsh() for s in lhv_deterministic_bound().strategies}
@@ -270,17 +275,19 @@ class TestFeasibility:
         assert report.mixture is None
 
     def test_feasible_tables_get_mixtures(self):
-        corr = CorrelationData(np.array([[0.5, 0.3], [0.2, -0.1]]))
-        report = lhv_feasibility(corr)
-        assert report.feasible
-        rebuilt = np.zeros((2, 2))
-        total = 0.0
-        for strategy, weight in report.mixture:
-            assert weight > 0
-            total += weight
-            rebuilt += weight * np.array(strategy.correlators(), dtype=float).reshape(2, 2)
-        assert abs(total - 1) < 1e-9
-        assert np.abs(rebuilt - corr.e).max() < 1e-8
+        # an interior table, and one on the CHSH facet E00 + E01 + E10 - E11 = 2
+        for table in ([[0.5, 0.3], [0.2, -0.1]], [[0.5, 0.7], [0.6, -0.2]]):
+            corr = CorrelationData(np.array(table))
+            report = lhv_feasibility(corr)
+            assert report.feasible
+            rebuilt = np.zeros((2, 2))
+            total = 0.0
+            for strategy, weight in report.mixture:
+                assert weight > 0
+                total += weight
+                rebuilt += weight * np.array(strategy.correlators(), dtype=float).reshape(2, 2)
+            assert abs(total - 1) < 1e-9
+            assert np.abs(rebuilt - corr.e).max() < 1e-8
 
     def test_vertices_feasible(self):
         for strategy in lhv_deterministic_bound().strategies:
@@ -311,6 +318,69 @@ class TestFeasibility:
         report = lhv_feasibility(corr)
         assert not report.feasible
         assert abs(report.violated_value) == 4.0
+
+
+# every deterministic strategy's correlators (E00, E01, E10, E11), one per column
+STRATEGY_CORRELATORS = np.array(
+    [s.correlators() for s in lhv_deterministic_bound().strategies], dtype=float
+).T
+ODD_SIGNS = [s for s in itertools.product((1, -1), repeat=4) if np.prod(s) == -1]
+
+
+def lp_feasible(flat):
+    """Reference verdict: is E a convex mixture of the 16 deterministic strategies?"""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    result = linprog(
+        np.zeros(16),
+        A_eq=np.vstack([STRATEGY_CORRELATORS, np.ones(16)]),
+        b_eq=np.append(flat, 1.0),
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10},
+    )
+    assert result.status in (0, 2), result.message  # solved or infeasible
+    return result.status == 0
+
+
+def sample_table(rng, kind):
+    if kind == "uniform":
+        return rng.uniform(-1, 1, size=4)
+    if kind == "lhv_model":
+        return STRATEGY_CORRELATORS @ rng.dirichlet(np.full(16, 0.3))
+    if kind == "vertex":
+        return STRATEGY_CORRELATORS[:, rng.integers(16)].copy()
+    # a random point of a CHSH facet (a mixture of the four vertices v with
+    # <u, v> = 2 for an odd sign pattern u), scaled so |CHSH| = 2 (1 +- 1e-6)
+    u = np.array(ODD_SIGNS[rng.integers(8)], dtype=float)
+    facet = STRATEGY_CORRELATORS[:, u @ STRATEGY_CORRELATORS == 2]
+    point = facet @ rng.dirichlet(np.ones(facet.shape[1]))
+    return point * (1.0 + (1e-6 if kind == "outside" else -1e-6))
+
+
+class TestFeasibilityAgainstLP:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["uniform", "lhv_model", "vertex", "inside", "outside"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_and_witness_match_linear_program(self, kind, seed):
+        flat = sample_table(np.random.default_rng(seed), kind)
+        assume(np.abs(flat).max() <= 1.0)
+        report = lhv_feasibility(CorrelationData(flat.reshape(2, 2)))
+        assert report.feasible == lp_feasible(flat)
+        if kind in ("lhv_model", "vertex", "inside"):
+            assert report.feasible
+        if kind == "outside":
+            assert not report.feasible
+        if report.feasible:
+            weights = np.array([w for _, w in report.mixture])
+            rebuilt = sum(
+                w * np.array(strategy.correlators(), dtype=float)
+                for strategy, w in report.mixture
+            )
+            assert weights.min() > 0
+            assert abs(weights.sum() - 1) < 1e-9
+            assert np.abs(rebuilt - flat).max() < 1e-9
 
 
 class TestSingletCalculus:

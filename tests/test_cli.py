@@ -109,6 +109,12 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli.execute(["--help"]) == 0
 
+    def test_non_finite_correlator_is_contract_violation(self, capsys):
+        code, out = run_cli(["lhv-check", "nan", "0", "0", "0", "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "finite" in capsys.readouterr().err
+
 
 class TestToleranceOverrides:
     def test_env_var_loosens_consistency(self, monkeypatch):
@@ -129,6 +135,21 @@ class TestToleranceOverrides:
         code, out = run_cli(["run", spec, "--format", "json", "--tol", "1e-10"])
         assert code == 0
         assert json.loads(out)["results"][0]["consistent"] is False
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_rejects_non_finite_or_non_positive(self, source, value, monkeypatch, capsys):
+        argv = ["epr", "--format", "json"]
+        if source == "flag":
+            argv += ["--tol", value]
+        else:
+            monkeypatch.setenv("HISTORIES_KIT_TOL", value)
+        code, out = run_cli(argv)
+        assert code == 64
+        assert out == ""
+        err = capsys.readouterr().err
+        assert ("--tol" if source == "flag" else "HISTORIES_KIT_TOL") in err
+        assert repr(value) in err
 
     def test_tolerances_restored_after_run(self, monkeypatch):
         before = TOLERANCES.as_dict()

@@ -63,7 +63,7 @@ def random_hermitian(rng, dim):
 class TestKet:
     def test_normalizes(self):
         k = Ket(np.array([3.0, 4.0], dtype=complex))
-        assert abs(np.linalg.norm(k.amplitudes) - 1) < TOLERANCES.ket_norm
+        assert abs(np.linalg.norm(k.amplitudes) - 1) < TOLERANCES.probability
         assert np.allclose(k.amplitudes, [0.6, 0.8])
 
     def test_zero_vector_rejected(self):
