@@ -193,6 +193,8 @@ class LHVModel:
         prior = np.array(self.prior, dtype=float).reshape(-1)
         if prior.shape[0] != len(lambdas):
             raise ValueError("one prior entry per lambda required")
+        if not np.isfinite(prior).all():
+            raise ValueError("prior probabilities must be finite")
         if float(prior.min()) < -TOLERANCES.probability:
             raise ValueError("negative prior probability")
         if abs(float(prior.sum()) - 1.0) > TOLERANCES.probability:
@@ -206,6 +208,8 @@ class LHVModel:
                 vec = np.array(resp, dtype=float).reshape(-1)
                 if vec.shape[0] != len(lambdas):
                     raise ValueError("one response entry per lambda required")
+                if not np.isfinite(vec).all():
+                    raise ValueError("response probabilities must be finite")
                 if float(vec.min()) < -TOLERANCES.probability or float(vec.max()) > 1 + TOLERANCES.probability:
                     raise ValueError("response probabilities must lie in [0, 1]")
                 vec = np.clip(vec, 0.0, 1.0)

@@ -372,31 +372,32 @@ def _cmd_epr(args, out) -> int:
     value = chsh_value(state, ops)
     feasibility = lhv_feasibility(value.correlations)
 
+    alice_obs = [spectral_decompose(sigma_zx(math.radians(ta))).pdi for ta in alice]
+    bob_obs = [spectral_decompose(sigma_zx(math.radians(tb))).pdi for tb in bob]
+
     # joint/collapse agreement across the four setting pairs
-    eye2 = np.eye(2)
     worst = 0.0
-    for ta in alice:
-        for tb in bob:
-            obs_a = spectral_decompose(sigma_zx(math.radians(ta)))
-            obs_b = spectral_decompose(sigma_zx(math.radians(tb)))
-            joints = joint_probabilities(state, obs_a.pdi, obs_b.pdi)
-            for j, pa in enumerate(obs_a.pdi.projectors):
-                for k, pb in enumerate(obs_b.pdi.projectors):
+    for obs_a in alice_obs:
+        for obs_b in bob_obs:
+            joints = joint_probabilities(state, obs_a, obs_b)
+            for j, pa in enumerate(obs_a.projectors):
+                for k, pb in enumerate(obs_b.projectors):
                     res = collapse_conditional(state, pa, pb)
                     product = res.outcome_probability * res.conditional_probability
                     worst = max(worst, abs(product - joints[j, k]))
 
     # no-signaling: Alice may measure along either of her directions
-    def lift(op_proj, side):
-        mat = np.kron(op_proj.entries, eye2) if side == 0 else np.kron(eye2, op_proj.entries)
-        return Projector(Operator(mat))
+    eye2 = np.eye(2)
 
-    alice_pdis = []
-    for ta in alice:
-        local = spectral_decompose(sigma_zx(math.radians(ta))).pdi
-        alice_pdis.append(PDI([lift(p, 0) for p in local.projectors], labels=local.labels))
-    bob_local = spectral_decompose(sigma_zx(math.radians(bob[0]))).pdi
-    bob_pdi = PDI([lift(p, 1) for p in bob_local.projectors], labels=bob_local.labels)
+    def lift(local, side):
+        mats = [
+            np.kron(p.entries, eye2) if side == 0 else np.kron(eye2, p.entries)
+            for p in local.projectors
+        ]
+        return PDI([Projector(Operator(m)) for m in mats], labels=local.labels)
+
+    alice_pdis = [lift(local, 0) for local in alice_obs]
+    bob_pdi = lift(bob_obs[0], 1)
     ns_report = no_signaling_check(state, alice_pdis, bob_pdi, (2, 2))
 
     if args.format == "json":
@@ -490,6 +491,26 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _shots(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="histkit", description="consistent-histories CHSH toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -503,8 +524,8 @@ def _build_parser() -> _Parser:
     common(p_run)
 
     p_neon = sub.add_parser("neon", help="spin-3/2 CHSH demonstration")
-    p_neon.add_argument("--shots", type=int, default=100000)
-    p_neon.add_argument("--seed", type=int, default=2020)
+    p_neon.add_argument("--shots", type=_shots, default=100000)
+    p_neon.add_argument("--seed", type=_seed, default=2020)
     common(p_neon)
 
     p_epr = sub.add_parser("epr", help="singlet correlators, collapse, no-signaling")

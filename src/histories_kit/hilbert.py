@@ -61,8 +61,16 @@ __all__ = [
 ZERO_NORM_CUTOFF = 1e-12
 
 
-def _frozen_vector(values) -> np.ndarray:
+def _normalized_vector(values) -> np.ndarray:
+    """Read-only unit vector along values; NaN, infinite and (effectively)
+    zero vectors are rejected, as is one whose norm overflows."""
     vec = np.array(values, dtype=complex).reshape(-1)
+    norm = float(np.linalg.norm(vec))
+    if not math.isfinite(norm):
+        raise ValueError(f"amplitudes must be finite with a finite norm, got norm {norm!r}")
+    if norm < ZERO_NORM_CUTOFF:
+        raise ValueError("cannot normalize an (effectively) zero vector into a state")
+    vec = vec / norm
     vec.setflags(write=False)
     return vec
 
@@ -77,18 +85,13 @@ def _frozen_matrix(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Ket:
-    """Normalized state vector. Constructors normalize; zero vectors are rejected."""
+    """Normalized state vector. Constructors normalize; zero and non-finite
+    vectors are rejected."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        vec = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(vec))
-        if norm < ZERO_NORM_CUTOFF:
-            raise ValueError("cannot normalize an (effectively) zero vector into a state")
-        vec = vec / norm
-        vec.setflags(write=False)
-        object.__setattr__(self, "amplitudes", vec)
+        object.__setattr__(self, "amplitudes", _normalized_vector(self.amplitudes))
 
     @property
     def dim(self) -> int:
@@ -416,13 +419,7 @@ class GridWavefunction:
     regions: dict[str, "Region"] = field(default_factory=dict)
 
     def __post_init__(self):
-        vec = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(vec))
-        if norm < ZERO_NORM_CUTOFF:
-            raise ValueError("cannot normalize an (effectively) zero vector")
-        vec = vec / norm
-        vec.setflags(write=False)
-        object.__setattr__(self, "amplitudes", vec)
+        object.__setattr__(self, "amplitudes", _normalized_vector(self.amplitudes))
         for name, region in self.regions.items():
             if max(region.indices, default=0) >= self.points:
                 raise IndexOutOfRangeError(f"region {name!r} exceeds grid of {self.points} points")

@@ -4,6 +4,11 @@ The generator is a counter-based splitmix64: output i of a stream is a pure
 function of (seed, i), so shot n of any run is identical no matter how the
 preceding shots were batched. That partition property is what makes sampled
 CHSH runs exactly reproducible across machines and chunk sizes.
+
+`sample_pdi` relies on it to tally shots chunk by chunk: each chunk of
+`_CHUNK` raw outputs is generated into one reused buffer, sorted, and counted
+against integer thresholds on the 53-bit draws, so counts are identical for
+any chunk size and memory stays the same for any number of shots.
 """
 
 from __future__ import annotations
@@ -27,19 +32,47 @@ __all__ = [
     "empirical_chsh",
 ]
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+# shots per tally chunk: two uint64 buffers of this length stay in L2 cache
+_CHUNK = 1 << 15
+# _STEPS[i] = (i + 1) * gamma mod 2^64, the counter offsets within one chunk
+_STEPS = np.arange(1, _CHUNK + 1, dtype=np.uint64)
+_STEPS *= np.uint64(_GAMMA)
+_STEPS.setflags(write=False)
 
 # renormalization window for Born weights before sampling; anything worse is
 # a modeling error, not float dust
 _NORM_WINDOW = 1e-9
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finaliser, applied in place to the uint64 array z; returns z."""
+    t = np.empty_like(z) if scratch is None else scratch
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    return z
+
+
+def _splitmix64(seed: int, start: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Write raw outputs start..start+len(out)-1 of stream `seed` into out.
+
+    Output i mixes the counter seed + (i + 1) * gamma mod 2^64; out and
+    scratch are uint64 arrays of equal length, at most `_CHUNK`.
+    """
+    base = np.uint64((int(seed) + int(start) * _GAMMA) % 2**64)
+    np.add(_STEPS[: out.shape[0]], base, out=out)
+    return _mix(out, scratch)
+
+
+def _chunks(count: int):
+    return ((lo, min(_CHUNK, count - lo)) for lo in range(0, count, _CHUNK))
 
 
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
@@ -51,10 +84,36 @@ def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     """
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
-    with np.errstate(over="ignore"):
-        counters = np.uint64(seed) + (np.arange(start + 1, start + count + 1, dtype=np.uint64)) * _GAMMA
-        bits = _mix(counters)
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    bits = np.empty(count, dtype=np.uint64)
+    scratch = np.empty(min(count, _CHUNK), dtype=np.uint64)
+    for lo, n in _chunks(count):
+        _splitmix64(seed, start + lo, bits[lo : lo + n], scratch[:n])
+    bits >>= np.uint64(11)
+    return bits.astype(np.float64) * 2.0**-53
+
+
+def _tally(edges: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Counts of outcomes 0..len(edges)-1 over shots 0..shots-1 of stream `seed`.
+
+    edges is the nondecreasing cumulative Born weight; draw d falls in the
+    first outcome whose edge exceeds d, and the last outcome takes every draw
+    at or above the last inner edge. A draw is d = (bits >> 11) * 2^-53, and
+    d < e exactly when bits >> 11 < ceil(e * 2^53), so each sorted chunk is
+    counted against integer thresholds; an inner edge at or above 1 has a
+    threshold of at least 2^53 and counts every draw.
+    """
+    thresholds = np.ceil(edges[:-1] * 2.0**53).astype(np.uint64)
+    below = np.zeros(len(thresholds), dtype=np.int64)
+    buf = np.empty(min(shots, _CHUNK), dtype=np.uint64)
+    scratch = np.empty_like(buf)
+    for lo, n in _chunks(shots):
+        chunk = _splitmix64(seed, lo, buf[:n], scratch[:n])
+        chunk >>= np.uint64(11)
+        chunk.sort()
+        below += np.searchsorted(chunk, thresholds, side="left")
+    return np.diff(below, prepend=0, append=shots)
 
 
 @dataclass(frozen=True)
@@ -112,13 +171,7 @@ def sample_pdi(
             f"outcome weights sum to {total!r}, outside [1-{_NORM_WINDOW}, 1+{_NORM_WINDOW}]"
         )
     weights = weights / total
-    edges = np.cumsum(weights)
-    edges[-1] = 1.0
-
-    draws = uniform_stream(config.seed, 0, config.shots)
-    idx = np.searchsorted(edges, draws, side="right")
-    idx = np.minimum(idx, len(weights) - 1)
-    tallies = np.bincount(idx, minlength=len(weights))
+    tallies = _tally(np.cumsum(weights), config.shots, config.seed)
 
     counts = {label: int(n) for label, n in zip(pdi.labels, tallies)}
     probabilities = {label: float(w) for label, w in zip(pdi.labels, weights)}

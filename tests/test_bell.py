@@ -263,6 +263,16 @@ class TestLambdaModel:
         with pytest.raises(ValueError):
             LHVModel(("a",), np.array([1.0]), {0: np.array([1.5])}, {0: np.array([1.0])})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_prior_or_response_rejected(self, bad):
+        ones = {0: np.ones(2)}
+        with pytest.raises(ValueError, match="finite"):
+            LHVModel(("a", "b"), np.array([bad, 1.0]), ones, ones)
+        with pytest.raises(ValueError, match="finite"):
+            LHVModel(("a", "b"), np.array([0.5, 0.5]), ones, {0: np.array([1.0, bad])})
+        with pytest.raises(ValueError, match="finite"):
+            LHVModel(("a", "b"), np.array([0.5, 0.5]), {0: np.array([bad, 1.0])}, ones)
+
 
 class TestFeasibility:
     def test_quantum_correlators_infeasible(self):

@@ -109,6 +109,32 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli.execute(["--help"]) == 0
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--shots", "0"),
+            ("--shots", "-5"),
+            ("--shots", "1.5"),
+            ("--seed", "-1"),
+            ("--seed", "18446744073709551616"),
+            ("--seed", "abc"),
+        ],
+    )
+    def test_bad_shots_or_seed_is_usage_error(self, flag, value, capsys):
+        code, out = run_cli(["neon", flag, value, "--format", "json"])
+        assert code == 64
+        assert out == ""
+        err = capsys.readouterr().err
+        assert flag in err
+        assert repr(value) in err
+
+    def test_extreme_valid_shots_and_seed(self):
+        code, out = run_cli(
+            ["neon", "--shots", "1", "--seed", "18446744073709551615", "--format", "json"]
+        )
+        assert code == 0
+        assert json.loads(out)["sampled"]["seed"] == 2**64 - 1
+
     def test_non_finite_correlator_is_contract_violation(self, capsys):
         code, out = run_cli(["lhv-check", "nan", "0", "0", "0", "--format", "json"])
         assert code == 2
@@ -201,6 +227,20 @@ class TestHumanOutput:
         )
         assert code == 0
         assert out == (GOLDEN_DIR / "epr.json").read_text()
+
+    def test_epr_decomposes_each_observable_once(self, monkeypatch):
+        decomposed = []
+        real = cli.spectral_decompose
+
+        def counting(op):
+            decomposed.append(op)
+            return real(op)
+
+        monkeypatch.setattr(cli, "spectral_decompose", counting)
+        code, _ = run_cli(["epr"])
+        assert code == 0
+        # two spin directions for Alice and two for Bob
+        assert len(decomposed) == 4
 
     def test_epr_reports_signed_value_for_other_angles(self):
         # swapping Alice's settings cancels the canonical combination, yet the

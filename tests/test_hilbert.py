@@ -72,6 +72,15 @@ class TestKet:
         with pytest.raises(ValueError):
             Ket(np.full(4, 1e-14, dtype=complex))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [[math.nan, 1], [math.inf, 1], [1e200, 1e200]])
+    def test_non_finite_rejected(self, bad):
+        # NaN used to give an all-NaN state, inf [nan, 0], an overflowing norm zeros
+        with pytest.raises(ValueError, match="finite"):
+            Ket(np.array(bad, dtype=complex))
+        with pytest.raises(ValueError, match="finite"):
+            GridWavefunction(np.array(bad))
+
     def test_inner_and_projector(self):
         k = Ket(np.array([1.0, 1j]) / math.sqrt(2))
         assert abs(k.inner(k) - 1) < 1e-15

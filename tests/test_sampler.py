@@ -1,11 +1,14 @@
 """Deterministic counter-based sampling and empirical CHSH estimation."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from histories_kit.bell import neon_setup, singlet_state
 from histories_kit.config import TOLERANCES
@@ -19,8 +22,10 @@ from histories_kit.hilbert import (
     spectral_decompose,
 )
 from histories_kit.sampler import (
+    _CHUNK,
     RunConfig,
     _mix,
+    _tally,
     empirical_chsh,
     sample_pdi,
     uniform_stream,
@@ -28,6 +33,44 @@ from histories_kit.sampler import (
 
 PLUS = Ket(np.array([1, 1], dtype=complex) / math.sqrt(2))
 PZ = spectral_decompose(builtin_operator("Z")).pdi
+
+GAMMA, MIX1, MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def splitmix64(seed: int, i: int) -> int:
+    """Output i of stream `seed`, in Python integers."""
+    z = (seed + (i + 1) * GAMMA) % 2**64
+    z = ((z ^ (z >> 30)) * MIX1) % 2**64
+    z = ((z ^ (z >> 27)) * MIX2) % 2**64
+    return z ^ (z >> 31)
+
+
+def dense_counts(edges, seed: int, shots: int) -> list[int]:
+    """Counts by one float draw per shot, inverted on the cumulative weights."""
+    edges = np.array(edges, dtype=float)
+    edges[-1] = 1.0
+    idx = np.searchsorted(edges, uniform_stream(seed, 0, shots), side="right")
+    return np.bincount(np.minimum(idx, len(edges) - 1), minlength=len(edges)).tolist()
+
+
+def edges_of(result) -> np.ndarray:
+    return np.cumsum(list(result.probabilities.values()))
+
+
+class SparseBasis:
+    """Computational-basis decomposition with sparse members.
+
+    Duck-types the parts of a PDI that `sample_pdi` reads, so that 1024
+    outcomes need no 1024 dense 1024x1024 projectors (16 GiB).
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.labels = tuple(str(k) for k in range(dim))
+        self.projectors = [
+            SimpleNamespace(entries=sparse.csr_array(([1.0], ([k], [k])), shape=(dim, dim)))
+            for k in range(dim)
+        ]
 
 
 class TestUniformStream:
@@ -64,6 +107,19 @@ class TestUniformStream:
         )
         assert [int(x) for x in _mix(counters)] == known
         assert uniform_stream(0, 0, 3).tolist() == [(v >> 11) * 2.0**-53 for v in known]
+
+    def test_counter_wraps_at_two_to_the_64(self):
+        seed = 2**64 - 1
+        start = 3 * _CHUNK - 2
+        expected = [(splitmix64(seed, start + i) >> 11) * 2.0**-53 for i in range(4)]
+        assert uniform_stream(seed, start, 4).tolist() == expected
+        assert uniform_stream(seed, 0, 3 * _CHUNK + 2)[start:].tolist() == expected
+
+    def test_seed_must_fit_64_bits(self):
+        with pytest.raises(ValueError):
+            uniform_stream(2**64, 0, 1)
+        with pytest.raises(ValueError):
+            uniform_stream(-1, 0, 1)
 
     def test_roughly_uniform(self):
         xs = uniform_stream(2020, 0, 100000)
@@ -165,6 +221,89 @@ PDI_4 = PDI(
     [Ket(v).projector() for v in np.eye(4, dtype=complex)],
     labels=("00", "01", "10", "11"),
 )
+
+
+class TestChunkedTally:
+    """Chunked counts equal the dense one-draw-per-shot inversion exactly."""
+
+    STATE = Ket(np.array([0.3, 0.5 - 0.2j, 0.1j, 0.7]))
+
+    @pytest.mark.parametrize("shots", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_chunk_boundaries(self, shots):
+        result = sample_pdi(self.STATE, PDI_4, RunConfig(shots=shots, seed=2024))
+        expected = dense_counts(edges_of(result), 2024, shots)
+        assert list(result.counts.values()) == expected
+
+    @pytest.mark.parametrize("seed", [2**64 - 1, 2**64 - 2, 2**64 - 3 * _CHUNK])
+    def test_seed_where_the_counter_wraps(self, seed):
+        shots = 3 * _CHUNK + 5
+        result = sample_pdi(self.STATE, PDI_4, RunConfig(shots=shots, seed=seed))
+        expected = dense_counts(edges_of(result), seed, shots)
+        assert list(result.counts.values()) == expected
+
+    def test_inner_edge_equal_to_one(self):
+        # trailing zero-weight outcomes: every inner edge from outcome 0 on is 1.0
+        state = Ket(np.array([1.0, 0.0, 0.0, 0.0]))
+        result = sample_pdi(state, PDI_4, RunConfig(shots=_CHUNK + 3, seed=5))
+        assert list(result.counts.values()) == [_CHUNK + 3, 0, 0, 0]
+        state = Ket(np.array([0.6, 0.8, 0.0, 0.0]))
+        assert edges_of(sample_pdi(state, PDI_4, RunConfig(1, 0)))[1] == 1.0
+        result = sample_pdi(state, PDI_4, RunConfig(shots=_CHUNK + 3, seed=5))
+        counts = list(result.counts.values())
+        assert counts == dense_counts(edges_of(result), 5, _CHUNK + 3)
+        assert counts[2:] == [0, 0]
+
+    def test_inner_edge_rounding_above_one(self):
+        state = Ket(np.array([0.1, 0.4, 0.2, 0.0]))
+        result = sample_pdi(state, PDI_4, RunConfig(shots=2 * _CHUNK + 1, seed=11))
+        assert edges_of(result)[2] > 1.0
+        counts = list(result.counts.values())
+        assert counts == dense_counts(edges_of(result), 11, 2 * _CHUNK + 1)
+        assert counts[3] == 0
+
+    def test_draws_exactly_on_an_edge(self):
+        # an edge equal to a draw sends that draw up; an edge one ulp above a
+        # draw in [1/4, 1/2), finer than the 2^-53 draw grid, keeps it below
+        # (one such draw on an even and one on an odd multiple of 2^-53)
+        seed, shots = 9, 3 * _CHUNK + 5
+        draws = uniform_stream(seed, 0, shots)
+        on = draws[(draws > 0.1) & (draws < 0.25)][-1]
+        grid = draws * 2.0**53
+        middle = (draws >= 0.25) & (draws < 0.5)
+        even = draws[middle & (grid % 2 == 0)][-1]
+        odd = draws[middle & (grid % 2 == 1)][-1]
+        edges = np.sort([on, np.nextafter(even, 1.0), np.nextafter(odd, 1.0), 1.0])
+        assert _tally(edges, shots, seed).tolist() == dense_counts(edges, seed, shots)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        outcomes=st.integers(1, 1024),
+        zero_share=st.sampled_from([0.0, 0.5, 0.95]),
+        trailing_zeros=st.booleans(),
+        shots=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1]) | st.integers(1, 3 * _CHUNK + 7),
+        seed=st.integers(0, 2**64 - 1),
+        draw=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_inversion(self, outcomes, zero_share, trailing_zeros, shots, seed, draw):
+        rng = np.random.default_rng(draw)
+        amps = rng.normal(size=outcomes) + 1j * rng.normal(size=outcomes)
+        amps[rng.random(outcomes) < zero_share] = 0
+        if trailing_zeros:
+            amps[outcomes // 2 + 1 :] = 0
+        amps[0] += not amps.any()
+        result = sample_pdi(Ket(amps), SparseBasis(outcomes), RunConfig(shots=shots, seed=seed))
+        expected = dense_counts(edges_of(result), seed, shots)
+        assert list(result.counts.values()) == expected
+
+    def test_memory_does_not_grow_with_shots(self):
+        tracemalloc.start()
+        try:
+            result = sample_pdi(PLUS, PZ, RunConfig(shots=10**7, seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(result.counts.values()) == 10**7
+        assert peak < 8 * 2**20
 
 
 class TestEmpiricalCHSH:
