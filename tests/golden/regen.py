@@ -28,6 +28,11 @@ def main():
     cli.TOOL_VERSION = "TEST"
     (GOLDEN / "neon.json").write_text(capture(["neon", "--format", "json"]))
     (GOLDEN / "epr.json").write_text(capture(["epr", "--format", "json"]))
+    (GOLDEN / "lhv-bound.json").write_text(capture(["lhv-bound", "--format", "json"]))
+    checks = {"feasible": ["0.5", "0.3", "0.2", "-0.1"], "infeasible": ["1", "1", "1", "-1"]}
+    for name, table in checks.items():
+        out = capture(["lhv-check", *table, "--format", "json"])
+        (GOLDEN / f"lhv-check-{name}.json").write_text(out)
     for spec in sorted((ROOT / "specs").glob("*.spec")):
         out = capture(["run", str(spec), "--format", "json"])
         (GOLDEN / f"run-{spec.stem}.json").write_text(out)

@@ -44,6 +44,12 @@ class TestGolden:
         [
             ("neon.json", ["neon", "--format", "json"]),
             ("epr.json", ["epr", "--format", "json"]),
+            ("lhv-bound.json", ["lhv-bound", "--format", "json"]),
+            (
+                "lhv-check-feasible.json",
+                ["lhv-check", "0.5", "0.3", "0.2", "-0.1", "--format", "json"],
+            ),
+            ("lhv-check-infeasible.json", ["lhv-check", "1", "1", "1", "-1", "--format", "json"]),
         ],
     )
     def test_builtin_commands(self, name, argv, monkeypatch):
