@@ -1,13 +1,17 @@
 """Command-line front end.
 
-Subcommands run spec files and four built-in demonstrations. Every report
-carries the tool version and the tolerance bundle in force so numbers are
-auditable. json output is stable-keyed, 12 significant digits, newline
-terminated; human output prints 6 significant digits.
+Subcommands run spec files and four built-in demonstrations. Each command
+builds one payload; `execute` prints it as the JSON report or renders the
+human text from that same rounded payload, so the two formats cannot
+disagree. Every report carries the tool version and the tolerance bundle in
+force so numbers are auditable. json output is stable-keyed, 12 significant
+digits, newline terminated; human output prints 6 significant digits.
 
-Exit codes: 0 success, 1 parse/resolution failure, 2 numeric contract
-violation (inconsistent family queried for probabilities, non-commuting CHSH
-operators, and the like), 64 usage errors.
+Exit codes: 0 success, 1 unreadable spec file or parse/resolution failure,
+2 numeric contract violation (inconsistent family queried for
+probabilities, non-commuting CHSH operators, and the like), 64 usage errors
+(including non-finite angles or tolerances and shot counts outside
+1..MAX_SHOTS).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -39,12 +44,10 @@ from .bell import (
     sigma_zx,
 )
 from .dsl import (
-    ChshQuery,
+    BellQuery,
     ConditionalQuery,
-    ConsistencyQuery,
-    LhvQuery,
+    FamilyQuery,
     NoSignalQuery,
-    ProbsQuery,
     SampleQuery,
     parse_spec,
     render_query,
@@ -55,7 +58,7 @@ from .histories import (
     consistency_check,
     family_probabilities,
 )
-from .sampler import RunConfig, empirical_chsh, sample_pdi
+from .sampler import MAX_SHOTS, RunConfig, empirical_chsh, sample_pdi
 
 __all__ = ["execute", "main", "TOOL_VERSION"]
 
@@ -76,18 +79,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-def _round12(x: float) -> float:
-    y = float(f"{float(x):.12g}")
-    return y + 0.0  # fold -0.0 into 0.0
+class _UnreadableSpec(Exception):
+    """The spec file of `run` cannot be read; exits 1 like a load failure."""
 
 
 def _jsonable(value):
+    """Payload as plain JSON types, every float rounded to 12 significant digits."""
     if isinstance(value, float):
-        return _round12(value)
+        return float(f"{value:.12g}") + 0.0  # + 0.0 folds -0.0 into 0.0
     if isinstance(value, (np.floating, np.integer)):
         return _jsonable(value.item())
-    if isinstance(value, complex):
-        return {"re": _round12(value.real), "im": _round12(value.imag)}
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
@@ -101,29 +102,21 @@ def _emit_json(payload, out):
     out.write(json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
-def _metadata(extra: dict | None = None) -> dict:
-    meta = {"version": TOOL_VERSION, "tolerances": TOLERANCES.as_dict()}
-    if extra:
-        meta.update(extra)
-    return meta
-
-
 def _g(x: float) -> str:
     return f"{float(x):.6g}"
 
 
-# --- spec query execution ------------------------------------------------
+def _strategy(s) -> str:
+    """Human form of a deterministic strategy given as [a0, a1, b0, b1]."""
+    return " ".join(f"{name}={v:+d}" for name, v in zip(("a0", "a1", "b0", "b1"), s))
 
 
-def _correlation_from_ops(env, query):
-    ops = CHSHOperators(
-        a0=env[query.a0].value,
-        a1=env[query.a1].value,
-        b0=env[query.b0].value,
-        b1=env[query.b1].value,
-    )
-    state = env[query.state].value
-    return ops, state
+def _chsh_payload(value) -> dict:
+    return {
+        "e": value.correlations.e,
+        "s": value.correlations.chsh,
+        "direct_expectation": value.direct_expectation,
+    }
 
 
 def _lhv_payload(corr: CorrelationData) -> dict:
@@ -135,40 +128,146 @@ def _lhv_payload(corr: CorrelationData) -> dict:
         "max_combination": report.max_combination,
     }
     if report.feasible:
-        payload["mixture"] = [
-            {"strategy": [s.a0, s.a1, s.b0, s.b1], "weight": w}
-            for s, w in report.mixture
-        ]
+        payload["mixture"] = [{"strategy": astuple(s), "weight": w} for s, w in report.mixture]
     else:
         payload["violated_signs"] = list(report.violated_signs)
         payload["violated_value"] = report.violated_value
     return payload
 
 
-def _run_query(query, env):
-    """Execute one query against resolved bindings; returns (kind, payload)."""
-    if isinstance(query, ChshQuery):
-        ops, state = _correlation_from_ops(env, query)
-        value = chsh_value(state, ops)
-        return "chsh", {
-            "e": value.correlations.e,
-            "s": value.correlations.chsh,
-            "direct_expectation": value.direct_expectation,
-        }
-    if isinstance(query, LhvQuery):
-        ops, state = _correlation_from_ops(env, query)
-        return "lhv", _lhv_payload(chsh_value(state, ops).correlations)
-    if isinstance(query, ProbsQuery):
-        table = family_probabilities(env[query.family].value)
-        return "probs", {
-            "probabilities": {",".join(h): p for h, p in table.probabilities.items()},
-            "total": table.total,
-            "omitted": table.omitted,
-            "exhaustive": table.exhaustive,
-        }
-    if isinstance(query, ConsistencyQuery):
-        report = consistency_check(env[query.family].value)
-        return "consistency", {
+def _write_e(e, out, indent=""):
+    for a in (0, 1):
+        for b in (0, 1):
+            out.write(f"{indent}E({a},{b}) = {_g(e[a][b])}\n")
+
+
+def _write_lhv(payload: dict, out, indent=""):
+    """The LHV verdict: a witness mixture, or the combination outside [-2, 2]."""
+    combination = _g(payload["max_combination"])
+    if payload["feasible"]:
+        out.write(f"{indent}feasible (max |CHSH combination| = {combination} <= 2)\n")
+        out.write(f"{indent}witness mixture:\n")
+        for item in payload["mixture"]:
+            out.write(
+                f"{indent}  weight {_g(item['weight'])} on strategy "
+                f"{_strategy(item['strategy'])}\n"
+            )
+    else:
+        out.write(f"{indent}infeasible (S={combination} > 2)\n")
+        out.write(
+            f"{indent}  signs {tuple(payload['violated_signs'])} give "
+            f"{_g(payload['violated_value'])}, outside [-2, 2]\n"
+        )
+
+
+def _write_query_result(entry: dict, out):
+    out.write(f"== {entry['query']} ==\n")
+    kind = entry["kind"]
+    if kind in ("chsh", "lhv"):
+        _write_e(entry["e"], out, "  ")
+        out.write(f"  S = {_g(entry['s'])}\n")
+        if kind == "chsh":
+            out.write(f"  direct expectation = {_g(entry['direct_expectation'])}\n")
+        else:
+            _write_lhv(entry, out, "  ")
+    elif kind == "probs":
+        for key, p in entry["probabilities"].items():
+            out.write(f"  Pr({key}) = {_g(p)}\n")
+        omitted = "" if entry["exhaustive"] else f" (omitted {_g(entry['omitted'])})"
+        out.write(f"  total = {_g(entry['total'])}{omitted}\n")
+    elif kind == "consistency":
+        verdict = "consistent" if entry["consistent"] else "INCONSISTENT"
+        out.write(
+            f"  {verdict}: max off-diagonal {_g(entry['max_offdiag'])} "
+            f"(tolerance {_g(entry['tolerance'])}, {entry['n_histories']} histories)\n"
+        )
+    elif kind == "conditional":
+        out.write(
+            f"  Pr({entry['target']} | {entry['given']}) = {_g(entry['probability'])}\n"
+        )
+    elif kind == "sample":
+        out.write(f"  shots {entry['shots']}, seed {entry['seed']}\n")
+        for label, n in entry["counts"].items():
+            out.write(f"  {label}: {n} (Born {_g(entry['probabilities'][label])})\n")
+        if entry["empirical_mean"] is not None:
+            out.write(
+                f"  mean = {_g(entry['empirical_mean'])} +- {_g(entry['std_error'])}\n"
+            )
+    elif kind == "nosignal":
+        verdict = "passes" if entry["passes"] else "FAILS"
+        out.write(
+            f"  no-signaling {verdict}: max marginal deviation "
+            f"{_g(entry['max_deviation'])} (tolerance {_g(entry['tolerance'])})\n"
+        )
+
+
+def _human_run(report: dict, out):
+    out.write(f"{report['metadata']['source']}: {len(report['results'])} queries\n")
+    for entry in report["results"]:
+        _write_query_result(entry, out)
+
+
+def _human_neon(report: dict, out):
+    spectrum = ", ".join(f"{ev:.12g}" for ev in report["eigenvalues"])
+    out.write(f"S eigenvalues: {spectrum}\n")
+    amps = ", ".join(_g(x) for x in report["top_eigenstate"]["re"])
+    out.write(f"top eigenstate: [{amps}]\n")
+    chsh, sampled = report["chsh"], report["sampled"]
+    out.write(f"<top|S|top> = {chsh['direct_expectation']:.12g}\n")
+    _write_e(chsh["e"], out)
+    out.write(f"S from settings = {_g(chsh['s'])}\n")
+    out.write(
+        f"sampled S ({sampled['shots']} shots, seed {sampled['seed']}) = "
+        f"{_g(sampled['s_hat'])} +- {_g(sampled['std_error'])}\n"
+    )
+
+
+def _human_epr(report: dict, out):
+    alice, bob = report["angles_deg"]["alice"], report["angles_deg"]["bob"]
+    out.write(
+        f"singlet, Alice ({_g(alice[0])}, {_g(alice[1])}) deg, "
+        f"Bob ({_g(bob[0])}, {_g(bob[1])}) deg\n"
+    )
+    _write_e(report["correlators"], out)
+    out.write(f"S = {_g(report['s'])}\n")
+    lhv, ns = report["lhv"], report["no_signaling"]
+    verdict = "feasible" if lhv["feasible"] else "infeasible"
+    out.write(f"LHV: {verdict} (max |CHSH combination| = {_g(lhv['max_combination'])})\n")
+    out.write(f"collapse vs joint: max deviation {_g(report['collapse_joint_max_deviation'])}\n")
+    ns_verdict = "passes" if ns["passes"] else "FAILS"
+    out.write(f"no-signaling {ns_verdict}: max marginal deviation {_g(ns['max_deviation'])}\n")
+
+
+def _human_lhv_bound(report: dict, out):
+    max_s = report["max_s"]
+    out.write(f"max |S| = {max_s:g} over {report['n_strategies']} deterministic strategies\n")
+    out.write(f"range: [{report['min_s']:g}, {max_s:g}]\n")
+    out.write(f"strategies attaining S = {max_s:g}:\n")
+    for s in report["argmax"]:
+        out.write(f"  {_strategy(s)}\n")
+
+
+def _run_query(query, env) -> dict:
+    """Execute one query against resolved bindings."""
+    if isinstance(query, BellQuery):
+        names = (query.a0, query.a1, query.b0, query.b1)
+        ops = CHSHOperators(*(env[name].value for name in names))
+        value = chsh_value(env[query.state].value, ops)
+        if query.kind == "chsh":
+            return _chsh_payload(value)
+        return _lhv_payload(value.correlations)
+    if isinstance(query, FamilyQuery):
+        family = env[query.family].value
+        if query.kind == "probs":
+            table = family_probabilities(family)
+            return {
+                "probabilities": {",".join(h): p for h, p in table.probabilities.items()},
+                "total": table.total,
+                "omitted": table.omitted,
+                "exhaustive": table.exhaustive,
+            }
+        report = consistency_check(family)
+        return {
             "consistent": report.consistent,
             "max_offdiag": report.max_offdiag,
             "tolerance": report.tolerance,
@@ -178,26 +277,22 @@ def _run_query(query, env):
         probability = conditional_probability(
             env[query.family].value, given=query.given, target=query.target
         )
-        return "conditional", {
+        return {
             "target": f"{query.target[0]}:{query.target[1]}",
             "given": f"{query.given[0]}:{query.given[1]}",
             "probability": probability,
         }
     if isinstance(query, SampleQuery):
         binding = env[query.pdi]
-        values = None
-        if binding.extra is not None:
-            values = {
-                label: float(ev)
-                for label, ev in zip(binding.value.labels, binding.extra)
-            }
+        # spectral PDIs sample their eigenvalues; other PDIs fall back to their labels
+        values = None if binding.extra is None else dict(zip(binding.value.labels, binding.extra))
         result = sample_pdi(
             env[query.state].value,
             binding.value,
             RunConfig(shots=query.shots, seed=query.seed),
             values=values,
         )
-        return "sample", {
+        return {
             "shots": query.shots,
             "seed": query.seed,
             "counts": result.counts,
@@ -212,164 +307,59 @@ def _run_query(query, env):
             env[query.bob].value,
             (query.da, query.db),
         )
-        return "nosignal", {
+        return {
             "passes": report.passes,
             "max_deviation": report.max_deviation,
             "tolerance": report.tolerance,
-            "bob_marginals": {
-                name: report.bob_marginals[i] for i, name in enumerate(query.alice)
-            },
+            "bob_marginals": dict(zip(query.alice, report.bob_marginals)),
         }
     raise AssertionError(f"unhandled query {query!r}")
 
 
-def _human_query_result(text: str, kind: str, payload: dict, out):
-    out.write(f"== {text} ==\n")
-    if kind in ("chsh", "lhv"):
-        e = payload["e"]
-        for a in (0, 1):
-            for b in (0, 1):
-                out.write(f"  E({a},{b}) = {_g(e[a][b])}\n")
-        out.write(f"  S = {_g(payload['s'])}\n")
-        if kind == "chsh":
-            out.write(f"  direct expectation = {_g(payload['direct_expectation'])}\n")
-        else:
-            out.write(f"  max |CHSH combination| = {_g(payload['max_combination'])}\n")
-            if payload["feasible"]:
-                out.write("  feasible; witness mixture:\n")
-                for item in payload["mixture"]:
-                    s = item["strategy"]
-                    out.write(
-                        f"    weight {_g(item['weight'])} on strategy "
-                        f"(a0={s[0]:+d}, a1={s[1]:+d}, b0={s[2]:+d}, b1={s[3]:+d})\n"
-                    )
-            else:
-                signs = payload["violated_signs"]
-                out.write(
-                    f"  infeasible: signs {tuple(signs)} give "
-                    f"{_g(payload['violated_value'])}, outside [-2, 2]\n"
-                )
-    elif kind == "probs":
-        for key, p in payload["probabilities"].items():
-            out.write(f"  Pr({key}) = {_g(p)}\n")
-        out.write(f"  total = {_g(payload['total'])}")
-        if not payload["exhaustive"]:
-            out.write(f" (omitted {_g(payload['omitted'])})")
-        out.write("\n")
-    elif kind == "consistency":
-        verdict = "consistent" if payload["consistent"] else "INCONSISTENT"
-        out.write(
-            f"  {verdict}: max off-diagonal {_g(payload['max_offdiag'])} "
-            f"(tolerance {_g(payload['tolerance'])}, {payload['n_histories']} histories)\n"
-        )
-    elif kind == "conditional":
-        out.write(
-            f"  Pr({payload['target']} | {payload['given']}) = {_g(payload['probability'])}\n"
-        )
-    elif kind == "sample":
-        out.write(f"  shots {payload['shots']}, seed {payload['seed']}\n")
-        for label, n in payload["counts"].items():
-            out.write(f"  {label}: {n} (Born {_g(payload['probabilities'][label])})\n")
-        if payload["empirical_mean"] is not None:
-            out.write(
-                f"  mean = {_g(payload['empirical_mean'])} "
-                f"+- {_g(payload['std_error'])}\n"
-            )
-    elif kind == "nosignal":
-        verdict = "passes" if payload["passes"] else "FAILS"
-        out.write(
-            f"  no-signaling {verdict}: max marginal deviation "
-            f"{_g(payload['max_deviation'])} (tolerance {_g(payload['tolerance'])})\n"
-        )
-    else:
-        out.write(f"  {payload}\n")
-
-
-def _cmd_run(args, out) -> int:
+def _cmd_run(args) -> dict:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             source = fh.read()
     except OSError as err:
-        sys.stderr.write(f"cannot read {args.file}: {err}\n")
-        return 1
+        raise _UnreadableSpec(f"cannot read {args.file}: {err}") from err
     spec = parse_spec(source)
-    results = []
-    for query in spec.queries:
-        kind, payload = _run_query(query, spec.environment)
-        results.append({"query": render_query(query), "kind": kind, **payload})
-    if args.format == "json":
-        report = {
-            "metadata": _metadata({"source": os.path.basename(args.file)}),
-            "results": results,
-        }
-        _emit_json(report, out)
-    else:
-        out.write(f"{os.path.basename(args.file)}: {len(results)} queries\n")
-        for entry in results:
-            payload = {k: v for k, v in entry.items() if k not in ("query", "kind")}
-            _human_query_result(entry["query"], entry["kind"], _jsonable(payload), out)
-    return 0
+    return {
+        "results": [
+            {"query": render_query(q), "kind": q.kind, **_run_query(q, spec.environment)}
+            for q in spec.queries
+        ]
+    }
 
 
-def _cmd_neon(args, out) -> int:
+def _cmd_neon(args) -> dict:
     setup = neon_setup()
     obs = spectral_decompose(setup.s)
-    eigenvalues = []
-    for ev, proj in zip(obs.eigenvalues, obs.pdi.projectors):
-        eigenvalues.extend([ev] * proj.rank)
-    value = chsh_value(setup.top_eigenstate, setup.ops)
+    amplitudes = setup.top_eigenstate.amplitudes
     sampled = empirical_chsh(
         setup.top_eigenstate, setup.ops, RunConfig(shots=args.shots, seed=args.seed)
     )
-    if args.format == "json":
-        report = {
-            "metadata": _metadata(),
-            "eigenvalues": eigenvalues,
-            "top_eigenstate": {
-                "re": [z.real for z in setup.top_eigenstate.amplitudes],
-                "im": [z.imag for z in setup.top_eigenstate.amplitudes],
+    return {
+        "eigenvalues": [
+            ev for ev, proj in zip(obs.eigenvalues, obs.pdi.projectors) for _ in range(proj.rank)
+        ],
+        "top_eigenstate": {"re": amplitudes.real, "im": amplitudes.imag},
+        "chsh": _chsh_payload(chsh_value(setup.top_eigenstate, setup.ops)),
+        "sampled": {
+            "shots": args.shots,
+            "seed": args.seed,
+            "s_hat": sampled.s_hat,
+            "std_error": sampled.std_error,
+            "counts": {
+                f"{a}{b}": sampled.per_setting[(a, b)].counts for a in (0, 1) for b in (0, 1)
             },
-            "chsh": {
-                "e": value.correlations.e,
-                "s": value.correlations.chsh,
-                "direct_expectation": value.direct_expectation,
-            },
-            "sampled": {
-                "shots": args.shots,
-                "seed": args.seed,
-                "s_hat": sampled.s_hat,
-                "std_error": sampled.std_error,
-                "counts": {
-                    f"{a}{b}": sampled.per_setting[(a, b)].counts
-                    for a in (0, 1)
-                    for b in (0, 1)
-                },
-            },
-        }
-        _emit_json(report, out)
-    else:
-        spectrum = ", ".join(f"{ev:.12g}" for ev in eigenvalues)
-        out.write(f"S eigenvalues: {spectrum}\n")
-        amps = ", ".join(_g(z.real) for z in setup.top_eigenstate.amplitudes)
-        out.write(f"top eigenstate: [{amps}]\n")
-        out.write(f"<top|S|top> = {value.direct_expectation:.12g}\n")
-        for a in (0, 1):
-            for b in (0, 1):
-                out.write(f"E({a},{b}) = {_g(value.correlations.e[a, b])}\n")
-        out.write(f"S from settings = {_g(value.correlations.chsh)}\n")
-        out.write(
-            f"sampled S ({args.shots} shots, seed {args.seed}) = "
-            f"{_g(sampled.s_hat)} +- {_g(sampled.std_error)}\n"
-        )
-    return 0
+        },
+    }
 
 
-def _cmd_epr(args, out) -> int:
-    alice = tuple(args.alice_deg)
-    bob = tuple(args.bob_deg)
+def _cmd_epr(args) -> dict:
+    alice, bob = args.alice_deg, args.bob_deg
     state = singlet_state()
-    ops = singlet_chsh_operators(alice, bob)
-    value = chsh_value(state, ops)
+    value = chsh_value(state, singlet_chsh_operators(alice, bob))
     feasibility = lhv_feasibility(value.correlations)
 
     alice_obs = [spectral_decompose(sigma_zx(math.radians(ta))).pdi for ta in alice]
@@ -397,118 +387,60 @@ def _cmd_epr(args, out) -> int:
         return PDI([Projector(Operator(m)) for m in mats], labels=local.labels)
 
     alice_pdis = [lift(local, 0) for local in alice_obs]
-    bob_pdi = lift(bob_obs[0], 1)
-    ns_report = no_signaling_check(state, alice_pdis, bob_pdi, (2, 2))
-
-    if args.format == "json":
-        report = {
-            "metadata": _metadata(),
-            "angles_deg": {"alice": list(alice), "bob": list(bob)},
-            "correlators": value.correlations.e,
-            "s": value.correlations.chsh,
-            "direct_expectation": value.direct_expectation,
-            "lhv": {
-                "feasible": feasibility.feasible,
-                "max_combination": feasibility.max_combination,
-            },
-            "collapse_joint_max_deviation": worst,
-            "no_signaling": {
-                "passes": ns_report.passes,
-                "max_deviation": ns_report.max_deviation,
-                "tolerance": ns_report.tolerance,
-            },
-        }
-        _emit_json(report, out)
-    else:
-        out.write(
-            f"singlet, Alice ({_g(alice[0])}, {_g(alice[1])}) deg, "
-            f"Bob ({_g(bob[0])}, {_g(bob[1])}) deg\n"
-        )
-        for a in (0, 1):
-            for b in (0, 1):
-                out.write(f"E({a},{b}) = {_g(value.correlations.e[a, b])}\n")
-        out.write(f"S = {_g(value.correlations.chsh)}\n")
-        verdict = "feasible" if feasibility.feasible else "infeasible"
-        out.write(
-            f"LHV: {verdict} (max |CHSH combination| = {_g(feasibility.max_combination)})\n"
-        )
-        out.write(f"collapse vs joint: max deviation {_g(worst)}\n")
-        ns_verdict = "passes" if ns_report.passes else "FAILS"
-        out.write(
-            f"no-signaling {ns_verdict}: max marginal deviation "
-            f"{_g(ns_report.max_deviation)}\n"
-        )
-    return 0
+    ns_report = no_signaling_check(state, alice_pdis, lift(bob_obs[0], 1), (2, 2))
+    return {
+        "angles_deg": {"alice": alice, "bob": bob},
+        "correlators": value.correlations.e,
+        "s": value.correlations.chsh,
+        "direct_expectation": value.direct_expectation,
+        "lhv": {
+            "feasible": feasibility.feasible,
+            "max_combination": feasibility.max_combination,
+        },
+        "collapse_joint_max_deviation": worst,
+        "no_signaling": {
+            "passes": ns_report.passes,
+            "max_deviation": ns_report.max_deviation,
+            "tolerance": ns_report.tolerance,
+        },
+    }
 
 
-def _cmd_lhv_bound(args, out) -> int:
+def _cmd_lhv_bound(args) -> dict:
     report = lhv_deterministic_bound()
-    if args.format == "json":
-        payload = {
-            "metadata": _metadata(),
-            "max_s": report.max_s,
-            "min_s": report.min_s,
-            "n_strategies": len(report.strategies),
-            "argmax": [[s.a0, s.a1, s.b0, s.b1] for s in report.argmax],
-            "note": report.note,
-        }
-        _emit_json(payload, out)
-    else:
-        out.write(f"max |S| = {report.max_s:g} over 16 deterministic strategies\n")
-        out.write(f"range: [{report.min_s:g}, {report.max_s:g}]\n")
-        out.write(f"strategies attaining S = {report.max_s:g}:\n")
-        for s in report.argmax:
-            out.write(f"  a0={s.a0:+d} a1={s.a1:+d} b0={s.b0:+d} b1={s.b1:+d}\n")
-    return 0
+    return {
+        "max_s": report.max_s,
+        "min_s": report.min_s,
+        "n_strategies": len(report.strategies),
+        "argmax": [astuple(s) for s in report.argmax],
+        "note": report.note,
+    }
 
 
-def _cmd_lhv_check(args, out) -> int:
+def _cmd_lhv_check(args) -> dict:
     table = np.array([[args.e00, args.e01], [args.e10, args.e11]])
-    payload = _lhv_payload(CorrelationData(table))
-    if args.format == "json":
-        _emit_json({"metadata": _metadata(), **payload}, out)
-    elif payload["feasible"]:
-        out.write(f"feasible (max |CHSH combination| = {_g(payload['max_combination'])} <= 2)\n")
-        out.write("witness mixture:\n")
-        for item in payload["mixture"]:
-            s = item["strategy"]
-            out.write(
-                f"  weight {_g(item['weight'])} on strategy "
-                f"a0={s[0]:+d} a1={s[1]:+d} b0={s[2]:+d} b1={s[3]:+d}\n"
-            )
-    else:
-        out.write(f"infeasible (S={payload['max_combination']:g} > 2)\n")
-    return 0
+    return _lhv_payload(CorrelationData(table))
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
-    return value
+def _checked(convert, accept, expected: str):
+    """An argparse type: convert the text, then reject it unless accept(value)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _shots(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
-    return value
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
+_shots = _checked(int, lambda v: 1 <= v <= MAX_SHOTS, f"an integer in [1, {MAX_SHOTS}]")
+_seed = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+_angle = _checked(float, math.isfinite, "a finite angle in degrees")
 
 
 def _build_parser() -> _Parser:
@@ -530,10 +462,10 @@ def _build_parser() -> _Parser:
 
     p_epr = sub.add_parser("epr", help="singlet correlators, collapse, no-signaling")
     p_epr.add_argument(
-        "--alice-deg", nargs=2, type=float, default=list(SINGLET_OPTIMAL_ANGLES_DEG[0])
+        "--alice-deg", nargs=2, type=_angle, default=list(SINGLET_OPTIMAL_ANGLES_DEG[0])
     )
     p_epr.add_argument(
-        "--bob-deg", nargs=2, type=float, default=list(SINGLET_OPTIMAL_ANGLES_DEG[1])
+        "--bob-deg", nargs=2, type=_angle, default=list(SINGLET_OPTIMAL_ANGLES_DEG[1])
     )
     common(p_epr)
 
@@ -548,12 +480,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# command name -> (payload builder, human renderer of the jsonable report)
 _COMMANDS = {
-    "run": _cmd_run,
-    "neon": _cmd_neon,
-    "epr": _cmd_epr,
-    "lhv-bound": _cmd_lhv_bound,
-    "lhv-check": _cmd_lhv_check,
+    "run": (_cmd_run, _human_run),
+    "neon": (_cmd_neon, _human_neon),
+    "epr": (_cmd_epr, _human_epr),
+    "lhv-bound": (_cmd_lhv_bound, _human_lhv_bound),
+    "lhv-check": (_cmd_lhv_check, _write_lhv),
 }
 
 
@@ -575,13 +508,17 @@ def execute(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as err:  # --help
         return int(err.code or 0)
 
+    build, render = _COMMANDS[args.command]
     saved = TOLERANCES.as_dict()
     try:
-        if env_tol is not None:
-            TOLERANCES.algebraic = env_tol
-        if args.tol is not None:
-            TOLERANCES.algebraic = args.tol
-        return _COMMANDS[args.command](args, out)
+        override = args.tol if args.tol is not None else env_tol  # the flag wins
+        if override is not None:
+            TOLERANCES.algebraic = override
+        payload = build(args)
+        metadata = {"version": TOOL_VERSION, "tolerances": TOLERANCES.as_dict()}
+    except _UnreadableSpec as err:
+        sys.stderr.write(f"{err}\n")
+        return 1
     except ParseError as err:
         sys.stderr.write(f"{err}\n")
         for extra in err.all_errors[1:]:
@@ -593,6 +530,15 @@ def execute(argv: list[str] | None = None, out=None) -> int:
     finally:
         for key, val in saved.items():
             setattr(TOLERANCES, key, val)
+
+    if args.command == "run":
+        metadata["source"] = os.path.basename(args.file)
+    report = {"metadata": metadata, **payload}
+    if args.format == "json":
+        _emit_json(report, out)
+    else:
+        render(_jsonable(report), out)
+    return 0
 
 
 def main():

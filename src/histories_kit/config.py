@@ -16,7 +16,7 @@ from dataclasses import dataclass
 @dataclass
 class Tolerances:
     algebraic: float = 1e-10      # max-entry norm for operator identities
-    eigen_grouping: float = 1e-8  # absolute gap below which eigenvalues merge
+    eigen_grouping: float = 1e-8  # span of a merged eigenvalue group per unit of max(1, ||H||)
     probability: float = 1e-12    # probability sums / zero-probability guards
     reconstruction: float = 1e-9  # spectral round-trip defect per unit of max(1, max|H|)
 

@@ -23,6 +23,8 @@ Grammar sketch (one statement per line; families use a brace block):
            | "query" "sample" NAME NAME "shots" INT "seed" INT
            | "query" "nosignal" NAME "dims" INT INT "alice" NAME+ "bob" NAME
 
+Limits: dimensions up to MAX_DIM, shot counts up to sampler.MAX_SHOTS.
+
 Complex literals are a, ai, a+bi, a-bi with plain decimals (no exponent
 notation); a leading minus negates the first component. In operator
 expressions a scalar is a single real or pure-imaginary literal. Angles are
@@ -34,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -48,6 +50,7 @@ from .hilbert import (
     spectral_decompose,
 )
 from .histories import HistoryFamily, TimeGrid
+from .sampler import MAX_SHOTS
 
 __all__ = [
     "ExperimentSpec",
@@ -59,10 +62,8 @@ __all__ = [
     "PdiSpectral",
     "PdiExplicit",
     "FamilyDecl",
-    "ChshQuery",
-    "LhvQuery",
-    "ProbsQuery",
-    "ConsistencyQuery",
+    "BellQuery",
+    "FamilyQuery",
     "ConditionalQuery",
     "SampleQuery",
     "NoSignalQuery",
@@ -159,8 +160,10 @@ class FamilyDecl:
     events: tuple[tuple[int, str], ...]  # sorted by time index
 
 
+# every query exposes `kind`, the keyword that introduces it in a spec
 @dataclass(frozen=True)
-class ChshQuery:
+class BellQuery:
+    kind: str  # "chsh" | "lhv"
     a0: str
     a1: str
     b0: str
@@ -169,21 +172,8 @@ class ChshQuery:
 
 
 @dataclass(frozen=True)
-class LhvQuery:
-    a0: str
-    a1: str
-    b0: str
-    b1: str
-    state: str
-
-
-@dataclass(frozen=True)
-class ProbsQuery:
-    family: str
-
-
-@dataclass(frozen=True)
-class ConsistencyQuery:
+class FamilyQuery:
+    kind: str  # "probs" | "consistency"
     family: str
 
 
@@ -192,6 +182,7 @@ class ConditionalQuery:
     family: str
     target: tuple[int, str]
     given: tuple[int, str]
+    kind: ClassVar[str] = "conditional"
 
 
 @dataclass(frozen=True)
@@ -200,6 +191,7 @@ class SampleQuery:
     pdi: str
     shots: int
     seed: int
+    kind: ClassVar[str] = "sample"
 
 
 @dataclass(frozen=True)
@@ -209,6 +201,7 @@ class NoSignalQuery:
     db: int
     alice: tuple[str, ...]
     bob: str
+    kind: ClassVar[str] = "nosignal"
 
 
 @dataclass(frozen=True)
@@ -433,7 +426,7 @@ class _Parser:
         self.expect_punct("=")
         expr = self.expr(0)
         self.end_statement()
-        value = self.eval_expr(expr, name)
+        value = self._eval(expr, name)
         if not isinstance(value, Operator):
             self.resolve_fail(name, "operator expression evaluates to a bare scalar")
         self.bind(name, OpDecl(name.text, expr), Binding("op", value))
@@ -556,8 +549,8 @@ class _Parser:
         self.expect_keyword("query")
         kind = self.expect_name("a query kind")
         handler = {
-            "chsh": self.chsh_query,
-            "lhv": self.chsh_query,
+            "chsh": self.bell_query,
+            "lhv": self.bell_query,
             "probs": self.family_query,
             "consistency": self.family_query,
             "conditional": self.conditional_query,
@@ -568,7 +561,7 @@ class _Parser:
             self.fail(kind, f"unknown query kind {kind.text!r}")
         handler(kind)
 
-    def chsh_query(self, kind: _Token):
+    def bell_query(self, kind: _Token):
         names = [self.expect_name("an operator name") for _ in range(4)]
         self.expect_keyword("in")
         state = self.expect_name("a ket name")
@@ -580,15 +573,13 @@ class _Parser:
                 self.resolve_fail(
                     n, f"operator dimension {op.dim} differs from state dimension {ket.dim}"
                 )
-        cls = ChshQuery if kind.text == "chsh" else LhvQuery
-        self.queries.append(cls(*(n.text for n in names), state.text))
+        self.queries.append(BellQuery(kind.text, *(n.text for n in names), state.text))
 
     def family_query(self, kind: _Token):
         fam = self.expect_name("a family name")
         self.end_statement()
         self.lookup(fam, "family")
-        cls = ProbsQuery if kind.text == "probs" else ConsistencyQuery
-        self.queries.append(cls(fam.text))
+        self.queries.append(FamilyQuery(kind.text, fam.text))
 
     def event_ref(self) -> tuple[tuple[int, str], _Token]:
         index, index_tok = self.expect_int("a time index")
@@ -629,8 +620,8 @@ class _Parser:
         decomposition = self.lookup(pdi, "pdi")
         if decomposition.dim != ket.dim:
             self.resolve_fail(pdi, "PDI dimension differs from state dimension")
-        if shots < 1:
-            self.resolve_fail(shots_tok, "shots must be at least 1")
+        if not 1 <= shots <= MAX_SHOTS:
+            self.resolve_fail(shots_tok, f"shots must lie in 1..{MAX_SHOTS}")
         if seed >= 2**64:
             self.resolve_fail(seed_tok, "seed must fit in 64 unsigned bits")
         self.queries.append(SampleQuery(state.text, pdi.text, shots, seed))
@@ -791,10 +782,6 @@ class _Parser:
             self.resolve_fail(tok, f"{tok.text!r} is a {bound.kind}, expected a {kind}")
         return bound.value
 
-    def eval_expr(self, node, at: _Token):
-        value = self._eval(node, at)
-        return value
-
     def _eval(self, node, at: _Token):
         if isinstance(node, ScalarLit):
             return node.value
@@ -924,25 +911,21 @@ def _render_decl(decl) -> str:
 
 
 def render_query(query) -> str:
-    if isinstance(query, (ChshQuery, LhvQuery)):
-        word = "chsh" if isinstance(query, ChshQuery) else "lhv"
-        return f"query {word} {query.a0} {query.a1} {query.b0} {query.b1} in {query.state}"
-    if isinstance(query, ProbsQuery):
-        return f"query probs {query.family}"
-    if isinstance(query, ConsistencyQuery):
-        return f"query consistency {query.family}"
-    if isinstance(query, ConditionalQuery):
+    if isinstance(query, BellQuery):
+        body = f"{query.a0} {query.a1} {query.b0} {query.b1} in {query.state}"
+    elif isinstance(query, FamilyQuery):
+        body = query.family
+    elif isinstance(query, ConditionalQuery):
         t, g = query.target, query.given
-        return f"query conditional {query.family} {t[0]}:{t[1]} | {g[0]}:{g[1]}"
-    if isinstance(query, SampleQuery):
-        return f"query sample {query.state} {query.pdi} shots {query.shots} seed {query.seed}"
-    if isinstance(query, NoSignalQuery):
+        body = f"{query.family} {t[0]}:{t[1]} | {g[0]}:{g[1]}"
+    elif isinstance(query, SampleQuery):
+        body = f"{query.state} {query.pdi} shots {query.shots} seed {query.seed}"
+    elif isinstance(query, NoSignalQuery):
         alice = " ".join(query.alice)
-        return (
-            f"query nosignal {query.state} dims {query.da} {query.db} "
-            f"alice {alice} bob {query.bob}"
-        )
-    raise AssertionError(f"unhandled query {query!r}")
+        body = f"{query.state} dims {query.da} {query.db} alice {alice} bob {query.bob}"
+    else:
+        raise AssertionError(f"unhandled query {query!r}")
+    return f"query {query.kind} {body}"
 
 
 def render_spec(spec: ExperimentSpec) -> str:

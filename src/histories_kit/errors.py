@@ -43,6 +43,10 @@ class PointerTooSmallError(ToolkitError):
     pass
 
 
+class AmbiguousSpectrumError(ToolkitError):
+    """Near-equal eigenvalues chain past the grouping gap; no grouping fits."""
+
+
 class VerificationFailedError(ToolkitError):
     """Internal consistency check failed; indicates a bug, not bad input."""
 

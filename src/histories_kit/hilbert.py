@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import TOLERANCES
 from .errors import (
+    AmbiguousSpectrumError,
     DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidPDIError,
@@ -459,10 +460,14 @@ def tensor_state(a: Ket, b: Ket) -> Ket:
 def spectral_decompose(h: Operator) -> Observable:
     """Group the spectrum of a Hermitian operator into distinct eigenspaces.
 
-    Eigenvalues closer than the grouping tolerance merge into a single
-    eigenspace so degenerate spectra do not split under floating-point
-    jitter; each projector covers the full eigenspace (rank k, not k rank-1
-    pieces). Eigenvalues come back sorted descending.
+    Eigenvalues within the grouping gap, `eigen_grouping` per unit of
+    max(1, ||H||), merge at their mean into a single eigenspace so degenerate
+    spectra do not split under floating-point jitter; each projector covers
+    the full eigenspace (rank k, not k rank-1 pieces). The gap bounds the
+    span of a group, so near-equal eigenvalues never chain: a run of
+    neighbours each within the gap whose ends lie farther apart has no
+    grouping within tolerance and raises AmbiguousSpectrumError. Eigenvalues
+    come back sorted descending.
     """
     if not h.is_hermitian():
         defect = float(np.abs(h.entries - h.entries.conj().T).max())
@@ -470,21 +475,30 @@ def spectral_decompose(h: Operator) -> Observable:
             f"operator is not Hermitian (defect {defect:.3g}, tolerance {TOLERANCES.algebraic:g})"
         )
     evals, evecs = np.linalg.eigh(h.entries)
-    gap = TOLERANCES.eigen_grouping
     ascending = evals.tolist()
-    # eigh sorts ascending, so each group is a run of neighbours closer than gap
+    gap = TOLERANCES.eigen_grouping * max(1.0, -ascending[0], ascending[-1])
+    # eigh sorts ascending, so each group is a run of neighbours at most gap apart
     cuts = [i for i in range(1, len(ascending)) if ascending[i] - ascending[i - 1] > gap]
     bounds = list(zip([0] + cuts, cuts + [len(ascending)]))
     values = []
     projectors = []
+    shift = 0.0  # farthest any eigenvalue moves onto its group's mean
     for lo, hi in reversed(bounds):  # descending eigenvalue order
-        values.append(ascending[lo] if hi - lo == 1 else float(np.mean(evals[lo:hi])))
+        if ascending[hi - 1] - ascending[lo] > gap:
+            raise AmbiguousSpectrumError(
+                f"eigenvalues {ascending[lo]:.6g}..{ascending[hi - 1]:.6g} chain within the "
+                f"grouping gap {gap:.3g} but span more than it"
+            )
+        value = ascending[lo] if hi - lo == 1 else float(np.mean(evals[lo:hi]))
+        shift = max(shift, value - ascending[lo], ascending[hi - 1] - value)
+        values.append(value)
         projectors.append(Projector.from_basis(evecs[:, lo:hi]))
     obs = Observable(tuple(values), PDI(tuple(projectors)))
-    # rounding in eigh and in the rebuilt sum scales with the largest entry
+    # rounding in eigh and in the rebuilt sum scales with the largest entry; moving
+    # eigenvalues onto their group's mean moves each entry by at most `shift` more
     scale = max(1.0, float(np.abs(h.entries).max()))
     defect = float(np.abs(obs.operator().entries - h.entries).max())
-    if defect >= TOLERANCES.reconstruction * scale:
+    if defect >= TOLERANCES.reconstruction * scale + shift:
         raise VerificationFailedError(f"spectral reconstruction defect {defect:.3g}")
     return obs
 

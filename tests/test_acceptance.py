@@ -52,7 +52,7 @@ from histories_kit.histories import (
     family_probabilities,
     standard_families,
 )
-from histories_kit.sampler import RunConfig, empirical_chsh
+from histories_kit.sampler import MAX_SHOTS, RunConfig, empirical_chsh
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_DIR = ROOT / "specs"
@@ -363,3 +363,19 @@ def test_criterion_11_spectral_spec_parse_scales_to_d192():
     assert len(binding.value) == dim
     expected = sorted((float(v) for v in values), reverse=True)
     assert np.abs(np.array(binding.extra) - expected).max() < 1e-9
+
+
+def test_criterion_12_largest_sample_query_within_budget(tmp_path):
+    spec = tmp_path / "max_shots.spec"
+    spec.write_text(
+        "ket psi = [0.6, 0.8]\nop H = Z\npdi P = spectral(H)\n"
+        f"query sample psi P shots {MAX_SHOTS} seed 1\n"
+    )
+    out = io.StringIO()
+    with _Budget(12, f"two-outcome sample query at MAX_SHOTS = {MAX_SHOTS} runs", 10.0):
+        code = cli.execute(["run", str(spec), "--format", "json"], out=out)
+    assert code == 0
+    result = json.loads(out.getvalue())["results"][0]
+    assert sum(result["counts"].values()) == MAX_SHOTS
+    # <Z> = 0.36 - 0.64 in this state
+    assert abs(result["empirical_mean"] + 0.28) < 5 * result["std_error"]

@@ -9,6 +9,7 @@ import pytest
 
 from histories_kit import cli
 from histories_kit.config import TOLERANCES
+from histories_kit.sampler import MAX_SHOTS
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_DIR = ROOT / "specs"
@@ -124,10 +125,16 @@ class TestExitCodes:
             ("--seed", "-1"),
             ("--seed", "18446744073709551616"),
             ("--seed", "abc"),
+            ("--shots", str(MAX_SHOTS + 1)),
+            ("--alice-deg", "nan"),
+            ("--alice-deg", "inf"),
+            ("--bob-deg", "nan"),
         ],
     )
     def test_bad_shots_or_seed_is_usage_error(self, flag, value, capsys):
-        code, out = run_cli(["neon", flag, value, "--format", "json"])
+        # epr angle flags take two values; the bad one comes first
+        argv = ["epr", flag, value, "0"] if flag.endswith("-deg") else ["neon", flag, value]
+        code, out = run_cli([*argv, "--format", "json"])
         assert code == 64
         assert out == ""
         err = capsys.readouterr().err

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from histories_kit.dsl import (
-    ChshQuery,
+    BellQuery,
     ConditionalQuery,
     ExperimentSpec,
     KetDecl,
@@ -17,6 +17,7 @@ from histories_kit.dsl import (
     render_spec,
 )
 from histories_kit.errors import ParseError, ResolutionError
+from histories_kit.sampler import MAX_SHOTS
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 CORPUS = sorted(SPEC_DIR.glob("*.spec"))
@@ -217,8 +218,8 @@ class TestQueryValidation:
     def test_chsh_query_parses(self):
         spec = parse_spec(self.PREFIX + "query chsh A0 A1 B0 B1 in top\n")
         q = spec.queries[0]
-        assert isinstance(q, ChshQuery)
-        assert (q.a0, q.a1, q.b0, q.b1, q.state) == ("A0", "A1", "B0", "B1", "top")
+        assert isinstance(q, BellQuery)
+        assert (q.kind, q.a0, q.a1, q.b0, q.b1, q.state) == ("chsh", "A0", "A1", "B0", "B1", "top")
 
     def test_chsh_dim_mismatch(self):
         src = self.PREFIX + "ket small = [1, 0]\nquery chsh A0 A1 B0 B1 in small\n"
@@ -261,6 +262,20 @@ class TestQueryValidation:
     def test_sample_shots_positive(self):
         err = first_error(self.PREFIX + "query sample top PA0 shots 0 seed 3\n")
         assert isinstance(err, ResolutionError)
+
+    def test_sample_shots_bounded(self):
+        ok = parse_spec(self.PREFIX + f"query sample top PA0 shots {MAX_SHOTS} seed 3\n")
+        assert ok.queries[0].shots == MAX_SHOTS
+        err = first_error(self.PREFIX + f"query sample top PA0 shots {MAX_SHOTS + 1} seed 3\n")
+        assert isinstance(err, ResolutionError)
+        # located at the shot count, after "query sample top PA0 shots "
+        assert (err.line, err.column) == (7, 28)
+        assert str(MAX_SHOTS) in err.message
+
+    def test_tiny_spectral_split_parses(self):
+        # +-5e-9 sit one grouping gap apart and merge into one eigenspace
+        spec = parse_spec("op H = 0.000000005*Z\npdi P = spectral(H)\n")
+        assert spec.environment["P"].extra == (0.0,)
 
     def test_sample_dim_mismatch(self):
         src = self.PREFIX + "op FZ = Z\npdi PZ = spectral(FZ)\nquery sample top PZ shots 10 seed 3\n"

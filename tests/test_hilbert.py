@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from histories_kit.config import TOLERANCES
 from histories_kit.errors import (
+    AmbiguousSpectrumError,
     DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidPDIError,
@@ -58,6 +59,27 @@ def random_ket(rng, dim):
 def random_hermitian(rng, dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return Operator((m + m.conj().T) / 2)
+
+
+def hermitian_with_spectrum(rng, spectrum):
+    """U diag(spectrum) U-dagger for a random unitary U, symmetrized."""
+    dim = len(spectrum)
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    m = u @ np.diag(spectrum) @ u.conj().T
+    return Operator((m + m.conj().T) / 2)
+
+
+def chains_past(values, gap, slack=0.01):
+    """Whether some run of sorted neighbours, each within gap of the next,
+    spans more than gap; the slack absorbs eigh rounding at either edge."""
+    values = sorted(values)
+    lo = 0
+    for i in range(1, len(values)):
+        if values[i] - values[i - 1] > gap * (1 + slack):
+            lo = i
+        elif values[i] - values[lo] > gap * (1 - slack):
+            return True
+    return False
 
 
 class TestKet:
@@ -239,6 +261,60 @@ class TestSpectralDecompose:
         )
         assert np.abs(rebuilt.entries - h.entries).max() < TOLERANCES.reconstruction
         assert all(a > b for a, b in zip(obs.eigenvalues, obs.eigenvalues[1:]))
+
+    def test_split_of_one_gap_merges_at_mean(self):
+        # +-5e-9 lie exactly one grouping gap apart
+        obs = spectral_decompose(0.000000005 * Z)
+        assert obs.eigenvalues == (0.0,)
+        assert obs.pdi.projectors[0].rank == 2
+
+    def test_close_pair_in_random_basis_merges(self):
+        h = hermitian_with_spectrum(np.random.default_rng(3), [0.0, 3e-9])
+        obs = spectral_decompose(h)
+        assert len(obs.eigenvalues) == 1
+        assert abs(obs.eigenvalues[0] - 1.5e-9) < 1e-15
+
+    def test_chained_eigenvalues_are_ambiguous(self):
+        # each neighbour is within the gap, but the run spans 4.2 gaps
+        h = hermitian_with_spectrum(np.random.default_rng(8), [0.6e-8 * k for k in range(8)])
+        with pytest.raises(AmbiguousSpectrumError):
+            spectral_decompose(h)
+
+    def test_grouping_gap_scales_with_norm(self):
+        # at norm 1e4 the gap is 1e-4, so a 5e-5 split is jitter, a 2e-4 split is not
+        op = Operator(np.diag([1e4, 1e4 - 5e-5, 1e4 - 2e-4 - 5e-5, -1e4]).astype(complex))
+        obs = spectral_decompose(op)
+        assert [p.rank for p in obs.pdi.projectors] == [2, 1, 1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-9, 1.0, 1e4]),
+        st.lists(
+            st.tuples(st.floats(-1, 1), st.integers(1, 4), st.floats(0, 3)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_clustered_spectra_never_fail_verification(self, seed, magnitude, clusters):
+        # each cluster: a center (times magnitude), a size, and a spacing in
+        # units of the unscaled grouping tolerance
+        spectrum = [
+            magnitude * center + k * spacing * TOLERANCES.eigen_grouping
+            for center, size, spacing in clusters
+            for k in range(size)
+        ]
+        h = hermitian_with_spectrum(np.random.default_rng(seed), spectrum)
+        gap = TOLERANCES.eigen_grouping * max(1.0, max(abs(v) for v in spectrum))
+        try:
+            obs = spectral_decompose(h)
+        except AmbiguousSpectrumError:
+            assert chains_past(spectrum, gap)
+            return
+        assert sum(p.rank for p in obs.pdi.projectors) == len(spectrum)
+        scale = max(1.0, float(np.abs(h.entries).max()))
+        defect = float(np.abs(obs.operator().entries - h.entries).max())
+        assert defect < TOLERANCES.reconstruction * scale + gap
 
 
 def isometry_blocks(seed, dim, coordinate, angle):

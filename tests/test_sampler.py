@@ -23,6 +23,7 @@ from histories_kit.hilbert import (
 )
 from histories_kit.sampler import (
     _CHUNK,
+    MAX_SHOTS,
     RunConfig,
     _mix,
     _tally,
@@ -137,6 +138,11 @@ class TestRunConfig:
             RunConfig(shots=10, seed=-1)
         with pytest.raises(ValueError):
             RunConfig(shots=10, seed=2**64)
+
+    def test_shots_bounded(self):
+        RunConfig(shots=MAX_SHOTS, seed=0)
+        with pytest.raises(ValueError):
+            RunConfig(shots=MAX_SHOTS + 1, seed=0)
 
 
 class TestSamplePDI:
