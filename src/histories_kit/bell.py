@@ -20,7 +20,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .config import TOLERANCES
+from .config import check, tolerances
 from .errors import (
     DimensionMismatchError,
     MalformedLocalPDIError,
@@ -91,24 +91,18 @@ class CHSHOperators:
         ops = {"A0": self.a0, "A1": self.a1, "B0": self.b0, "B1": self.b1}
         dim = self.a0.dim
         eye = np.eye(dim)
+        tol = tolerances().algebraic
         for name, op in ops.items():
             if op.dim != dim:
                 raise DimensionMismatchError("CHSH operators live on one shared space")
-            if not op.is_hermitian():
-                raise ValueError(f"{name} is not Hermitian")
-            square_defect = float(np.abs(op.entries @ op.entries - eye).max())
-            if square_defect >= SQUARE_IDENTITY_TOL:
-                raise ValueError(
-                    f"{name} does not square to identity (defect {square_defect:.3g}); "
-                    "eigenvalues must lie in {+1,-1}"
-                )
+            check(op.hermiticity_defect(), tol, ValueError, f"{name} is not Hermitian")
+            square = float(np.abs(op.entries @ op.entries - eye).max())
+            message = f"{name} does not square to identity; eigenvalues must lie in {{+1,-1}}"
+            check(square, SQUARE_IDENTITY_TOL, ValueError, message)
         for an, a in (("A0", self.a0), ("A1", self.a1)):
             for bn, b in (("B0", self.b0), ("B1", self.b1)):
-                defect = commutator_defect(a, b)
-                if defect >= TOLERANCES.algebraic:
-                    raise NonCommutingABError(
-                        f"[{an}, {bn}] does not vanish (defect {defect:.3g})"
-                    )
+                message = f"[{an}, {bn}] does not vanish"
+                check(commutator_defect(a, b), tol, NonCommutingABError, message)
 
     @property
     def dim(self) -> int:
@@ -144,7 +138,7 @@ class CorrelationData:
             raise ValueError("correlator table must be 2x2")
         if not np.isfinite(table).all():
             raise ValueError(f"correlator entries must be finite: {table.tolist()}")
-        if float(np.abs(table).max()) > 1 + TOLERANCES.probability:
+        if float(np.abs(table).max()) > 1 + tolerances().probability:
             raise ValueError(f"correlator magnitude exceeds 1: {table!r}")
         table.setflags(write=False)
         object.__setattr__(self, "e", table)
@@ -195,9 +189,10 @@ class LHVModel:
             raise ValueError("one prior entry per lambda required")
         if not np.isfinite(prior).all():
             raise ValueError("prior probabilities must be finite")
-        if float(prior.min()) < -TOLERANCES.probability:
+        tol = tolerances().probability
+        if float(prior.min()) < -tol:
             raise ValueError("negative prior probability")
-        if abs(float(prior.sum()) - 1.0) > TOLERANCES.probability:
+        if abs(float(prior.sum()) - 1.0) > tol:
             raise ValueError(f"prior sums to {float(prior.sum())!r}, not 1")
         prior = np.clip(prior, 0.0, None)
         prior.setflags(write=False)
@@ -210,7 +205,7 @@ class LHVModel:
                     raise ValueError("one response entry per lambda required")
                 if not np.isfinite(vec).all():
                     raise ValueError("response probabilities must be finite")
-                if float(vec.min()) < -TOLERANCES.probability or float(vec.max()) > 1 + TOLERANCES.probability:
+                if float(vec.min()) < -tol or float(vec.max()) > 1 + tol:
                     raise ValueError("response probabilities must lie in [0, 1]")
                 vec = np.clip(vec, 0.0, 1.0)
                 vec.setflags(write=False)
@@ -292,10 +287,8 @@ def chsh_value(state: Ket, ops: CHSHOperators) -> CHSHValue:
         e[a, b] = total
     corr = CorrelationData(e)
     direct = float(chsh_operator(ops).expectation(state).real)
-    if abs(corr.chsh - direct) >= TOLERANCES.algebraic:
-        raise VerificationFailedError(
-            f"per-setting sum {corr.chsh!r} disagrees with direct expectation {direct!r}"
-        )
+    message = f"per-setting sum {corr.chsh!r} disagrees with direct expectation {direct!r}"
+    check(abs(corr.chsh - direct), tolerances().algebraic, VerificationFailedError, message)
     return CHSHValue(
         correlations=corr,
         direct_expectation=direct,
@@ -372,8 +365,8 @@ def lambda_model_fixed_settings(state: Ket, ops: CHSHOperators, s: SettingPair) 
     )
     # the reproduction property is part of this function's contract
     defect = float(np.abs(model.joint(s) - born).max())
-    if defect > TOLERANCES.probability:
-        raise VerificationFailedError(f"lambda model misses the Born joints by {defect:.3g}")
+    message = "lambda model misses the Born joints"
+    check(defect, tolerances().probability, VerificationFailedError, message)
     return model
 
 
@@ -431,7 +424,7 @@ def lhv_feasibility(corr: CorrelationData) -> FeasibilityReport:
         if abs(value) > abs(worst_value):
             worst_value = value
             worst_signs = signs
-    if abs(worst_value) > 2 + TOLERANCES.probability:
+    if abs(worst_value) > 2 + tolerances().probability:
         return FeasibilityReport(
             feasible=False,
             max_combination=abs(worst_value),
@@ -451,8 +444,7 @@ def lhv_feasibility(corr: CorrelationData) -> FeasibilityReport:
     defect = max(
         float(np.abs(weights @ _VERTICES - flat).max()), abs(float(weights.sum()) - 1.0)
     )
-    if defect > 1e-9:
-        raise VerificationFailedError(f"vertex mixture misses the correlators by {defect:.3g}")
+    check(defect, 1e-9, VerificationFailedError, "vertex mixture misses the correlators")
     return FeasibilityReport(
         feasible=True,
         max_combination=abs(worst_value),
@@ -484,8 +476,9 @@ def joint_probabilities(state: Ket, alice_basis: PDI, bob_basis: PDI) -> np.ndar
         for k, qk in enumerate(bob_basis.projectors):
             full = np.kron(pj.entries, qk.entries)
             table[j, k] = max(0.0, float(np.vdot(psi, full @ psi).real))
-    if abs(float(table.sum()) - 1.0) > TOLERANCES.probability:
-        raise VerificationFailedError(f"joint table sums to {float(table.sum())!r}")
+    total = float(table.sum())
+    message = f"joint table sums to {total!r}"
+    check(abs(total - 1.0), tolerances().probability, VerificationFailedError, message)
     table.setflags(write=False)
     return table
 
@@ -513,7 +506,7 @@ def collapse_conditional(state: Ket, alice_outcome: Projector, bob_event: Projec
     lifted_a = np.kron(alice_outcome.entries, np.eye(db))
     projected = lifted_a @ psi
     pr_a = float(np.vdot(psi, projected).real)
-    if pr_a <= TOLERANCES.probability:
+    if pr_a <= tolerances().probability:
         raise ZeroProbabilityOutcomeError(
             f"Alice outcome has probability {pr_a:.3g}; collapse undefined"
         )
@@ -567,19 +560,13 @@ def no_signaling_check(
         raise DimensionMismatchError(f"dims {da}x{db} do not compose to state dim {state.dim}")
     if not alice_pdis:
         raise ValueError("at least one Alice PDI required")
-    for pdi in alice_pdis:
+    tol = tolerances()
+    sides = [(0, "Alice", "(P x I)", pdi) for pdi in alice_pdis] + [(1, "Bob", "(I x Q)", bob_pdi)]
+    for side, party, form, pdi in sides:
         for label, proj in pdi.items():
-            defect = _local_form_defect(proj, dims, side=0)
-            if defect >= TOLERANCES.algebraic:
-                raise MalformedLocalPDIError(
-                    f"Alice projector {label!r} is not of (P x I) form (defect {defect:.3g})"
-                )
-    for label, proj in bob_pdi.items():
-        defect = _local_form_defect(proj, dims, side=1)
-        if defect >= TOLERANCES.algebraic:
-            raise MalformedLocalPDIError(
-                f"Bob projector {label!r} is not of (I x Q) form (defect {defect:.3g})"
-            )
+            defect = _local_form_defect(proj, dims, side)
+            message = f"{party} projector {label!r} is not of {form} form"
+            check(defect, tol.algebraic, MalformedLocalPDIError, message)
 
     def _marginals(psi: np.ndarray) -> tuple[tuple[np.ndarray, ...], float]:
         per_choice = []
@@ -603,18 +590,17 @@ def no_signaling_check(
         if ta.dim != da or tb.dim != db:
             raise DimensionMismatchError("dynamics must act on the two local factors")
         for name, u in (("T_a", ta), ("T_b", tb)):
-            if not u.is_unitary():
-                raise ValueError(f"{name} is not unitary")
+            check(u.unitarity_defect(), tol.algebraic, ValueError, f"{name} is not unitary")
         evolved = np.kron(ta.entries, tb.entries) @ state.amplitudes
         _, dyn_deviation = _marginals(evolved)
-    tol = TOLERANCES.probability
-    passes = deviation <= tol and (dyn_deviation is None or dyn_deviation <= tol)
+    limit = tol.probability
+    passes = deviation <= limit and (dyn_deviation is None or dyn_deviation <= limit)
     return NoSignalingReport(
         bob_marginals=marginals,
         max_deviation=deviation,
         dynamics_max_deviation=dyn_deviation,
         passes=passes,
-        tolerance=tol,
+        tolerance=limit,
     )
 
 

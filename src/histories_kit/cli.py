@@ -21,12 +21,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple
+from contextlib import nullcontext
+from dataclasses import asdict, astuple
 
 import numpy as np
 
 from . import __version__
-from .config import TOLERANCES
+from .config import override, tolerances
 from .errors import ParseError, ToolkitError
 from .bell import (
     SINGLET_OPTIMAL_ANGLES_DEG,
@@ -509,13 +510,11 @@ def execute(argv: list[str] | None = None, out=None) -> int:
         return int(err.code or 0)
 
     build, render = _COMMANDS[args.command]
-    saved = TOLERANCES.as_dict()
+    algebraic = args.tol if args.tol is not None else env_tol  # the flag wins
     try:
-        override = args.tol if args.tol is not None else env_tol  # the flag wins
-        if override is not None:
-            TOLERANCES.algebraic = override
-        payload = build(args)
-        metadata = {"version": TOOL_VERSION, "tolerances": TOLERANCES.as_dict()}
+        with nullcontext() if algebraic is None else override(algebraic=algebraic):
+            payload = build(args)
+            metadata = {"version": TOOL_VERSION, "tolerances": asdict(tolerances())}
     except _UnreadableSpec as err:
         sys.stderr.write(f"{err}\n")
         return 1
@@ -527,9 +526,6 @@ def execute(argv: list[str] | None = None, out=None) -> int:
     except (ToolkitError, ValueError) as err:
         sys.stderr.write(f"{type(err).__name__}: {err}\n")
         return 2
-    finally:
-        for key, val in saved.items():
-            setattr(TOLERANCES, key, val)
 
     if args.command == "run":
         metadata["source"] = os.path.basename(args.file)

@@ -33,6 +33,7 @@ degrees. `#` starts a comment; names are declared before use.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -300,6 +301,13 @@ class _Parser:
 
     def resolve_fail(self, tok: _Token, message: str):
         raise ResolutionError(tok.line, tok.col, message, tok.text)
+
+    def number(self, tok: _Token) -> float:
+        """A NUMBER or IMAG literal's value; one past the float range fails here."""
+        value = float(tok.text.rstrip("i"))
+        if not math.isfinite(value):
+            self.resolve_fail(tok, "number out of range")
+        return value
 
     def expect_punct(self, text: str) -> _Token:
         tok = self.peek()
@@ -672,12 +680,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "IMAG":
             self.advance()
-            imag = float(tok.text[:-1])
+            imag = self.number(tok)
             return complex(0.0, -imag if negate else imag)
         if tok.kind != "NUMBER":
             self.fail(tok, "expected a number")
         self.advance()
-        real = float(tok.text)
+        real = self.number(tok)
         if negate:
             real = -real
         sign = 0
@@ -688,7 +696,7 @@ class _Parser:
         if sign and self.tokens[self.pos + 1].kind == "IMAG":
             self.advance()
             imag_tok = self.advance()
-            return complex(real, sign * float(imag_tok.text[:-1]))
+            return complex(real, sign * self.number(imag_tok))
         return complex(real, 0.0)
 
     def expr(self, depth: int):
@@ -715,10 +723,10 @@ class _Parser:
             return Neg(self.factor(depth + 1))
         if tok.kind == "NUMBER":
             self.advance()
-            return ScalarLit(complex(float(tok.text), 0.0))
+            return ScalarLit(complex(self.number(tok), 0.0))
         if tok.kind == "IMAG":
             self.advance()
-            return ScalarLit(complex(0.0, float(tok.text[:-1])))
+            return ScalarLit(complex(0.0, self.number(tok)))
         if tok.kind != "NAME":
             self.fail(tok, "expected an operator expression")
         if tok.text in ("X", "Y", "Z"):
@@ -744,7 +752,7 @@ class _Parser:
                 self.fail(angle_tok, "expected an angle in degrees")
             self.advance()
             self.expect_punct(")")
-            angle = float(angle_tok.text)
+            angle = self.number(angle_tok)
             return BuiltinSigma(-angle if negate else angle)
         if tok.text == "kron":
             self.advance()

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import TOLERANCES
+from .config import check, tolerances
 from .errors import (
     AmbiguousSpectrumError,
     DimensionMismatchError,
@@ -158,14 +158,19 @@ class Operator:
             raise DimensionMismatchError(f"state dim {state.dim} vs operator dim {self.dim}")
         return complex(np.vdot(state.amplitudes, self.entries @ state.amplitudes))
 
-    def is_hermitian(self, tol: float | None = None) -> bool:
-        tol = TOLERANCES.algebraic if tol is None else tol
-        return float(np.abs(self.entries - self.entries.conj().T).max()) < tol
+    def hermiticity_defect(self) -> float:
+        """Max-entry norm of A - A-dagger."""
+        return float(np.abs(self.entries - self.entries.conj().T).max())
 
-    def is_unitary(self, tol: float | None = None) -> bool:
-        tol = TOLERANCES.algebraic if tol is None else tol
-        defect = self.entries.conj().T @ self.entries - np.eye(self.dim)
-        return float(np.abs(defect).max()) < tol
+    def unitarity_defect(self) -> float:
+        """Max-entry norm of A-dagger A - I."""
+        return float(np.abs(self.entries.conj().T @ self.entries - np.eye(self.dim)).max())
+
+    def is_hermitian(self) -> bool:
+        return self.hermiticity_defect() < tolerances().algebraic
+
+    def is_unitary(self) -> bool:
+        return self.unitarity_defect() < tolerances().algebraic
 
 
 def commutator_defect(a: "Operator | Projector", b: "Operator | Projector") -> float:
@@ -173,11 +178,10 @@ def commutator_defect(a: "Operator | Projector", b: "Operator | Projector") -> f
     return float(np.abs(a.entries @ b.entries - b.entries @ a.entries).max())
 
 
-def commutes(a: Operator, b: Operator, tol: float | None = None) -> bool:
-    tol = TOLERANCES.algebraic if tol is None else tol
+def commutes(a: Operator, b: Operator) -> bool:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"operator dims differ: {a.dim} vs {b.dim}")
-    return commutator_defect(a, b) < tol
+    return commutator_defect(a, b) < tolerances().algebraic
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +211,7 @@ class Projector:
         diagonal = gram.reshape(-1)[:: vecs.shape[1] + 1]
         diagonal -= 1.0
         defect = float(np.abs(gram).max())
-        if not defect < TOLERANCES.algebraic:  # also rejects NaN entries
-            raise ValueError(f"basis columns are not orthonormal: defect {defect:.3g}")
+        check(defect, tolerances().algebraic, ValueError, "basis columns are not orthonormal")
         proj = vecs @ adjoint
         proj = proj + proj.conj().T  # (P + P-dagger) / 2 scrubs rounding asymmetry
         proj *= 0.5
@@ -224,13 +227,9 @@ class Projector:
 
     def __post_init__(self):
         ent = self.op.entries
-        tol = TOLERANCES.algebraic
-        herm = float(np.abs(ent - ent.conj().T).max())
-        idem = float(np.abs(ent @ ent - ent).max())
-        if herm >= tol or idem >= tol:
-            raise ValueError(
-                f"not a projector: hermiticity defect {herm:.3g}, idempotency defect {idem:.3g}"
-            )
+        tol = tolerances().algebraic
+        check(self.op.hermiticity_defect(), tol, ValueError, "not a projector: hermiticity")
+        check(float(np.abs(ent @ ent - ent).max()), tol, ValueError, "not a projector: idempotency")
 
     @property
     def dim(self) -> int:
@@ -326,7 +325,7 @@ def pdi_validate(projectors: "PDI | Sequence[Projector]") -> PDIValidation:
     diagonal = total.reshape(-1)[:: dim + 1]
     diagonal -= 1.0
     complete = float(np.abs(total).max())
-    tol = TOLERANCES.algebraic
+    tol = tolerances().algebraic
     return PDIValidation(
         orthogonality_defect=ortho,
         idempotency_defect=idem,
@@ -394,11 +393,10 @@ class Observable:
         vals = tuple(float(v) for v in self.eigenvalues)
         if len(vals) != len(self.pdi):
             raise ValueError("one eigenvalue per projector required")
+        gap = tolerances().eigen_grouping
         for hi, lo in zip(vals, vals[1:]):
-            if hi - lo <= TOLERANCES.eigen_grouping:
-                raise ValueError(
-                    f"eigenvalues must be strictly descending with gap > {TOLERANCES.eigen_grouping:g}"
-                )
+            if not hi - lo > gap:  # also rejects NaN eigenvalues
+                raise ValueError(f"eigenvalues must be strictly descending with gap > {gap:g}")
         object.__setattr__(self, "eigenvalues", vals)
 
     @property
@@ -469,14 +467,11 @@ def spectral_decompose(h: Operator) -> Observable:
     grouping within tolerance and raises AmbiguousSpectrumError. Eigenvalues
     come back sorted descending.
     """
-    if not h.is_hermitian():
-        defect = float(np.abs(h.entries - h.entries.conj().T).max())
-        raise NotHermitianError(
-            f"operator is not Hermitian (defect {defect:.3g}, tolerance {TOLERANCES.algebraic:g})"
-        )
+    tol = tolerances()
+    check(h.hermiticity_defect(), tol.algebraic, NotHermitianError, "operator is not Hermitian")
     evals, evecs = np.linalg.eigh(h.entries)
     ascending = evals.tolist()
-    gap = TOLERANCES.eigen_grouping * max(1.0, -ascending[0], ascending[-1])
+    gap = tol.eigen_grouping * max(1.0, -ascending[0], ascending[-1])
     # eigh sorts ascending, so each group is a run of neighbours at most gap apart
     cuts = [i for i in range(1, len(ascending)) if ascending[i] - ascending[i - 1] > gap]
     bounds = list(zip([0] + cuts, cuts + [len(ascending)]))
@@ -498,8 +493,8 @@ def spectral_decompose(h: Operator) -> Observable:
     # eigenvalues onto their group's mean moves each entry by at most `shift` more
     scale = max(1.0, float(np.abs(h.entries).max()))
     defect = float(np.abs(obs.operator().entries - h.entries).max())
-    if defect >= TOLERANCES.reconstruction * scale + shift:
-        raise VerificationFailedError(f"spectral reconstruction defect {defect:.3g}")
+    limit = tol.reconstruction * scale + shift
+    check(defect, limit, VerificationFailedError, "spectral reconstruction")
     return obs
 
 
@@ -512,7 +507,7 @@ def common_refinement(p: PDI, q: PDI) -> PDI:
     """
     if p.dim != q.dim:
         raise DimensionMismatchError(f"PDI dims differ: {p.dim} vs {q.dim}")
-    tol = TOLERANCES.algebraic
+    tol = tolerances().algebraic
     for lj, pj in p.items():
         for lk, qk in q.items():
             defect = commutator_defect(pj, qk)
@@ -541,7 +536,7 @@ def possesses(k: Ket, p: Projector) -> bool:
     if k.dim != p.dim:
         raise DimensionMismatchError(f"ket dim {k.dim} vs projector dim {p.dim}")
     residual = float(np.linalg.norm(p.entries @ k.amplitudes - k.amplitudes))
-    return residual < TOLERANCES.algebraic
+    return residual < tolerances().algebraic
 
 
 def region_projector(grid_size: int, r: Region) -> Projector:
@@ -581,8 +576,7 @@ def builtin_operator(name, dim: int = 2) -> Operator:
     if w.shape[0] != 3:
         raise UnknownNameError("direction must have exactly three components")
     norm = float(np.linalg.norm(w))
-    if abs(norm - 1.0) >= 1e-9:
-        raise NonUnitDirectionError(f"direction norm {norm!r} differs from 1 by >= 1e-9")
+    check(abs(norm - 1.0), 1e-9, NonUnitDirectionError, f"direction norm {norm!r} differs from 1")
     return Operator(w[0] * _PAULI["X"] + w[1] * _PAULI["Y"] + w[2] * _PAULI["Z"])
 
 
@@ -592,7 +586,7 @@ def pdi_compatible(p: "PDI | Projector", q: "PDI | Projector") -> bool:
     def _projs(x):
         return x.projectors if isinstance(x, PDI) else (x,)
 
-    tol = TOLERANCES.algebraic
+    tol = tolerances().algebraic
     for a in _projs(p):
         for b in _projs(q):
             if a.dim != b.dim:

@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .config import TOLERANCES
+from .config import check, tolerances
 from .errors import (
     DimensionMismatchError,
     InconsistentFamilyError,
@@ -73,14 +73,11 @@ class TimeGrid:
         if len(props) != len(labels) - 1:
             raise ValueError(f"{len(labels)} times require {len(labels) - 1} propagators")
         dim = props[0].dim
+        tol = tolerances().algebraic
         for i, u in enumerate(props, start=1):
             if u.dim != dim:
                 raise DimensionMismatchError("propagators have mixed dimensions")
-            if not u.is_unitary():
-                defect = float(
-                    np.abs(u.entries.conj().T @ u.entries - np.eye(u.dim)).max()
-                )
-                raise ValueError(f"propagator {i} is not unitary (defect {defect:.3g})")
+            check(u.unitarity_defect(), tol, ValueError, f"propagator {i} is not unitary")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "propagators", props)
 
@@ -260,21 +257,24 @@ def consistency_check(fam: HistoryFamily) -> ConsistencyReport:
     histories = fam.all_histories()
     chains = _chain_matrix(fam, fam.histories)
     diag, max_offdiag = _gram_scan(chains)
-    if float(diag.real.min()) < -TOLERANCES.probability or float(np.abs(diag.imag).max()) > TOLERANCES.probability:
-        raise VerificationFailedError("gram diagonal is not a real nonnegative weight vector")
-    if fam.exhaustive and float(diag.real.sum()) > 1 + TOLERANCES.reconstruction:
-        raise VerificationFailedError("exhaustive family weights exceed 1")
+    tol = tolerances()
+    message = "gram diagonal is not a real nonnegative weight vector"
+    check(-float(diag.real.min()), tol.probability, VerificationFailedError, message)
+    check(float(np.abs(diag.imag).max()), tol.probability, VerificationFailedError, message)
+    if fam.exhaustive:
+        excess = float(diag.real.sum()) - 1.0
+        message = "exhaustive family weights exceed 1"
+        check(excess, tol.reconstruction, VerificationFailedError, message)
     weights = diag.real
     chains.setflags(write=False)
     weights.setflags(write=False)
-    tol = TOLERANCES.algebraic
     return ConsistencyReport(
         histories=histories,
         chains=chains,
         weights=weights,
         max_offdiag=max_offdiag,
-        consistent=max_offdiag < tol,
-        tolerance=tol,
+        consistent=max_offdiag < tol.algebraic,
+        tolerance=tol.algebraic,
     )
 
 
@@ -290,8 +290,8 @@ def family_probabilities(fam: HistoryFamily) -> ProbabilityTable:
     probs = {h: float(w) for h, w in zip(report.histories, report.weights)}
     total = float(sum(probs.values()))
     if fam.exhaustive:
-        if abs(total - 1.0) > TOLERANCES.reconstruction:
-            raise VerificationFailedError(f"exhaustive family total {total!r} differs from 1")
+        message = f"exhaustive family total {total!r} differs from 1"
+        check(abs(total - 1.0), tolerances().reconstruction, VerificationFailedError, message)
         omitted = 0.0
     else:
         omitted = max(0.0, 1.0 - total)
@@ -316,7 +316,7 @@ def conditional_probability(fam: HistoryFamily, given, target) -> float:
     gi, gl = given[0] - 1, str(given[1])
     ti, tl = target[0] - 1, str(target[1])
     pr_given = sum(p for h, p in table.probabilities.items() if h[gi] == gl)
-    if pr_given <= TOLERANCES.probability:
+    if pr_given <= tolerances().probability:
         raise ZeroProbabilityConditionError(
             f"conditioning event {gl!r} at time {given[0]} has probability {pr_given:.3g}"
         )
@@ -364,8 +364,9 @@ def build_measurement_model(f: Observable, pointer_dim: int) -> MeasurementModel
     for j, proj in enumerate(f.pdi.projectors):
         t_full += np.kron(proj.entries, np.linalg.matrix_power(shift, j + 1))
     t_op = Operator(t_full)
-    if not t_op.is_unitary():
-        raise VerificationFailedError("constructed interaction operator is not unitary")
+    tol = tolerances().algebraic
+    message = "constructed interaction operator is not unitary"
+    check(t_op.unitarity_defect(), tol, VerificationFailedError, message)
 
     pointer_states = tuple(Ket(np.eye(dm)[k]) for k in range(dm))
     eye_s = np.eye(ds)
@@ -389,10 +390,8 @@ def build_measurement_model(f: Observable, pointer_dim: int) -> MeasurementModel
         for k, mk in enumerate(pointer_projs[:-1]):
             expected = reached if j == k else 0.0
             defect = float(np.abs(mk.entries @ reached - expected).max())
-            if defect >= TOLERANCES.algebraic:
-                raise VerificationFailedError(
-                    f"pointer projector {k} fails on eigenspace {j} (defect {defect:.3g})"
-                )
+            message = f"pointer projector {k} fails on eigenspace {j}"
+            check(defect, tol, VerificationFailedError, message)
     return MeasurementModel(
         observable=f,
         system_dim=ds,

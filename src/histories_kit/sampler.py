@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOLERANCES
 from .errors import DimensionMismatchError, ProbabilityNormalizationError
 from .hilbert import PDI, Ket, spectral_decompose
 from .bell import CHSHOperators, SettingPair

@@ -3,12 +3,17 @@
 import io
 import json
 import math
+import sys
+import threading
+import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from histories_kit import cli
-from histories_kit.config import TOLERANCES
+from histories_kit.config import TOLERANCES, tolerances
+from histories_kit.hilbert import builtin_operator, commutes
 from histories_kit.sampler import MAX_SHOTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -191,10 +196,41 @@ class TestToleranceOverrides:
         assert repr(value) in err
 
     def test_tolerances_restored_after_run(self, monkeypatch):
-        before = TOLERANCES.as_dict()
+        before = asdict(tolerances())
         monkeypatch.setenv("HISTORIES_KIT_TOL", "0.5")
         run_cli(["run", str(SPEC_DIR / "interference.spec")])
-        assert TOLERANCES.as_dict() == before
+        assert asdict(tolerances()) == before
+
+    def test_override_does_not_leak_across_threads(self):
+        z = builtin_operator("Z")
+        a = z + 0.01 * builtin_operator("X")  # [Z, A] has defect 0.02: 0.5 would pass it
+        reports = []
+
+        def worker():
+            for _ in range(4):
+                argv = ["neon", "--tol", "0.5", "--shots", "1000", "--format", "json"]
+                reports.append(run_cli(argv))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a shared override would show
+        try:
+            thread = threading.Thread(target=worker)
+            thread.start()
+            seen, leaks = set(), 0
+            deadline = time.monotonic() + 60
+            while thread.is_alive() and time.monotonic() < deadline:
+                seen.add(tolerances().algebraic)
+                leaks += commutes(z, a)
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert seen == {TOLERANCES.algebraic}
+        assert leaks == 0
+        # the override did apply inside the worker's own runs
+        assert [code for code, _ in reports] == [0] * 4
+        for _, out in reports:
+            assert json.loads(out)["metadata"]["tolerances"]["algebraic"] == 0.5
 
 
 class TestHumanOutput:

@@ -115,6 +115,25 @@ class TestDeclarations:
 
 
 class TestLoadErrors:
+    BIG = "1" + "0" * 309  # 1e309, past the largest float (about 1.8e308)
+
+    @pytest.mark.parametrize(
+        "source, column",
+        [
+            (f"op A = {BIG} * Z\npdi P = spectral(A)\n", 8),
+            (f"op A = {BIG}i * Z\n", 8),
+            (f"op A = sigma(-{BIG})\n", 15),
+            (f"ket k = [{BIG}, 0]\n", 10),
+            (f"ket k = [1 - {BIG}i, 0]\n", 14),
+        ],
+        ids=["scalar", "imag-scalar", "sigma-angle", "ket-entry", "ket-imag-part"],
+    )
+    def test_number_out_of_range_is_located(self, source, column):
+        err = first_error(source)
+        assert isinstance(err, ResolutionError)
+        assert (err.line, err.column) == (1, column)
+        assert "number out of range" in err.message
+
     def test_unknown_name_is_resolution_error(self):
         err = first_error("pdi P = spectral(A9)\n")
         assert isinstance(err, ResolutionError)

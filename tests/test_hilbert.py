@@ -148,6 +148,14 @@ class TestProjector:
         with pytest.raises(ValueError):
             Projector(Operator(np.array([[0, 1], [0, 0]], dtype=complex)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        # a NaN defect compares False against any tolerance, so it must fail,
+        # not pass; inf - inf warns as an invalid operation on its way to NaN
+        entries = np.array([[bad, 0], [0, 0]], dtype=complex)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="defect nan"):
+            Projector(Operator(entries))
+
     def test_rank_and_complement(self):
         p = basis_ket(3, 0).projector()
         assert p.rank == 1
@@ -213,6 +221,8 @@ class TestObservable:
             Observable(eigenvalues=(1.0, 1.0), pdi=pdi)
         with pytest.raises(ValueError):
             Observable(eigenvalues=(-1.0, 1.0), pdi=pdi)
+        with pytest.raises(ValueError):
+            Observable(eigenvalues=(math.nan, 0.0), pdi=pdi)
 
     def test_operator_reconstruction(self):
         obs = spectral_decompose(Z)
@@ -504,6 +514,8 @@ class TestBuiltinsAndTensors:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(NonUnitDirectionError):
             builtin_operator((1.0, 0.0, 0.1))
+        with pytest.raises(NonUnitDirectionError, match="defect nan"):
+            builtin_operator((math.nan, 0.0, 0.0))
 
     def test_unknown_name(self):
         with pytest.raises(UnknownNameError):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from histories_kit.bell import neon_setup, singlet_state
-from histories_kit.config import TOLERANCES
+from histories_kit.config import override
 from histories_kit.errors import ProbabilityNormalizationError
 from histories_kit.hilbert import (
     PDI,
@@ -202,9 +202,7 @@ class TestSamplePDI:
     def test_normalization_window_enforced(self):
         # a deficient decomposition only reachable when the PDI completeness
         # check itself is loosened; the sampler window stays strict
-        saved = TOLERANCES.algebraic
-        TOLERANCES.algebraic = 1e-2
-        try:
+        with override(algebraic=1e-2):
             leaky = PDI(
                 [
                     Projector(Operator(np.diag([1 - 5e-4, 0]).astype(complex))),
@@ -213,8 +211,6 @@ class TestSamplePDI:
             )
             with pytest.raises(ProbabilityNormalizationError):
                 sample_pdi(PLUS, leaky, RunConfig(shots=10, seed=3))
-        finally:
-            TOLERANCES.algebraic = saved
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 2000))
