@@ -2,8 +2,8 @@
 
 All algebraic checks (hermiticity, unitarity, projector idempotency,
 commutation, PDI orthogonality/completeness) share one knob so reports can
-state exactly what was enforced. It bounds max-entry norms, or for members
-built from orthonormal bases the Gram-block Frobenius norms that bound them.
+state exactly what was enforced. It bounds max-entry norms, or the spectral
+and Gram-block Frobenius norms that `hilbert` certifies in their place.
 The remaining knobs cover eigenvalue grouping, probability-table sums, and
 spectral reconstruction. `tolerances()` returns the frozen bundle in force in
 the current thread or task; `with override(...)` replaces it for that block

@@ -3,14 +3,16 @@
 Everything lives on finite-dimensional Hilbert spaces (the spec language
 accepts dimensions up to `dsl.MAX_DIM` = 1024), so storage is dense numpy
 throughout. Algebraic identities on matrices are checked in max-entry norm
-against the shared tolerance bundle. A projector built from orthonormal
-columns V (P = VV-dagger: `Ket.projector`, `spectral_decompose`) keeps V and
-is certified by V-dagger V = I instead; a PDI of such projectors is certified
-from one Gram matrix of the stacked bases, whose block Frobenius norms are
-upper bounds on the max-entry defects of the projector products. Degenerate
-eigenspaces are kept whole: spectral decomposition yields one rank-k
-projector per distinct eigenvalue, and all equality reasoning is done on
-projector matrices, never on individual eigenvectors.
+against the shared tolerance bundle. Every projector carries an orthonormal
+basis V of its subspace (P = VV-dagger): given columns (`Ket.projector`,
+`spectral_decompose`) are certified by V-dagger V = I, and a matrix is
+factored once with `eigh` and certified by the distance of its eigenvalues
+from {0, 1}. A PDI is certified from one Gram matrix of the stacked bases:
+its block Frobenius norms bound the max-entry defects of the projector
+products, and the completeness defect follows from it in closed form.
+Degenerate eigenspaces are kept whole: spectral decomposition yields one
+rank-k projector per distinct eigenvalue, and all equality reasoning is done
+on projector matrices, never on individual eigenvectors.
 """
 
 from __future__ import annotations
@@ -186,15 +188,16 @@ def commutes(a: Operator, b: Operator) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Orthogonal projector: op = op-dagger and op squared = op, entrywise.
+    """Orthogonal projector onto a subspace, P = V V-dagger.
 
-    `basis` is None for a projector built from a matrix. `from_basis` sets it
-    to the (d, r) isometry V with op = V V-dagger, which `pdi_validate` uses in
-    place of dense products.
+    `basis` is the (d, r) isometry V whose columns span the subspace (r = 0
+    for the zero projector). `from_basis` takes V as given; a projector built
+    from a matrix is factored once with `eigh`, V being the eigenvectors whose
+    eigenvalues exceed 1/2. Either way `entries` is the symmetrised V V-dagger.
     """
 
     op: Operator
-    basis: np.ndarray | None = field(default=None, init=False, repr=False)
+    basis: np.ndarray = field(init=False, repr=False)
 
     @classmethod
     def from_basis(cls, basis) -> "Projector":
@@ -206,30 +209,36 @@ class Projector:
         vecs = np.array(basis, dtype=complex)
         if vecs.ndim != 2 or vecs.shape[1] < 1:
             raise ValueError(f"expected a (d, r) basis with r >= 1, got shape {vecs.shape}")
-        adjoint = vecs.conj().T
-        gram = adjoint @ vecs
+        gram = vecs.conj().T @ vecs
         diagonal = gram.reshape(-1)[:: vecs.shape[1] + 1]
         diagonal -= 1.0
         defect = float(np.abs(gram).max())
         check(defect, tolerances().algebraic, ValueError, "basis columns are not orthonormal")
-        proj = vecs @ adjoint
+        made = object.__new__(cls)
+        made._store(vecs)
+        return made
+
+    def __post_init__(self):
+        tol = tolerances().algebraic
+        check(self.op.hermiticity_defect(), tol, ValueError, "not a projector: hermiticity")
+        evals, evecs = np.linalg.eigh(self.op.entries)
+        # the largest distance of an eigenvalue from {0, 1} is ||P - V V-dagger||_2
+        defect = float(np.minimum(np.abs(evals), np.abs(1.0 - evals)).max())
+        check(defect, tol, ValueError, "not a projector: idempotency")
+        self._store(evecs[:, evals > 0.5])
+
+    def _store(self, vecs: np.ndarray) -> None:
+        """Set basis to vecs, a fresh array owned here, and op to V V-dagger."""
+        proj = vecs @ vecs.conj().T
         proj = proj + proj.conj().T  # (P + P-dagger) / 2 scrubs rounding asymmetry
         proj *= 0.5
         proj.setflags(write=False)
         vecs.setflags(write=False)
-        # both arrays are fresh and owned here, so skip Operator's defensive copy
+        # skip Operator's defensive copy of the fresh matrix
         op = object.__new__(Operator)
         object.__setattr__(op, "entries", proj)
-        made = object.__new__(cls)
-        object.__setattr__(made, "op", op)
-        object.__setattr__(made, "basis", vecs)
-        return made
-
-    def __post_init__(self):
-        ent = self.op.entries
-        tol = tolerances().algebraic
-        check(self.op.hermiticity_defect(), tol, ValueError, "not a projector: hermiticity")
-        check(float(np.abs(ent @ ent - ent).max()), tol, ValueError, "not a projector: idempotency")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "basis", vecs)
 
     @property
     def dim(self) -> int:
@@ -241,8 +250,7 @@ class Projector:
 
     @property
     def rank(self) -> int:
-        # trace of a projector is its rank
-        return int(round(float(np.trace(self.entries).real)))
+        return self.basis.shape[1]
 
     def complement(self) -> "Projector":
         return Projector(Operator(np.eye(self.dim) - self.entries))
@@ -252,10 +260,11 @@ class Projector:
 class PDIValidation:
     """Defect report for a candidate projective decomposition of the identity.
 
-    Defects are max-entry norms of P_j P_k (j != k), P_j^2 - P_j and
-    sum(P_j) - I, except that a pair or member whose projectors all carry a
-    basis reports the Frobenius norm of its block of V-dagger V - I, an upper
-    bound on the same max-entry defect.
+    With V_j the basis of member j, W the stacked bases and G = W-dagger W,
+    the defects are the largest Frobenius norm of an off-diagonal block
+    V_j-dagger V_k of G, the largest of a diagonal block V_j-dagger V_j - I,
+    and ||W W-dagger - I||_F. Each bounds the max-entry norm of P_j P_k,
+    P_j^2 - P_j and sum(P_j) - I respectively.
     """
 
     orthogonality_defect: float
@@ -265,37 +274,16 @@ class PDIValidation:
     passes: bool
 
 
-def _gram_block_defects(bases: list[np.ndarray]) -> tuple[float, float]:
-    """(orthogonality, idempotency) bounds from G = V-dagger V of stacked bases.
-
-    With V_j-dagger V_k the (j, k) block of G, P_j P_k = V_j G_jk V_k-dagger.
-    The rows of an isometry have norm at most 1 (up to its certified defect),
-    so every entry of P_j P_k is at most the spectral norm of G_jk, which is
-    at most its Frobenius norm; likewise P_j^2 - P_j = V_j (G_jj - I) V_j-dagger.
-    """
-    count = len(bases)
-    stacked = np.concatenate(bases, axis=1)
-    size = stacked.shape[1]
-    gram = stacked.conj().T @ stacked
-    diagonal = gram.reshape(-1)[:: size + 1]
-    diagonal -= 1.0
-    sq = np.square(np.abs(gram))
-    if count != size:  # some member has rank > 1: sum each block
-        starts = list(accumulate([b.shape[1] for b in bases[:-1]], initial=0))
-        sq = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
-    diagonal = sq.reshape(-1)[:: count + 1]
-    idem = float(diagonal.max())
-    diagonal[:] = 0.0
-    return math.sqrt(sq.max()), math.sqrt(idem)
-
-
 def pdi_validate(projectors: "PDI | Sequence[Projector]") -> PDIValidation:
-    """Report max pairwise-product, idempotency, and sum-to-identity defects.
+    """Report orthogonality, idempotency and completeness defects from one Gram matrix.
 
-    Members that carry a basis (`Projector.from_basis`) are checked together
-    through one Gram matrix in O(d^3) and report Frobenius-norm upper bounds
-    (see `PDIValidation`); a pair involving a member built from a bare matrix
-    is multiplied out densely, as is the idempotency of such a member.
+    With G_jk = V_j-dagger V_k the (j, k) block of G, P_j P_k = V_j G_jk V_k-dagger
+    and P_j^2 - P_j = V_j (G_jj - I) V_j-dagger. The rows of an isometry have
+    norm at most 1, so every entry of either is at most the spectral norm of
+    the block, which is at most its Frobenius norm. Completeness needs no sum
+    of d x d matrices: ||W W-dagger - I||_F^2 = ||G - I||_F^2 + d - sum(rank).
+    Rank-0 members are exactly zero and add nothing to any defect. Costs
+    O(d r^2) for r = sum(rank), at most O(d^3).
     """
     if isinstance(projectors, PDI):
         projs = projectors.projectors
@@ -307,24 +295,21 @@ def pdi_validate(projectors: "PDI | Sequence[Projector]") -> PDIValidation:
     for p in projs:
         if p.dim != dim:
             raise DimensionMismatchError("projectors have mixed dimensions")
-    bases = [p.basis for p in projs if p.basis is not None]
-    ortho, idem = _gram_block_defects(bases) if bases else (0.0, 0.0)
-    for j, p in enumerate(projs):
-        if p.basis is not None:
-            continue
-        ent = p.entries
-        idem = max(idem, float(np.abs(ent @ ent - ent).max()))
-        for k, q in enumerate(projs):  # each pair once, earlier member on the left
-            if k > j:
-                ortho = max(ortho, float(np.abs(ent @ q.entries).max()))
-            elif q.basis is not None:
-                ortho = max(ortho, float(np.abs(q.entries @ ent).max()))
-    total = np.zeros((dim, dim), dtype=complex)
-    for p in projs:
-        total += p.entries
-    diagonal = total.reshape(-1)[:: dim + 1]
+    ranks = [p.rank for p in projs if p.rank]
+    stacked = np.concatenate([p.basis for p in projs], axis=1)
+    size = stacked.shape[1]
+    gram = stacked.conj().T @ stacked
+    diagonal = gram.reshape(-1)[:: size + 1]
     diagonal -= 1.0
-    complete = float(np.abs(total).max())
+    sq = np.square(np.abs(gram))
+    complete = math.sqrt(max(0.0, float(sq.sum()) + (dim - size)))
+    if len(ranks) != size:  # some member has rank > 1: sum each block
+        starts = list(accumulate(ranks[:-1], initial=0))
+        sq = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
+    diagonal = sq.reshape(-1)[:: len(ranks) + 1]
+    idem = math.sqrt(float(diagonal.max(initial=0.0)))
+    diagonal[:] = 0.0
+    ortho = math.sqrt(float(sq.max(initial=0.0)))
     tol = tolerances().algebraic
     return PDIValidation(
         orthogonality_defect=ortho,
@@ -393,9 +378,11 @@ class Observable:
         vals = tuple(float(v) for v in self.eigenvalues)
         if len(vals) != len(self.pdi):
             raise ValueError("one eigenvalue per projector required")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"eigenvalues must be finite, got {vals!r}")
         gap = tolerances().eigen_grouping
         for hi, lo in zip(vals, vals[1:]):
-            if not hi - lo > gap:  # also rejects NaN eigenvalues
+            if hi - lo <= gap:
                 raise ValueError(f"eigenvalues must be strictly descending with gap > {gap:g}")
         object.__setattr__(self, "eigenvalues", vals)
 
@@ -404,10 +391,11 @@ class Observable:
         return self.pdi.dim
 
     def operator(self) -> Operator:
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for val, proj in zip(self.eigenvalues, self.pdi.projectors):
-            total += val * proj.entries
-        return Operator(total)
+        """W diag(f) W-dagger, with W the stacked eigenspace bases."""
+        projs = self.pdi.projectors
+        stacked = np.concatenate([p.basis for p in projs], axis=1)
+        weights = np.repeat(self.eigenvalues, [p.rank for p in projs])
+        return Operator((stacked * weights) @ stacked.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,27 +495,22 @@ def common_refinement(p: PDI, q: PDI) -> PDI:
     """
     if p.dim != q.dim:
         raise DimensionMismatchError(f"PDI dims differ: {p.dim} vs {q.dim}")
-    tol = tolerances().algebraic
-    for lj, pj in p.items():
-        for lk, qk in q.items():
-            defect = commutator_defect(pj, qk)
-            if defect >= tol:
-                raise NonCommutingError(
-                    f"projectors {lj!r} and {lk!r} do not commute "
-                    f"(defect {defect:.3g}): no common refinement",
-                    pair=(lj, lk),
-                )
+    clash = _noncommuting_pair(p.items(), q.items())
+    if clash is not None:
+        lj, lk, defect = clash
+        raise NonCommutingError(
+            f"projectors {lj!r} and {lk!r} do not commute "
+            f"(defect {defect:.3g}): no common refinement",
+            pair=(lj, lk),
+        )
     projectors = []
     labels = []
     for lj, pj in p.items():
         for lk, qk in q.items():
-            product = pj.entries @ qk.entries
-            rank = int(round(float(np.trace(product).real)))
-            if rank == 0:
-                continue
-            product = (product + product.conj().T) / 2.0
-            projectors.append(Projector(Operator(product)))
-            labels.append(f"{lj}{lk}")
+            product = Projector(Operator(pj.entries @ qk.entries))
+            if product.rank:
+                projectors.append(product)
+                labels.append(f"{lj}{lk}")
     return PDI(tuple(projectors), tuple(labels))
 
 
@@ -580,20 +563,28 @@ def builtin_operator(name, dim: int = 2) -> Operator:
     return Operator(w[0] * _PAULI["X"] + w[1] * _PAULI["Y"] + w[2] * _PAULI["Z"])
 
 
+def _noncommuting_pair(ps, qs) -> tuple[str | None, str | None, float] | None:
+    """(label, label, defect) of the first pair of (label, projector) items,
+    one from each of ps and qs, whose commutator defect reaches tolerance."""
+    tol = tolerances().algebraic
+    qs = tuple(qs)  # scanned once per item of ps
+    for lj, pj in ps:
+        for lk, qk in qs:
+            if pj.dim != qk.dim:
+                raise DimensionMismatchError(f"dims differ: {pj.dim} vs {qk.dim}")
+            defect = commutator_defect(pj, qk)
+            if defect >= tol:
+                return lj, lk, defect
+    return None
+
+
 def pdi_compatible(p: "PDI | Projector", q: "PDI | Projector") -> bool:
     """True iff every projector of p commutes with every projector of q."""
 
-    def _projs(x):
-        return x.projectors if isinstance(x, PDI) else (x,)
+    def _items(x):
+        return x.items() if isinstance(x, PDI) else ((None, x),)
 
-    tol = tolerances().algebraic
-    for a in _projs(p):
-        for b in _projs(q):
-            if a.dim != b.dim:
-                raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-            if commutator_defect(a, b) >= tol:
-                return False
-    return True
+    return _noncommuting_pair(_items(p), _items(q)) is None
 
 
 def partial_trace(op: Operator, dims: tuple[int, int], keep: int) -> Operator:

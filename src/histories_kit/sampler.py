@@ -150,6 +150,12 @@ class EmpiricalCHSH:
     seeds: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
+def _finite_value(label: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"value for label {label!r} must be finite, got {value!r}")
+    return value
+
+
 def sample_pdi(
     state: Ket,
     pdi: PDI,
@@ -159,9 +165,9 @@ def sample_pdi(
     """Draw outcomes of a decomposition by inversion on the Born weights.
 
     Every label appears in `counts`, including ones never drawn. The mean
-    and its standard error use `values` when given; otherwise labels that all
-    parse as floats are used as values, and if any does not, both statistics
-    are None.
+    and its standard error use `values` when given, which must be finite;
+    otherwise labels that all parse as finite floats are used as values, and
+    if any does not, both statistics are None.
     """
     if state.dim != pdi.dim:
         raise DimensionMismatchError(f"state dim {state.dim} vs decomposition dim {pdi.dim}")
@@ -182,7 +188,7 @@ def sample_pdi(
 
     if values is None:
         try:
-            values = {label: float(label) for label in pdi.labels}
+            values = {label: _finite_value(label, float(label)) for label in pdi.labels}
         except ValueError:
             values = None
     mean = None
@@ -191,7 +197,7 @@ def sample_pdi(
         missing = [label for label in pdi.labels if label not in values]
         if missing:
             raise ValueError(f"values missing for labels {missing!r}")
-        vals = np.array([values[label] for label in pdi.labels])
+        vals = np.array([_finite_value(label, float(values[label])) for label in pdi.labels])
         mean = float(np.dot(tallies, vals) / config.shots)
         variance = float(np.dot(tallies, (vals - mean) ** 2) / config.shots)
         stderr = math.sqrt(variance / config.shots)

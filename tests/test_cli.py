@@ -105,6 +105,18 @@ class TestExitCodes:
         code, _ = run_cli(["run", str(spec)])
         assert code == 2
 
+    def test_rank_zero_member_samples(self, tmp_path):
+        spec = tmp_path / "zero.spec"
+        spec.write_text(
+            "ket plus = [1, 1]\nop O = 0*X\nop ID = I(2)\npdi P = {O, ID}\n"
+            "query sample plus P shots 100 seed 3\n"
+        )
+        code, out = run_cli(["run", str(spec), "--format", "json"])
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert result["counts"] == {"O": 0, "ID": 100}
+        assert result["probabilities"] == {"O": 0.0, "ID": 1.0}
+
     def test_usage_error(self, capsys):
         code, _ = run_cli([])
         assert code == 64

@@ -156,6 +156,17 @@ class TestProjector:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="defect nan"):
             Projector(Operator(entries))
 
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_eigenvalue_tolerance_around_zero_and_one(self, value):
+        # an eigenvalue within the algebraic tolerance of {0, 1} is accepted
+        # and stored as its nearest projector; one just outside is rejected
+        tol = TOLERANCES.algebraic
+        inside = Projector(Operator(np.diag([1.0, value + 0.5 * tol]).astype(complex)))
+        assert inside.rank == 1 + int(value)
+        assert np.array_equal(inside.entries, np.diag([1.0, value]))
+        with pytest.raises(ValueError, match="idempotency"):
+            Projector(Operator(np.diag([1.0, value - 2 * tol]).astype(complex)))
+
     def test_rank_and_complement(self):
         p = basis_ket(3, 0).projector()
         assert p.rank == 1
@@ -176,7 +187,9 @@ class TestProjector:
         assert np.array_equal(p.entries, (outer + outer.conj().T) / 2.0)
         assert p.rank == 2
         assert not p.basis.flags.writeable and not p.entries.flags.writeable
-        assert Projector(Operator(p.entries)).basis is None
+        made = Projector(Operator(p.entries))
+        assert made.rank == 2 and made.basis.shape == (5, 2)
+        assert np.abs(made.entries - p.entries).max() < 1e-14
         with pytest.raises(ValueError):
             Projector.from_basis(vecs * (1 + 1e-9))  # columns not unit length
         with pytest.raises(ValueError):
@@ -205,6 +218,16 @@ class TestPDI:
         with pytest.raises(InvalidPDIError):
             PDI([basis_ket(2, 0).projector(), plus.projector()])
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_rank_zero_member_validates(self, position):
+        members = [basis_ket(2, 0).projector(), basis_ket(2, 1).projector()]
+        members.insert(position, Projector(Operator(np.zeros((2, 2), dtype=complex))))
+        assert members[position].rank == 0
+        report = pdi_validate(members)
+        assert report.passes
+        assert max(report.orthogonality_defect, report.idempotency_defect) == 0.0
+        assert PDI(members).by_label(str(position)).rank == 0
+
     def test_validation_report(self):
         report = pdi_validate([basis_ket(2, 0).projector()])
         assert not report.passes
@@ -223,6 +246,13 @@ class TestObservable:
             Observable(eigenvalues=(-1.0, 1.0), pdi=pdi)
         with pytest.raises(ValueError):
             Observable(eigenvalues=(math.nan, 0.0), pdi=pdi)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_eigenvalues_rejected(self, bad):
+        # operator() used to return a matrix of NaN
+        pdi = PDI([basis_ket(2, 0).projector(), basis_ket(2, 1).projector()])
+        with pytest.raises(ValueError, match="finite"):
+            Observable(eigenvalues=(bad, 0.0) if bad > 0 else (0.0, bad), pdi=pdi)
 
     def test_operator_reconstruction(self):
         obs = spectral_decompose(Z)
@@ -359,14 +389,15 @@ def dense_defects(projs):
     """Max-entry orthogonality and idempotency defects from dense products."""
     mats = [p.entries for p in projs]
     ortho = max(
-        float(np.abs(a @ b).max()) for j, a in enumerate(mats) for b in mats[j + 1 :]
+        (float(np.abs(a @ b).max()) for j, a in enumerate(mats) for b in mats[j + 1 :]),
+        default=0.0,
     )
     idem = max(float(np.abs(a @ a - a).max()) for a in mats)
     return ortho, idem
 
 
 class TestGramCertificate:
-    """pdi_validate on basis-built members against dense products of the same matrices."""
+    """pdi_validate against dense products and sums of the same matrices."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -415,14 +446,45 @@ class TestGramCertificate:
                 mixed.append(Projector(Operator(b @ b.conj().T)))
             else:
                 mixed.append(Projector.from_basis(b))
-        if all(p.basis is not None for p in mixed):  # keep one bare member
-            mixed[-1] = Projector(Operator(mixed[-1].entries))
+        mixed[-1] = Projector(Operator(mixed[-1].entries))  # keep one matrix-built member
         dense = [Projector(Operator(p.entries)) for p in mixed]
         report, reference = pdi_validate(mixed), pdi_validate(dense)
         assert report.passes == reference.passes == (angle == 0.0)
-        assert report.completeness_defect == reference.completeness_defect
+        # ||sum(P) - I||_F depends on the projectors alone, not on the bases that
+        # factor them, so the two agree up to rounding
         rounding = 16 * dim * np.finfo(float).eps
+        assert abs(report.completeness_defect - reference.completeness_defect) <= rounding
         assert report.orthogonality_defect + rounding >= reference.orthogonality_defect
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.booleans(),
+        st.sampled_from([0.0, 1e-8, 1e-5, 1e-2]),
+        st.booleans(),
+        st.integers(0, 2),
+    )
+    def test_all_defects_bound_dense_defects(self, seed, dim, coordinate, angle, factored, drop):
+        # members built from their bases or factored from their matrices, with
+        # up to two dropped so the decomposition may be incomplete; the
+        # completeness defect bounds the dense |sum(P) - I| as the block norms
+        # bound the products
+        blocks = isometry_blocks(seed, dim, coordinate, angle)
+        kept = blocks[: max(1, len(blocks) - drop)]
+        if factored:
+            projs = [Projector(Operator(b @ b.conj().T)) for b in kept]
+        else:
+            projs = [Projector.from_basis(b) for b in kept]
+        report = pdi_validate(projs)
+        ortho, idem = dense_defects(projs)
+        complete = float(np.abs(sum(p.entries for p in projs) - np.eye(dim)).max())
+        rounding = 16 * dim * np.finfo(float).eps
+        assert report.orthogonality_defect + rounding >= ortho
+        assert report.idempotency_defect + rounding >= idem
+        assert report.completeness_defect + rounding >= complete
+        assert report.passes == (angle == 0.0 and len(kept) == len(blocks))
 
 
 class TestRefinementAndCompatibility:
@@ -453,6 +515,21 @@ class TestRefinementAndCompatibility:
         assert pdi_compatible(pz, pz)
         assert not pdi_compatible(pz, px)
         assert pdi_compatible(basis_ket(2, 0).projector(), pz)
+
+    def test_noncommuting_pair_past_the_first_member(self):
+        # [0] commutes with every member of q; [1] does not commute with [+]
+        p = PDI([basis_ket(3, i).projector() for i in range(3)])
+        q = PDI(
+            [
+                basis_ket(3, 0).projector(),
+                Ket(np.array([0, 1, 1], dtype=complex)).projector(),
+                Ket(np.array([0, 1, -1], dtype=complex)).projector(),
+            ]
+        )
+        assert not pdi_compatible(p, q)
+        with pytest.raises(NonCommutingError) as exc:
+            common_refinement(p, q)
+        assert exc.value.pair == ("1", "1")
 
     def test_commutes(self):
         assert commutes(Z, Z)

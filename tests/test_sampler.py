@@ -195,18 +195,33 @@ class TestSamplePDI:
         with pytest.raises(ValueError):
             sample_pdi(PLUS, basis, RunConfig(shots=10, seed=5), values={"up": 1.0})
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_rejected(self, bad):
+        # an infinite value used to give mean inf and std error nan
+        with pytest.raises(ValueError, match="label '0'"):
+            sample_pdi(PLUS, PZ, RunConfig(shots=10, seed=5), values={"0": bad, "1": 0.0})
+
+    def test_non_finite_labels_give_no_statistics(self):
+        # labels are values only when all of them parse as finite numbers
+        basis = PDI([Ket(v).projector() for v in np.eye(2, dtype=complex)], labels=("inf", "nan"))
+        result = sample_pdi(PLUS, basis, RunConfig(shots=100, seed=5))
+        assert result.empirical_mean is None
+        assert result.std_error is None
+
     def test_deterministic_across_calls(self):
         cfg = RunConfig(shots=5000, seed=99)
         assert sample_pdi(PLUS, PZ, cfg).counts == sample_pdi(PLUS, PZ, cfg).counts
 
     def test_normalization_window_enforced(self):
-        # a deficient decomposition only reachable when the PDI completeness
-        # check itself is loosened; the sampler window stays strict
+        # a nonorthogonal decomposition only reachable when the PDI checks
+        # themselves are loosened; on |+> its Born weights sum to 1 + sin(2 eps) / 2,
+        # and the sampler window stays strict
+        eps = 5e-4
         with override(algebraic=1e-2):
             leaky = PDI(
                 [
-                    Projector(Operator(np.diag([1 - 5e-4, 0]).astype(complex))),
-                    Projector(Operator(np.diag([0, 1 - 5e-4]).astype(complex))),
+                    Ket(np.array([1, 0], dtype=complex)).projector(),
+                    Ket(np.array([math.sin(eps), math.cos(eps)], dtype=complex)).projector(),
                 ]
             )
             with pytest.raises(ProbabilityNormalizationError):
