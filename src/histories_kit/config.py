@@ -2,8 +2,8 @@
 
 All algebraic checks (hermiticity, unitarity, projector idempotency,
 commutation, PDI orthogonality/completeness) share one knob so reports can
-state exactly what was enforced. It bounds max-entry norms, or the spectral
-and Gram-block Frobenius norms that `hilbert` certifies in their place.
+state exactly what was enforced: max-entry norms, but a spectral norm for a
+matrix-built projector and Frobenius norms of one Gram matrix for a PDI.
 The remaining knobs cover eigenvalue grouping, probability-table sums, and
 spectral reconstruction. `tolerances()` returns the frozen bundle in force in
 the current thread or task; `with override(...)` replaces it for that block
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    algebraic: float = 1e-10      # max-entry norm for operator identities
+    algebraic: float = 1e-10      # operator identities, in the norms named above
     eigen_grouping: float = 1e-8  # span of a merged eigenvalue group per unit of max(1, ||H||)
     probability: float = 1e-12    # probability sums / zero-probability guards
     reconstruction: float = 1e-9  # spectral round-trip defect per unit of max(1, max|H|)

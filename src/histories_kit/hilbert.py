@@ -207,12 +207,12 @@ class Projector:
         costs O(d r^2) instead of the O(d^3) idempotency product.
         """
         vecs = np.array(basis, dtype=complex)
-        if vecs.ndim != 2 or vecs.shape[1] < 1:
-            raise ValueError(f"expected a (d, r) basis with r >= 1, got shape {vecs.shape}")
+        if vecs.ndim != 2:
+            raise ValueError(f"expected a (d, r) basis, got shape {vecs.shape}")
         gram = vecs.conj().T @ vecs
         diagonal = gram.reshape(-1)[:: vecs.shape[1] + 1]
         diagonal -= 1.0
-        defect = float(np.abs(gram).max())
+        defect = float(np.abs(gram).max(initial=0.0))
         check(defect, tolerances().algebraic, ValueError, "basis columns are not orthonormal")
         made = object.__new__(cls)
         made._store(vecs)
@@ -253,7 +253,8 @@ class Projector:
         return self.basis.shape[1]
 
     def complement(self) -> "Projector":
-        return Projector(Operator(np.eye(self.dim) - self.entries))
+        # the last d - r columns of a complete QR of V span the orthogonal complement
+        return Projector.from_basis(np.linalg.qr(self.basis, mode="complete")[0][:, self.rank :])
 
 
 @dataclass(frozen=True)
@@ -285,10 +286,7 @@ def pdi_validate(projectors: "PDI | Sequence[Projector]") -> PDIValidation:
     Rank-0 members are exactly zero and add nothing to any defect. Costs
     O(d r^2) for r = sum(rank), at most O(d^3).
     """
-    if isinstance(projectors, PDI):
-        projs = projectors.projectors
-    else:
-        projs = tuple(projectors)
+    projs = projectors.projectors if isinstance(projectors, PDI) else tuple(projectors)
     if not projs:
         raise ValueError("empty projector list")
     dim = projs[0].dim
@@ -329,11 +327,8 @@ class PDI:
 
     def __post_init__(self):
         projs = tuple(self.projectors)
-        labels = self.labels
-        if labels is None:
-            labels = tuple(str(i) for i in range(len(projs)))
-        else:
-            labels = tuple(str(l) for l in labels)
+        labels = range(len(projs)) if self.labels is None else self.labels
+        labels = tuple(str(l) for l in labels)
         if len(labels) != len(projs):
             raise ValueError(f"{len(projs)} projectors but {len(labels)} labels")
         if len(set(labels)) != len(labels):
@@ -495,7 +490,7 @@ def common_refinement(p: PDI, q: PDI) -> PDI:
     """
     if p.dim != q.dim:
         raise DimensionMismatchError(f"PDI dims differ: {p.dim} vs {q.dim}")
-    clash = _noncommuting_pair(p.items(), q.items())
+    clash = _noncommuting_pair(p, q)
     if clash is not None:
         lj, lk, defect = clash
         raise NonCommutingError(
@@ -503,14 +498,25 @@ def common_refinement(p: PDI, q: PDI) -> PDI:
             f"(defect {defect:.3g}): no common refinement",
             pair=(lj, lk),
         )
+    tol = tolerances().algebraic
+    stacked = np.concatenate([qk.basis for qk in q.projectors], axis=1)
+    bounds = list(accumulate((qk.rank for qk in q.projectors), initial=0))
     projectors = []
     labels = []
     for lj, pj in p.items():
-        for lk, qk in q.items():
-            product = Projector(Operator(pj.entries @ qk.entries))
-            if product.rank:
-                projectors.append(product)
-                labels.append(f"{lj}{lk}")
+        # P Q = V_p M V_q-dagger with M = V_p-dagger V_q: its rank is tr(P Q) = ||M||_F^2,
+        # M's singular values are 0 or 1 for commuting P and Q (cosines of principal
+        # angles), and V_p times the left singular vectors for 1 spans its range
+        overlaps = pj.basis.conj().T @ stacked
+        for lk, lo, hi in zip(q.labels, bounds, bounds[1:]):
+            middle = overlaps[:, lo:hi]
+            if round(float(np.vdot(middle, middle).real)) == 0:
+                continue
+            u, cosines, _ = np.linalg.svd(middle, full_matrices=False)
+            defect = float(np.minimum(cosines, np.abs(1.0 - cosines)).max())
+            check(defect, tol, ValueError, "not a projector: idempotency")
+            projectors.append(Projector.from_basis(pj.basis @ u[:, : int((cosines > 0.5).sum())]))
+            labels.append(f"{lj}{lk}")
     return PDI(tuple(projectors), tuple(labels))
 
 
@@ -523,16 +529,15 @@ def possesses(k: Ket, p: Projector) -> bool:
 
 
 def region_projector(grid_size: int, r: Region) -> Projector:
-    """Diagonal 0/1 projector masking amplitudes outside the region."""
+    """Diagonal 0/1 projector masking amplitudes outside the region; its basis
+    is the region's coordinate axes."""
     if grid_size < 1:
         raise ValueError("grid size must be positive")
     if any(i >= grid_size for i in r.indices):
         raise IndexOutOfRangeError(
             f"region index {max(r.indices)} out of range for grid of {grid_size} points"
         )
-    mask = np.zeros(grid_size)
-    mask[sorted(r.indices)] = 1.0
-    return Projector(Operator(np.diag(mask).astype(complex)))
+    return Projector.from_basis(np.eye(grid_size, dtype=complex)[:, sorted(r.indices)])
 
 
 _PAULI = {
@@ -563,11 +568,12 @@ def builtin_operator(name, dim: int = 2) -> Operator:
     return Operator(w[0] * _PAULI["X"] + w[1] * _PAULI["Y"] + w[2] * _PAULI["Z"])
 
 
-def _noncommuting_pair(ps, qs) -> tuple[str | None, str | None, float] | None:
-    """(label, label, defect) of the first pair of (label, projector) items,
-    one from each of ps and qs, whose commutator defect reaches tolerance."""
+def _noncommuting_pair(p, q) -> tuple[str | None, str | None, float] | None:
+    """(label, label, defect) of the first pair of projectors, one from each
+    of p and q, whose commutator defect reaches tolerance; a lone Projector
+    counts as one member labelled None."""
     tol = tolerances().algebraic
-    qs = tuple(qs)  # scanned once per item of ps
+    ps, qs = (tuple(x.items()) if isinstance(x, PDI) else ((None, x),) for x in (p, q))
     for lj, pj in ps:
         for lk, qk in qs:
             if pj.dim != qk.dim:
@@ -580,11 +586,7 @@ def _noncommuting_pair(ps, qs) -> tuple[str | None, str | None, float] | None:
 
 def pdi_compatible(p: "PDI | Projector", q: "PDI | Projector") -> bool:
     """True iff every projector of p commutes with every projector of q."""
-
-    def _items(x):
-        return x.items() if isinstance(x, PDI) else ((None, x),)
-
-    return _noncommuting_pair(_items(p), _items(q)) is None
+    return _noncommuting_pair(p, q) is None
 
 
 def partial_trace(op: Operator, dims: tuple[int, int], keep: int) -> Operator:

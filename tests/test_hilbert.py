@@ -167,12 +167,35 @@ class TestProjector:
         with pytest.raises(ValueError, match="idempotency"):
             Projector(Operator(np.diag([1.0, value - 2 * tol]).astype(complex)))
 
+    @pytest.mark.parametrize("spread, accepted", [(5e-11, True), (5e-10, False)])
+    def test_idempotency_is_a_spectral_norm(self, spread, accepted):
+        # an eigenvalue `spread` spread evenly over a 10-dim block has max entry
+        # spread / 10 but spectral norm spread, which is what is certified
+        entries = np.zeros((11, 11), dtype=complex)
+        entries[0, 0] = 1.0
+        entries[1:, 1:] = spread / 10
+        if accepted:
+            assert Projector(Operator(entries)).rank == 1
+        else:
+            with pytest.raises(ValueError, match="idempotency"):
+                Projector(Operator(entries))
+
     def test_rank_and_complement(self):
         p = basis_ket(3, 0).projector()
         assert p.rank == 1
         c = p.complement()
         assert c.rank == 2
         assert np.allclose(p.entries + c.entries, np.eye(3))
+
+    def test_complement_of_full_and_empty_projectors(self):
+        # the zero projector's basis has no columns
+        zero = region_projector(4, Region([]))
+        assert zero.basis.shape == (4, 0) and not zero.entries.any()
+        full = zero.complement()
+        assert full.rank == 4 and np.abs(full.entries - np.eye(4)).max() < 1e-15
+        assert full.complement().rank == 0
+        p = Ket(np.array([1, 2j, 0, -1])).projector()
+        assert np.abs(p.complement().entries - (np.eye(4) - p.entries)).max() < 1e-15
 
     def test_disjoint_projector_product_is_zero(self):
         p = basis_ket(4, 1).projector()
@@ -227,6 +250,19 @@ class TestPDI:
         assert report.passes
         assert max(report.orthogonality_defect, report.idempotency_defect) == 0.0
         assert PDI(members).by_label(str(position)).rank == 0
+
+    @pytest.mark.parametrize("overlap, passes", [(4e-11, True), (5e-11, False)])
+    def test_completeness_is_a_frobenius_norm(self, overlap, passes):
+        # three kets with pairwise overlap e: every pair passes orthogonality, and
+        # sum(P) - I = G - I has max entry e but Frobenius norm sqrt(6) e, which is
+        # the completeness defect; the boundary sits at e = 1e-10 / sqrt(6)
+        gram = np.full((3, 3), overlap) + (1.0 - overlap) * np.eye(3)
+        evals, evecs = np.linalg.eigh(gram)
+        root = (evecs * np.sqrt(evals)) @ evecs.T  # its columns have inner products G
+        report = pdi_validate([Ket(col).projector() for col in root.T])
+        assert report.orthogonality_defect < TOLERANCES.algebraic
+        assert report.completeness_defect == pytest.approx(math.sqrt(6) * overlap, rel=1e-4)
+        assert report.passes == passes
 
     def test_validation_report(self):
         report = pdi_validate([basis_ket(2, 0).projector()])
@@ -405,15 +441,26 @@ class TestGramCertificate:
         st.integers(2, 12),
         st.booleans(),
         st.sampled_from([0.0, 1e-8, 1e-5, 1e-2]),
+        st.booleans(),
+        st.integers(0, 2),
     )
-    def test_reported_defects_bound_dense_defects(self, seed, dim, coordinate, angle):
-        projs = [Projector.from_basis(b) for b in isometry_blocks(seed, dim, coordinate, angle)]
+    def test_reported_defects_bound_dense_defects(self, seed, dim, coordinate, angle, factored, drop):
+        # members built from their bases or factored from their matrices, with up
+        # to two dropped so the decomposition may be incomplete
+        blocks = isometry_blocks(seed, dim, coordinate, angle)
+        kept = blocks[: max(1, len(blocks) - drop)]
+        if factored:
+            projs = [Projector(Operator(b @ b.conj().T)) for b in kept]
+        else:
+            projs = [Projector.from_basis(b) for b in kept]
         report = pdi_validate(projs)
         ortho, idem = dense_defects(projs)
+        complete = float(np.abs(sum(p.entries for p in projs) - np.eye(dim)).max())
         rounding = 16 * dim * np.finfo(float).eps  # error of the dense products themselves
         assert report.orthogonality_defect + rounding >= ortho
         assert report.idempotency_defect + rounding >= idem
-        assert report.passes == (angle == 0.0)
+        assert report.completeness_defect + rounding >= complete
+        assert report.passes == (angle == 0.0 and len(kept) == len(blocks))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.booleans())
@@ -446,7 +493,8 @@ class TestGramCertificate:
                 mixed.append(Projector(Operator(b @ b.conj().T)))
             else:
                 mixed.append(Projector.from_basis(b))
-        mixed[-1] = Projector(Operator(mixed[-1].entries))  # keep one matrix-built member
+        if all(p.basis is not None for p in mixed):  # keep one bare member
+            mixed[-1] = Projector(Operator(mixed[-1].entries))
         dense = [Projector(Operator(p.entries)) for p in mixed]
         report, reference = pdi_validate(mixed), pdi_validate(dense)
         assert report.passes == reference.passes == (angle == 0.0)
@@ -455,36 +503,6 @@ class TestGramCertificate:
         rounding = 16 * dim * np.finfo(float).eps
         assert abs(report.completeness_defect - reference.completeness_defect) <= rounding
         assert report.orthogonality_defect + rounding >= reference.orthogonality_defect
-
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(2, 12),
-        st.booleans(),
-        st.sampled_from([0.0, 1e-8, 1e-5, 1e-2]),
-        st.booleans(),
-        st.integers(0, 2),
-    )
-    def test_all_defects_bound_dense_defects(self, seed, dim, coordinate, angle, factored, drop):
-        # members built from their bases or factored from their matrices, with
-        # up to two dropped so the decomposition may be incomplete; the
-        # completeness defect bounds the dense |sum(P) - I| as the block norms
-        # bound the products
-        blocks = isometry_blocks(seed, dim, coordinate, angle)
-        kept = blocks[: max(1, len(blocks) - drop)]
-        if factored:
-            projs = [Projector(Operator(b @ b.conj().T)) for b in kept]
-        else:
-            projs = [Projector.from_basis(b) for b in kept]
-        report = pdi_validate(projs)
-        ortho, idem = dense_defects(projs)
-        complete = float(np.abs(sum(p.entries for p in projs) - np.eye(dim)).max())
-        rounding = 16 * dim * np.finfo(float).eps
-        assert report.orthogonality_defect + rounding >= ortho
-        assert report.idempotency_defect + rounding >= idem
-        assert report.completeness_defect + rounding >= complete
-        assert report.passes == (angle == 0.0 and len(kept) == len(blocks))
 
 
 class TestRefinementAndCompatibility:
@@ -501,6 +519,21 @@ class TestRefinementAndCompatibility:
         ref = common_refinement(pdi, pdi)
         assert len(ref) == 2
         assert set(ref.labels) == {"00", "11"}
+
+    def test_refinement_members_are_the_dense_products(self):
+        # rank-2 intersections of rank-4 members, in a random basis
+        rng = np.random.default_rng(7)
+        u = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
+        zii = np.kron(Z.entries, np.eye(4))
+        izi = np.kron(np.eye(2), np.kron(Z.entries, np.eye(2)))
+        p = spectral_decompose(Operator(u @ zii @ u.conj().T)).pdi
+        q = spectral_decompose(Operator(u @ izi @ u.conj().T)).pdi
+        ref = common_refinement(p, q)
+        assert ref.labels == ("00", "01", "10", "11")
+        for label, member in ref.items():
+            dense = p.by_label(label[0]).entries @ q.by_label(label[1]).entries
+            assert member.rank == 2
+            assert np.abs(member.entries - dense).max() < 1e-12
 
     def test_noncommuting_pdis_raise_with_pair(self):
         pz = spectral_decompose(Z).pdi
