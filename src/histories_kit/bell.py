@@ -252,9 +252,9 @@ def chsh_operator(ops: CHSHOperators) -> Operator:
 
 
 def _born_joints(psi: np.ndarray, obs_a: Observable, obs_b: Observable):
-    """(f_a, f_b, <psi| P_a P_b |psi>) for every eigenvalue pair, A-major."""
+    """(f_a, f_b, <P_a psi | P_b psi>) for every eigenvalue pair, A-major."""
     return [
-        (fa, fb, float(np.vdot(psi, pa.entries @ (pb.entries @ psi)).real))
+        (fa, fb, float(np.vdot(pa.apply(psi), pb.apply(psi)).real))
         for fa, pa in zip(obs_a.eigenvalues, obs_a.pdi.projectors)
         for fb, pb in zip(obs_b.eigenvalues, obs_b.pdi.projectors)
     ]
@@ -464,7 +464,7 @@ def singlet_state() -> Ket:
 
 
 def joint_probabilities(state: Ket, alice_basis: PDI, bob_basis: PDI) -> np.ndarray:
-    """Pr(j,k) = <psi| (A_j x B_k) |psi> for local decompositions A, B."""
+    """Pr(j,k) = <psi| (A_j x B_k) |psi>, A_j x B_k having basis V_j x W_k."""
     da, db = alice_basis.dim, bob_basis.dim
     if da * db != state.dim:
         raise DimensionMismatchError(
@@ -474,8 +474,8 @@ def joint_probabilities(state: Ket, alice_basis: PDI, bob_basis: PDI) -> np.ndar
     table = np.zeros((len(alice_basis), len(bob_basis)))
     for j, pj in enumerate(alice_basis.projectors):
         for k, qk in enumerate(bob_basis.projectors):
-            full = np.kron(pj.entries, qk.entries)
-            table[j, k] = max(0.0, float(np.vdot(psi, full @ psi).real))
+            lifted = Projector.from_basis(np.kron(pj.basis, qk.basis))
+            table[j, k] = max(0.0, float(np.vdot(psi, lifted.apply(psi)).real))
     total = float(table.sum())
     message = f"joint table sums to {total!r}"
     check(abs(total - 1.0), tolerances().probability, VerificationFailedError, message)
@@ -503,16 +503,16 @@ def collapse_conditional(state: Ket, alice_outcome: Projector, bob_event: Projec
             f"local dims {da}x{db} do not compose to state dim {state.dim}"
         )
     psi = state.amplitudes
-    lifted_a = np.kron(alice_outcome.entries, np.eye(db))
-    projected = lifted_a @ psi
+    lifted_a = Projector.from_basis(np.kron(alice_outcome.basis, np.eye(db)))
+    projected = lifted_a.apply(psi)
     pr_a = float(np.vdot(psi, projected).real)
     if pr_a <= tolerances().probability:
         raise ZeroProbabilityOutcomeError(
             f"Alice outcome has probability {pr_a:.3g}; collapse undefined"
         )
     collapsed = Ket(projected / math.sqrt(pr_a))
-    lifted_b = np.kron(np.eye(da), bob_event.entries)
-    cond = float(np.vdot(collapsed.amplitudes, lifted_b @ collapsed.amplitudes).real)
+    lifted_b = Projector.from_basis(np.kron(np.eye(da), bob_event.basis))
+    cond = float(np.vdot(collapsed.amplitudes, lifted_b.apply(collapsed.amplitudes)).real)
     return CollapseResult(
         collapsed=collapsed,
         outcome_probability=pr_a,
@@ -532,13 +532,14 @@ class NoSignalingReport:
 def _local_form_defect(proj: Projector, dims: tuple[int, int], side: int) -> float:
     """Max-entry distance from P x I (side 0) or I x Q (side 1) form."""
     da, db = dims
+    full = proj.op
     if side == 0:
-        local = partial_trace(proj.op, dims, keep=0).entries / db
+        local = partial_trace(full, dims, keep=0).entries / db
         rebuilt = np.kron(local, np.eye(db))
     else:
-        local = partial_trace(proj.op, dims, keep=1).entries / da
+        local = partial_trace(full, dims, keep=1).entries / da
         rebuilt = np.kron(np.eye(da), local)
-    return float(np.abs(rebuilt - proj.entries).max())
+    return float(np.abs(rebuilt - full.entries).max())
 
 
 def no_signaling_check(
@@ -574,8 +575,7 @@ def no_signaling_check(
             marginal = np.zeros(len(bob_pdi))
             for k, qk in enumerate(bob_pdi.projectors):
                 for pj in pdi.projectors:
-                    joint = pj.entries @ (qk.entries @ psi)
-                    marginal[k] += float(np.vdot(psi, joint).real)
+                    marginal[k] += float(np.vdot(pj.apply(psi), qk.apply(psi)).real)
             marginal.setflags(write=False)
             per_choice.append(marginal)
         deviation = 0.0
@@ -635,11 +635,9 @@ def neon_setup() -> NeonSetup:
     top_proj = obs.pdi.projectors[0]  # eigenvalues sorted descending
     if top_proj.rank != 1:
         raise VerificationFailedError("top eigenvalue of S is not simple")
-    col = int(np.argmax(np.linalg.norm(top_proj.entries, axis=0)))
-    vec = top_proj.entries[:, col]
-    vec = vec / np.linalg.norm(vec)
+    vec = top_proj.basis[:, 0]
     lead = int(np.argmax(np.abs(vec) > 1e-8))
-    vec = vec * np.exp(-1j * np.angle(vec[lead]))
+    vec = vec * (np.conj(vec[lead]) / np.abs(vec[lead]))
     return NeonSetup(ops=ops, m=m, s=s, top_eigenstate=Ket(vec))
 
 

@@ -53,7 +53,7 @@ from .dsl import (
     parse_spec,
     render_query,
 )
-from .hilbert import PDI, Operator, Projector, spectral_decompose
+from .hilbert import PDI, Projector, spectral_decompose
 from .histories import (
     conditional_probability,
     consistency_check,
@@ -381,11 +381,11 @@ def _cmd_epr(args) -> dict:
     eye2 = np.eye(2)
 
     def lift(local, side):
-        mats = [
-            np.kron(p.entries, eye2) if side == 0 else np.kron(eye2, p.entries)
+        bases = [
+            np.kron(p.basis, eye2) if side == 0 else np.kron(eye2, p.basis)
             for p in local.projectors
         ]
-        return PDI([Projector(Operator(m)) for m in mats], labels=local.labels)
+        return PDI([Projector.from_basis(b) for b in bases], labels=local.labels)
 
     alice_pdis = [lift(local, 0) for local in alice_obs]
     ns_report = no_signaling_check(state, alice_pdis, lift(bob_obs[0], 1), (2, 2))

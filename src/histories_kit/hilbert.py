@@ -1,18 +1,18 @@
 """Dense complex linear algebra and projector/PDI calculus.
 
 Everything lives on finite-dimensional Hilbert spaces (the spec language
-accepts dimensions up to `dsl.MAX_DIM` = 1024), so storage is dense numpy
-throughout. Algebraic identities on matrices are checked in max-entry norm
-against the shared tolerance bundle. Every projector carries an orthonormal
-basis V of its subspace (P = VV-dagger): given columns (`Ket.projector`,
-`spectral_decompose`) are certified by V-dagger V = I, and a matrix is
+accepts dimensions up to `dsl.MAX_DIM` = 1024). Operators are dense matrices,
+checked in max-entry norm against the shared tolerance bundle. A projector is
+stored as an orthonormal basis V of its subspace alone and acts on vectors as
+V(V-dagger v); its dense matrix VV-dagger is built only for a caller that
+reads it. Given columns are certified by V-dagger V = I, and a matrix is
 factored once with `eigh` and certified by the distance of its eigenvalues
 from {0, 1}. A PDI is certified from one Gram matrix of the stacked bases:
 its block Frobenius norms bound the max-entry defects of the projector
 products, and the completeness defect follows from it in closed form.
 Degenerate eigenspaces are kept whole: spectral decomposition yields one
 rank-k projector per distinct eigenvalue, and all equality reasoning is done
-on projector matrices, never on individual eigenvectors.
+on subspaces, never on individual eigenvectors.
 """
 
 from __future__ import annotations
@@ -79,7 +79,9 @@ def _normalized_vector(values) -> np.ndarray:
 
 
 def _frozen_matrix(values) -> np.ndarray:
-    mat = np.array(values, dtype=complex)
+    # a read-only complex array that owns its memory is frozen already: share it
+    frozen = isinstance(values, np.ndarray) and values.base is None and not values.flags.writeable
+    mat = values if frozen and values.dtype == complex else np.array(values, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     mat.setflags(write=False)
@@ -177,7 +179,8 @@ class Operator:
 
 def commutator_defect(a: "Operator | Projector", b: "Operator | Projector") -> float:
     """Max-entry norm of AB - BA; callers compare it with their tolerance."""
-    return float(np.abs(a.entries @ b.entries - b.entries @ a.entries).max())
+    x, y = a.entries, b.entries
+    return float(np.abs(x @ y - y @ x).max())
 
 
 def commutes(a: Operator, b: Operator) -> bool:
@@ -188,16 +191,27 @@ def commutes(a: Operator, b: Operator) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Orthogonal projector onto a subspace, P = V V-dagger.
+    """Orthogonal projector P = V V-dagger, stored as its basis V alone.
 
     `basis` is the (d, r) isometry V whose columns span the subspace (r = 0
-    for the zero projector). `from_basis` takes V as given; a projector built
-    from a matrix is factored once with `eigh`, V being the eigenvectors whose
-    eigenvalues exceed 1/2. Either way `entries` is the symmetrised V V-dagger.
+    for the zero projector). `from_basis` takes V as given; `Projector(op)`
+    factors a matrix once with `eigh`, V being the eigenvectors whose
+    eigenvalues exceed 1/2. `entries` (the symmetrised V V-dagger, read-only)
+    and `op` are built afresh on every read, for callers that need them.
     """
 
-    op: Operator
-    basis: np.ndarray = field(init=False, repr=False)
+    basis: np.ndarray
+
+    def __init__(self, op: Operator):
+        tol = tolerances().algebraic
+        check(op.hermiticity_defect(), tol, ValueError, "not a projector: hermiticity")
+        evals, evecs = np.linalg.eigh(op.entries)
+        # the largest distance of an eigenvalue from {0, 1} is ||P - V V-dagger||_2
+        defect = float(np.minimum(np.abs(evals), np.abs(1.0 - evals)).max())
+        check(defect, tol, ValueError, "not a projector: idempotency")
+        vecs = evecs[:, evals > 0.5]
+        vecs.setflags(write=False)
+        object.__setattr__(self, "basis", vecs)
 
     @classmethod
     def from_basis(cls, basis) -> "Projector":
@@ -214,43 +228,34 @@ class Projector:
         diagonal -= 1.0
         defect = float(np.abs(gram).max(initial=0.0))
         check(defect, tolerances().algebraic, ValueError, "basis columns are not orthonormal")
-        made = object.__new__(cls)
-        made._store(vecs)
-        return made
-
-    def __post_init__(self):
-        tol = tolerances().algebraic
-        check(self.op.hermiticity_defect(), tol, ValueError, "not a projector: hermiticity")
-        evals, evecs = np.linalg.eigh(self.op.entries)
-        # the largest distance of an eigenvalue from {0, 1} is ||P - V V-dagger||_2
-        defect = float(np.minimum(np.abs(evals), np.abs(1.0 - evals)).max())
-        check(defect, tol, ValueError, "not a projector: idempotency")
-        self._store(evecs[:, evals > 0.5])
-
-    def _store(self, vecs: np.ndarray) -> None:
-        """Set basis to vecs, a fresh array owned here, and op to V V-dagger."""
-        proj = vecs @ vecs.conj().T
-        proj = proj + proj.conj().T  # (P + P-dagger) / 2 scrubs rounding asymmetry
-        proj *= 0.5
-        proj.setflags(write=False)
         vecs.setflags(write=False)
-        # skip Operator's defensive copy of the fresh matrix
-        op = object.__new__(Operator)
-        object.__setattr__(op, "entries", proj)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "basis", vecs)
+        made = object.__new__(cls)
+        object.__setattr__(made, "basis", vecs)
+        return made
 
     @property
     def dim(self) -> int:
-        return self.op.dim
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.op.entries
+        return self.basis.shape[0]
 
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
+
+    @property
+    def entries(self) -> np.ndarray:
+        proj = self.basis @ self.basis.conj().T
+        proj = proj + proj.conj().T  # (P + P-dagger) / 2 scrubs rounding asymmetry
+        proj *= 0.5
+        proj.setflags(write=False)
+        return proj
+
+    @property
+    def op(self) -> Operator:
+        return Operator(self.entries)
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """P v as V (V-dagger v), O(d r) per vector; vec is (d,) or (d, n)."""
+        return self.basis @ (self.basis.conj().T @ vec)
 
     def complement(self) -> "Projector":
         # the last d - r columns of a complete QR of V span the orthogonal complement
@@ -524,7 +529,7 @@ def possesses(k: Ket, p: Projector) -> bool:
     """Property possession: P|psi> = |psi> within tolerance."""
     if k.dim != p.dim:
         raise DimensionMismatchError(f"ket dim {k.dim} vs projector dim {p.dim}")
-    residual = float(np.linalg.norm(p.entries @ k.amplitudes - k.amplitudes))
+    residual = float(np.linalg.norm(p.apply(k.amplitudes) - k.amplitudes))
     return residual < tolerances().algebraic
 
 
@@ -572,13 +577,16 @@ def _noncommuting_pair(p, q) -> tuple[str | None, str | None, float] | None:
     """(label, label, defect) of the first pair of projectors, one from each
     of p and q, whose commutator defect reaches tolerance; a lone Projector
     counts as one member labelled None."""
+    if p.dim != q.dim:
+        raise DimensionMismatchError(f"dims differ: {p.dim} vs {q.dim}")
     tol = tolerances().algebraic
     ps, qs = (tuple(x.items()) if isinstance(x, PDI) else ((None, x),) for x in (p, q))
+    # each member's dense matrix is built once per scan, not once per pair
+    dense_qs = [(lk, qk.op) for lk, qk in qs]
     for lj, pj in ps:
-        for lk, qk in qs:
-            if pj.dim != qk.dim:
-                raise DimensionMismatchError(f"dims differ: {pj.dim} vs {qk.dim}")
-            defect = commutator_defect(pj, qk)
+        dense_p = pj.op
+        for lk, dense_q in dense_qs:
+            defect = commutator_defect(dense_p, dense_q)
             if defect >= tol:
                 return lj, lk, defect
     return None

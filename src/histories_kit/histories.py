@@ -38,7 +38,6 @@ from .hilbert import (
     Observable,
     Operator,
     Projector,
-    tensor_product,
     tensor_state,
 )
 
@@ -187,30 +186,28 @@ def _chain_matrix(fam: HistoryFamily, histories=None) -> np.ndarray:
     `histories` None stands for every history, with rows in all_histories()
     order; otherwise it is a sequence of valid label tuples, rows come out in
     that order, and only the prefixes they contain are built. Level t holds
-    one vector per distinct length-t prefix: its parent's vector moved by
-    propagator t, then projected by its own event at time t. Vectors are kept
-    as a stack of (d, 1) columns so each operator acts through the same
-    matrix-vector product as on a single history, which keeps the result
-    bit-identical to chaining one history at a time.
+    one row per distinct length-t prefix: its parent's row moved by
+    propagator t, then projected by its own event at time t through the
+    event's basis V, as (rows V-conj) V-transpose.
     """
-    cols = fam.initial.amplitudes[None, :, None]
+    rows = fam.initial.amplitudes[None, :]
     prefixes: list[tuple[str, ...]] = [()]
     for t, (pdi, prop) in enumerate(zip(fam.event_pdis, fam.grid.propagators)):
-        moved = prop.entries @ cols
+        moved = rows @ prop.entries.T
         if histories is None:
             n_events = len(pdi.projectors)
-            parents = np.repeat(np.arange(len(cols)), n_events)
-            events = np.tile(np.arange(n_events), len(cols))
+            parents = np.repeat(np.arange(len(rows)), n_events)
+            events = np.tile(np.arange(n_events), len(rows))
         else:
             parent_index = {prefix: i for i, prefix in enumerate(prefixes)}
             prefixes = list(dict.fromkeys(h[: t + 1] for h in histories))
             parents = np.array([parent_index[p[:-1]] for p in prefixes], dtype=np.intp)
             events = np.array([pdi.labels.index(p[-1]) for p in prefixes], dtype=np.intp)
-        cols = np.empty((len(parents), fam.grid.dim, 1), dtype=complex)
+        rows = np.empty((len(parents), fam.grid.dim), dtype=complex)
         for j, proj in enumerate(pdi.projectors):
             chosen = events == j
-            cols[chosen] = proj.entries @ moved[parents[chosen]]
-    return cols[:, :, 0]
+            rows[chosen] = (moved[parents[chosen]] @ proj.basis.conj()) @ proj.basis.T
+    return rows
 
 
 def _gram_scan(chains: np.ndarray) -> tuple[np.ndarray, float]:
@@ -368,28 +365,23 @@ def build_measurement_model(f: Observable, pointer_dim: int) -> MeasurementModel
     message = "constructed interaction operator is not unitary"
     check(t_op.unitarity_defect(), tol, VerificationFailedError, message)
 
-    pointer_states = tuple(Ket(np.eye(dm)[k]) for k in range(dm))
     eye_s = np.eye(ds)
-    pointer_projs = []
-    labels = []
-    rest = np.eye(ds * dm, dtype=complex)
-    for k in range(n_outcomes):
-        mk = np.kron(eye_s, np.outer(np.eye(dm)[k + 1], np.eye(dm)[k + 1]))
-        rest -= mk
-        pointer_projs.append(Projector(Operator(mk)))
-        labels.append(str(k))
-    pointer_projs.append(Projector(Operator(rest)))
-    labels.append("rest")
+    eye_m = np.eye(dm)
+    pointer_states = tuple(Ket(eye_m[k]) for k in range(dm))
+    # pointer position k + 1 records outcome k; "rest" spans the ready position
+    # and every position beyond the last outcome
+    positions = [[k + 1] for k in range(n_outcomes)] + [[0, *range(n_outcomes + 1, dm)]]
+    pointer_projs = [Projector.from_basis(np.kron(eye_s, eye_m[:, cols])) for cols in positions]
+    labels = [str(k) for k in range(n_outcomes)] + ["rest"]
     pointer_pdi = PDI(tuple(pointer_projs), tuple(labels))
 
     # the defining property: pointer position k fires iff the system entered
     # through eigenspace k
-    ready = np.outer(np.eye(dm)[0], np.eye(dm)[0])
     for j, proj in enumerate(f.pdi.projectors):
-        reached = t_full @ np.kron(proj.entries, ready)
+        reached = t_full @ np.kron(proj.basis, eye_m[:, :1])
         for k, mk in enumerate(pointer_projs[:-1]):
             expected = reached if j == k else 0.0
-            defect = float(np.abs(mk.entries @ reached - expected).max())
+            defect = float(np.abs(mk.apply(reached) - expected).max())
             message = f"pointer projector {k} fails on eigenspace {j}"
             check(defect, tol, VerificationFailedError, message)
     return MeasurementModel(
@@ -432,7 +424,7 @@ def standard_families(model: MeasurementModel, psi0: Ket) -> StandardFamilies:
     full = model.full_dim
     identity = Operator(np.eye(full, dtype=complex))
     grid = TimeGrid(("t0", "t1", "t2"), (identity, model.t))
-    eye_m = Operator(np.eye(model.pointer_dim, dtype=complex))
+    eye_m = np.eye(model.pointer_dim)
 
     psi1 = psi_full  # identity propagator into t1
     psi2 = Ket(model.t.apply(psi_full.amplitudes))
@@ -447,7 +439,7 @@ def standard_families(model: MeasurementModel, psi0: Ket) -> StandardFamilies:
         ),
     )
 
-    p_psi0 = Projector(tensor_product(psi0.projector().op, eye_m))
+    p_psi0 = Projector.from_basis(np.kron(psi0.amplitudes[:, None], eye_m))
     f1_t1 = PDI((p_psi0, p_psi0.complement()), ("psi0", "rest"))
     f1 = HistoryFamily(
         grid,
@@ -458,7 +450,7 @@ def standard_families(model: MeasurementModel, psi0: Ket) -> StandardFamilies:
 
     f2_t1 = PDI(
         tuple(
-            Projector(tensor_product(proj.op, eye_m))
+            Projector.from_basis(np.kron(proj.basis, eye_m))
             for proj in model.observable.pdi.projectors
         ),
         model.observable.pdi.labels,

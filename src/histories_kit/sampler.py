@@ -173,7 +173,7 @@ def sample_pdi(
         raise DimensionMismatchError(f"state dim {state.dim} vs decomposition dim {pdi.dim}")
     psi = state.amplitudes
     weights = np.array(
-        [max(0.0, float(np.vdot(psi, p.entries @ psi).real)) for p in pdi.projectors]
+        [max(0.0, float(np.vdot(psi, p.apply(psi)).real)) for p in pdi.projectors]
     )
     total = float(weights.sum())
     if not (1 - _NORM_WINDOW <= total <= 1 + _NORM_WINDOW):

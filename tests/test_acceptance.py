@@ -8,7 +8,11 @@ under `pytest -v` the per-test PASSED/FAILED line carries the verdict).
 import io
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -379,3 +383,52 @@ def test_criterion_12_largest_sample_query_within_budget(tmp_path):
     assert sum(result["counts"].values()) == MAX_SHOTS
     # <Z> = 0.36 - 0.64 in this state
     assert abs(result["empirical_mean"] + 0.28) < 5 * result["std_error"]
+
+
+def _capped_child(limit_bytes: int):
+    """preexec hook: cap the child's address space at limit_bytes."""
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+
+def test_criterion_13_spectral_spec_at_max_dim(tmp_path):
+    # H = sum_k 2^k/1024 kron(I(2^k), kron(sigma(theta_k), I(2^(9-k)))) has the
+    # 1024 distinct eigenvalues sum_k 2^k s_k / 1024 (s_k = +-1), each with a
+    # product eigenvector, so the Born weights have an independent closed form
+    dim, factors, shots, seed = 1024, 10, 4096, 13
+    angles = [10.0 + 17.0 * k for k in range(factors)]
+    terms = [
+        f"{2**k / dim}*kron(I({2**k}), kron(sigma({theta}), I({2 ** (factors - 1 - k)})))"
+        for k, theta in enumerate(angles)
+    ]
+    rng = np.random.default_rng(1024)
+    amps = [f"{x:.8f}" for x in rng.standard_normal(dim)]
+    spec = tmp_path / "max_dim.spec"
+    spec.write_text(
+        f"op H = {' + '.join(terms)}\npdi P = spectral(H)\n"
+        f"ket psi = [{', '.join(amps)}]\nquery sample psi P shots {shots} seed {seed}\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    argv = [sys.executable, "-m", "histories_kit.cli", "run", str(spec), "--format", "json"]
+    with _Budget(13, f"spectral(H) spec at d={dim} samples within 1 GiB", 15.0):
+        child = subprocess.run(
+            argv, env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=_capped_child(1 << 30),
+        )
+    assert child.returncode == 0, child.stderr[-2000:]
+    (result,) = json.loads(child.stdout)["results"]
+    assert sum(result["counts"].values()) == shots
+
+    # closed form: eigenvector columns are Kronecker products of the factors'
+    # sigma(theta) eigenvectors, in descending order of their eigenvalues
+    local = [np.linalg.eigh(sigma_zx(math.radians(t)).entries) for t in angles]
+    basis = np.ones((1, 1))
+    values = np.zeros(1)
+    for k, (evals, evecs) in enumerate(local):
+        basis = np.kron(basis, evecs)
+        values = np.add.outer(values, 2**k / dim * evals).reshape(-1)
+    psi = np.array([float(a) for a in amps])
+    weights = np.abs(basis.conj().T @ (psi / np.linalg.norm(psi))) ** 2
+    expected = weights[np.argsort(-values, kind="stable")]
+    reported = np.array([result["probabilities"][str(i)] for i in range(dim)])
+    assert np.abs(reported - expected).max() < 1e-9

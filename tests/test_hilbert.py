@@ -218,6 +218,36 @@ class TestProjector:
         with pytest.raises(ValueError):
             Projector.from_basis(vecs[:, 0])  # not a (d, r) array
 
+    def test_basis_is_the_only_stored_field(self):
+        # no dense matrix is kept: entries and op are built afresh on every read
+        rng = np.random.default_rng(6)
+        vecs = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0][:, :3]
+        for p in (Projector.from_basis(vecs), Projector(Operator(vecs @ vecs.conj().T))):
+            assert list(vars(p)) == ["basis"]
+            outer = p.basis @ p.basis.conj().T
+            first = p.entries
+            assert first is not p.entries
+            assert np.array_equal(first, (outer + outer.conj().T) / 2.0)
+            assert not first.flags.writeable
+            assert np.array_equal(p.op.entries, first)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d))),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_apply_matches_dense_product(self, dim_rank, seed):
+        # P v = V (V-dagger v) agrees with the dense matrix on vectors and blocks
+        dim, rank = dim_rank
+        rng = np.random.default_rng(seed)
+        cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        p = Projector.from_basis(np.linalg.qr(cplx(dim, dim))[0][:, :rank])
+        vec = cplx(dim)
+        vec /= np.linalg.norm(vec)
+        block = np.linalg.qr(cplx(dim, dim))[0][:, :3]
+        for v in (vec, block):
+            assert np.abs(p.apply(v) - p.entries @ v).max() <= 1e-14
+
 
 class TestPDI:
     def test_default_labels(self):

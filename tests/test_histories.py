@@ -282,6 +282,23 @@ class TestMeasurementModel:
         assert model.pointer_pdi.labels == ("0", "1", "rest")
         assert model.pointer_pdi.by_label("rest").rank == 2 * (4 - 2)
 
+    @pytest.mark.parametrize("system_dim, pointer_dim", [(2, 3), (2, 5), (3, 6)])
+    def test_pointer_pdi_matches_dense_construction(self, system_dim, pointer_dim):
+        # reference: I x |k+1><k+1| per outcome k, and the rest as I minus their sum
+        obs = spectral_decompose(Operator(np.diag(np.arange(system_dim, 0, -1)).astype(complex)))
+        model = build_measurement_model(obs, pointer_dim)
+        position = np.eye(pointer_dim)
+        rest = np.eye(system_dim * pointer_dim, dtype=complex)
+        expected = []
+        for k in range(system_dim):
+            mk = np.kron(np.eye(system_dim), np.outer(position[k + 1], position[k + 1]))
+            rest -= mk
+            expected.append(mk)
+        expected.append(rest)
+        assert len(model.pointer_pdi) == len(expected)
+        for proj, dense in zip(model.pointer_pdi.projectors, expected):
+            assert np.abs(proj.entries - dense).max() <= 1e-15
+
 
 class TestStandardFamilies:
     def test_unitary_family_single_history(self):

@@ -2,13 +2,11 @@
 
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from histories_kit.bell import neon_setup, singlet_state
 from histories_kit.config import override
@@ -59,18 +57,17 @@ def edges_of(result) -> np.ndarray:
 
 
 class SparseBasis:
-    """Computational-basis decomposition with sparse members.
+    """Computational-basis decomposition with one-hot members.
 
-    Duck-types the parts of a PDI that `sample_pdi` reads, so that 1024
-    outcomes need no 1024 dense 1024x1024 projectors (16 GiB).
+    Duck-types the parts of a PDI that `sample_pdi` reads; each member is
+    stored as its one-hot basis column, so 1024 outcomes need 16 MB.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.labels = tuple(str(k) for k in range(dim))
         self.projectors = [
-            SimpleNamespace(entries=sparse.csr_array(([1.0], ([k], [k])), shape=(dim, dim)))
-            for k in range(dim)
+            Projector.from_basis(np.eye(dim, 1, -k, dtype=complex)) for k in range(dim)
         ]
 
 
