@@ -214,9 +214,12 @@ def empirical_chsh(state: Ket, ops: CHSHOperators, config: RunConfig) -> Empiric
     """Estimate S by sampling each setting pair's product observable.
 
     Setting (a, b) samples the spectral decomposition of A_a B_b with the
-    derived seed seed XOR (2a+b), so the four sub-experiments draw from
-    disjoint deterministic streams.
+    derived seed given by raw splitmix64 output 2a+b of stream `seed`, so the
+    four sub-experiments draw from independent deterministic streams, and
+    neighbouring seeds share none of them.
     """
+    derived = np.empty(4, dtype=np.uint64)
+    _splitmix64(config.seed, 0, derived, np.empty_like(derived))
     per_setting: dict[tuple[int, int], SampleResult] = {}
     seeds: dict[tuple[int, int], int] = {}
     e_hat = np.zeros((2, 2))
@@ -229,7 +232,7 @@ def empirical_chsh(state: Ket, ops: CHSHOperators, config: RunConfig) -> Empiric
                 label: float(ev)
                 for label, ev in zip(product_obs.pdi.labels, product_obs.eigenvalues)
             }
-            seed = config.seed ^ (2 * a + b)
+            seed = int(derived[2 * a + b])
             seeds[(a, b)] = seed
             result = sample_pdi(state, product_obs.pdi, RunConfig(config.shots, seed), values)
             per_setting[(a, b)] = result

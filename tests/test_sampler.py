@@ -324,8 +324,8 @@ class TestEmpiricalCHSH:
     def test_frozen_estimate(self):
         setup = neon_setup()
         est = empirical_chsh(setup.top_eigenstate, setup.ops, RunConfig(shots=2000, seed=2020))
-        assert est.s_hat == pytest.approx(2.871, abs=1e-12)
-        assert est.std_error == pytest.approx(0.0311384569303, abs=1e-10)
+        assert est.s_hat == pytest.approx(2.806, abs=1e-12)
+        assert est.std_error == pytest.approx(0.0318666753835, abs=1e-10)
 
     def test_determinism(self):
         setup = neon_setup()
@@ -341,10 +341,18 @@ class TestEmpiricalCHSH:
         setup = neon_setup()
         est = empirical_chsh(setup.top_eigenstate, setup.ops, RunConfig(shots=100, seed=8))
         assert len(set(est.seeds.values())) == 4
-        assert est.seeds[(0, 0)] == 8 ^ 0
-        assert est.seeds[(0, 1)] == 8 ^ 1
-        assert est.seeds[(1, 0)] == 8 ^ 2
-        assert est.seeds[(1, 1)] == 8 ^ 3
+        assert est.seeds[(0, 0)] == splitmix64(8, 0)
+        assert est.seeds[(0, 1)] == splitmix64(8, 1)
+        assert est.seeds[(1, 0)] == splitmix64(8, 2)
+        assert est.seeds[(1, 1)] == splitmix64(8, 3)
+
+    def test_neighbouring_seeds_share_no_setting_stream(self):
+        setup = neon_setup()
+        first, second = (
+            empirical_chsh(setup.top_eigenstate, setup.ops, RunConfig(shots=10, seed=seed))
+            for seed in (2020, 2021)
+        )
+        assert not set(first.seeds.values()) & set(second.seeds.values())
 
     def test_estimate_within_five_sigma(self):
         setup = neon_setup()
