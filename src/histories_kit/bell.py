@@ -531,14 +531,11 @@ class NoSignalingReport:
 
 def _local_form_defect(proj: Projector, dims: tuple[int, int], side: int) -> float:
     """Max-entry distance from P x I (side 0) or I x Q (side 1) form."""
-    da, db = dims
     full = proj.op
-    if side == 0:
-        local = partial_trace(full, dims, keep=0).entries / db
-        rebuilt = np.kron(local, np.eye(db))
-    else:
-        local = partial_trace(full, dims, keep=1).entries / da
-        rebuilt = np.kron(np.eye(da), local)
+    traced = dims[1 - side]
+    local = partial_trace(full, dims, keep=side).entries / traced
+    eye = np.eye(traced)
+    rebuilt = np.kron(local, eye) if side == 0 else np.kron(eye, local)
     return float(np.abs(rebuilt - full.entries).max())
 
 

@@ -238,10 +238,6 @@ class Projector:
         return self.basis.shape[0]
 
     @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    @property
     def entries(self) -> np.ndarray:
         proj = self.basis @ self.basis.conj().T
         proj = proj + proj.conj().T  # (P + P-dagger) / 2 scrubs rounding asymmetry
@@ -252,6 +248,10 @@ class Projector:
     @property
     def op(self) -> Operator:
         return Operator(self.entries)
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """P v as V (V-dagger v), O(d r) per vector; vec is (d,) or (d, n)."""

@@ -214,9 +214,8 @@ def empirical_chsh(state: Ket, ops: CHSHOperators, config: RunConfig) -> Empiric
     """Estimate S by sampling each setting pair's product observable.
 
     Setting (a, b) samples the spectral decomposition of A_a B_b with the
-    derived seed given by raw splitmix64 output 2a+b of stream `seed`, so the
-    four sub-experiments draw from independent deterministic streams, and
-    neighbouring seeds share none of them.
+    seed given by raw splitmix64 output 2a+b of stream `seed`, so the four
+    sub-experiments, and runs with different seeds, draw independent streams.
     """
     derived = np.empty(4, dtype=np.uint64)
     _splitmix64(config.seed, 0, derived, np.empty_like(derived))
