@@ -464,7 +464,7 @@ def singlet_state() -> Ket:
 
 
 def joint_probabilities(state: Ket, alice_basis: PDI, bob_basis: PDI) -> np.ndarray:
-    """Pr(j,k) = <psi| (A_j x B_k) |psi>, A_j x B_k having basis V_j x W_k."""
+    """Pr(j,k) = |(V_j x W_k)-dagger psi|^2, V_j x W_k being a basis of A_j x B_k."""
     da, db = alice_basis.dim, bob_basis.dim
     if da * db != state.dim:
         raise DimensionMismatchError(
@@ -474,8 +474,8 @@ def joint_probabilities(state: Ket, alice_basis: PDI, bob_basis: PDI) -> np.ndar
     table = np.zeros((len(alice_basis), len(bob_basis)))
     for j, pj in enumerate(alice_basis.projectors):
         for k, qk in enumerate(bob_basis.projectors):
-            lifted = Projector.from_basis(np.kron(pj.basis, qk.basis))
-            table[j, k] = max(0.0, float(np.vdot(psi, lifted.apply(psi)).real))
+            amps = np.kron(pj.basis, qk.basis).conj().T @ psi
+            table[j, k] = float(np.vdot(amps, amps).real)
     total = float(table.sum())
     message = f"joint table sums to {total!r}"
     check(abs(total - 1.0), tolerances().probability, VerificationFailedError, message)
@@ -503,16 +503,17 @@ def collapse_conditional(state: Ket, alice_outcome: Projector, bob_event: Projec
             f"local dims {da}x{db} do not compose to state dim {state.dim}"
         )
     psi = state.amplitudes
-    lifted_a = Projector.from_basis(np.kron(alice_outcome.basis, np.eye(db)))
-    projected = lifted_a.apply(psi)
+    lifted_a = np.kron(alice_outcome.basis, np.eye(db))
+    projected = lifted_a @ (lifted_a.conj().T @ psi)
     pr_a = float(np.vdot(psi, projected).real)
     if pr_a <= tolerances().probability:
         raise ZeroProbabilityOutcomeError(
             f"Alice outcome has probability {pr_a:.3g}; collapse undefined"
         )
     collapsed = Ket(projected / math.sqrt(pr_a))
-    lifted_b = Projector.from_basis(np.kron(np.eye(da), bob_event.basis))
-    cond = float(np.vdot(collapsed.amplitudes, lifted_b.apply(collapsed.amplitudes)).real)
+    lifted_b = np.kron(np.eye(da), bob_event.basis)
+    kept = lifted_b @ (lifted_b.conj().T @ collapsed.amplitudes)
+    cond = float(np.vdot(collapsed.amplitudes, kept).real)
     return CollapseResult(
         collapsed=collapsed,
         outcome_probability=pr_a,

@@ -79,9 +79,7 @@ def _normalized_vector(values) -> np.ndarray:
 
 
 def _frozen_matrix(values) -> np.ndarray:
-    # a read-only complex array that owns its memory is frozen already: share it
-    frozen = isinstance(values, np.ndarray) and values.base is None and not values.flags.writeable
-    mat = values if frozen and values.dtype == complex else np.array(values, dtype=complex)
+    mat = np.array(values, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     mat.setflags(write=False)
@@ -247,7 +245,10 @@ class Projector:
 
     @property
     def op(self) -> Operator:
-        return Operator(self.entries)
+        # entries is fresh, read-only and held by nothing else: wrap it uncopied
+        made = object.__new__(Operator)
+        object.__setattr__(made, "entries", self.entries)
+        return made
 
     @property
     def rank(self) -> int:
@@ -582,11 +583,11 @@ def _noncommuting_pair(p, q) -> tuple[str | None, str | None, float] | None:
     tol = tolerances().algebraic
     ps, qs = (tuple(x.items()) if isinstance(x, PDI) else ((None, x),) for x in (p, q))
     # each member's dense matrix is built once per scan, not once per pair
-    dense_qs = [(lk, qk.op) for lk, qk in qs]
+    dense_qs = [(lk, qk.entries) for lk, qk in qs]
     for lj, pj in ps:
-        dense_p = pj.op
-        for lk, dense_q in dense_qs:
-            defect = commutator_defect(dense_p, dense_q)
+        x = pj.entries
+        for lk, y in dense_qs:
+            defect = float(np.abs(x @ y - y @ x).max())
             if defect >= tol:
                 return lj, lk, defect
     return None
