@@ -3,7 +3,8 @@
 All algebraic checks (hermiticity, unitarity, projector idempotency,
 commutation, PDI orthogonality/completeness) share one knob so reports can
 state exactly what was enforced: max-entry norms, but a spectral norm for a
-matrix-built projector and Frobenius norms of one Gram matrix for a PDI.
+matrix-built projector, Frobenius norms of one Gram matrix for a PDI, and
+the Frobenius norm of each pair's commutator for commuting PDIs.
 The remaining knobs cover eigenvalue grouping, probability-table sums, and
 spectral reconstruction. `tolerances()` returns the frozen bundle in force in
 the current thread or task; `with override(...)` replaces it for that block
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    algebraic: float = 1e-10      # operator identities, in the norms named above
+    algebraic: float = 1e-10      # in the norms named above; PDI commutators in Frobenius
     eigen_grouping: float = 1e-8  # span of a merged eigenvalue group per unit of max(1, ||H||)
     probability: float = 1e-12    # probability sums / zero-probability guards
     reconstruction: float = 1e-9  # spectral round-trip defect per unit of max(1, max|H|)

@@ -10,9 +10,11 @@ factored once with `eigh` and certified by the distance of its eigenvalues
 from {0, 1}. A PDI is certified from one Gram matrix of the stacked bases:
 its block Frobenius norms bound the max-entry defects of the projector
 products, and the completeness defect follows from it in closed form.
-Degenerate eigenspaces are kept whole: spectral decomposition yields one
-rank-k projector per distinct eigenvalue, and all equality reasoning is done
-on subspaces, never on individual eigenvectors.
+Commutation of two PDIs is read pair by pair, in Frobenius norm, from one
+overlap matrix of their stacked bases, which also yields their common
+refinement. Degenerate eigenspaces are kept whole: spectral decomposition
+yields one rank-k projector per distinct eigenvalue, and all equality
+reasoning is done on subspaces, never on individual eigenvectors.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ class Operator:
         return self.unitarity_defect() < tolerances().algebraic
 
 
-def commutator_defect(a: "Operator | Projector", b: "Operator | Projector") -> float:
+def commutator_defect(a: Operator, b: Operator) -> float:
     """Max-entry norm of AB - BA; callers compare it with their tolerance."""
     x, y = a.entries, b.entries
     return float(np.abs(x @ y - y @ x).max())
@@ -281,6 +283,19 @@ class PDIValidation:
     passes: bool
 
 
+def _cuts(members: Sequence[Projector]) -> list[int]:
+    """Column offsets between the members' bases when stacked."""
+    return list(accumulate(m.rank for m in members))[:-1]
+
+
+def _block_sums(sq: np.ndarray, ranks: list[int]) -> np.ndarray:
+    """The blocks of sq, its rows and columns cut by the nonzero ranks, each summed."""
+    if len(ranks) == sq.shape[0]:
+        return sq
+    starts = list(accumulate(ranks[:-1], initial=0))
+    return np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
+
+
 def pdi_validate(projectors: "PDI | Sequence[Projector]") -> PDIValidation:
     """Report orthogonality, idempotency and completeness defects from one Gram matrix.
 
@@ -307,9 +322,7 @@ def pdi_validate(projectors: "PDI | Sequence[Projector]") -> PDIValidation:
     diagonal -= 1.0
     sq = np.square(np.abs(gram))
     complete = math.sqrt(max(0.0, float(sq.sum()) + (dim - size)))
-    if len(ranks) != size:  # some member has rank > 1: sum each block
-        starts = list(accumulate(ranks[:-1], initial=0))
-        sq = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
+    sq = _block_sums(sq, ranks)
     diagonal = sq.reshape(-1)[:: len(ranks) + 1]
     idem = math.sqrt(float(diagonal.max(initial=0.0)))
     diagonal[:] = 0.0
@@ -490,39 +503,31 @@ def spectral_decompose(h: Operator) -> Observable:
 def common_refinement(p: PDI, q: PDI) -> PDI:
     """All nonzero products P^j Q^k, defined only when every pair commutes.
 
-    Labels concatenate ("jk"); rank-0 products are dropped. A noncommuting
-    pair means the two decompositions admit no common refinement, which is
-    reported with the offending labels.
+    Labels join the members' labels as "j&k"; rank-0 products are dropped. A
+    noncommuting pair means the two decompositions admit no common refinement;
+    the first in p-major order is reported with its labels.
     """
-    if p.dim != q.dim:
-        raise DimensionMismatchError(f"PDI dims differ: {p.dim} vs {q.dim}")
-    clash = _noncommuting_pair(p, q)
-    if clash is not None:
-        lj, lk, defect = clash
+    overlaps, defects = _commutator_defects(p, q)
+    clash = np.argwhere(~(defects < tolerances().algebraic))  # NaN clashes too
+    if len(clash):
+        j, k = clash[0]
+        lj, lk = p.labels[j], q.labels[k]
         raise NonCommutingError(
             f"projectors {lj!r} and {lk!r} do not commute "
-            f"(defect {defect:.3g}): no common refinement",
+            f"(defect {defects[j, k]:.3g}): no common refinement",
             pair=(lj, lk),
         )
-    tol = tolerances().algebraic
-    stacked = np.concatenate([qk.basis for qk in q.projectors], axis=1)
-    bounds = list(accumulate((qk.rank for qk in q.projectors), initial=0))
     projectors = []
     labels = []
-    for lj, pj in p.items():
-        # P Q = V_p M V_q-dagger with M = V_p-dagger V_q: its rank is tr(P Q) = ||M||_F^2,
-        # M's singular values are 0 or 1 for commuting P and Q (cosines of principal
-        # angles), and V_p times the left singular vectors for 1 spans its range
-        overlaps = pj.basis.conj().T @ stacked
-        for lk, lo, hi in zip(q.labels, bounds, bounds[1:]):
-            middle = overlaps[:, lo:hi]
-            if round(float(np.vdot(middle, middle).real)) == 0:
-                continue
-            u, cosines, _ = np.linalg.svd(middle, full_matrices=False)
-            defect = float(np.minimum(cosines, np.abs(1.0 - cosines)).max())
-            check(defect, tol, ValueError, "not a projector: idempotency")
-            projectors.append(Projector.from_basis(pj.basis @ u[:, : int((cosines > 0.5).sum())]))
-            labels.append(f"{lj}{lk}")
+    for lj, pj, row in zip(p.labels, p.projectors, np.split(overlaps, _cuts(p.projectors))):
+        for lk, middle in zip(q.labels, np.split(row, _cuts(q.projectors), axis=1)):
+            # P Q = V_p M V_q-dagger for this block M of the overlaps: its rank is
+            # tr(P Q) = ||M||_F^2, and V_p times M's leading left singular vectors spans it
+            rank = round(float(np.vdot(middle, middle).real))
+            if rank:
+                u = np.linalg.svd(middle, full_matrices=False)[0]
+                projectors.append(Projector.from_basis(pj.basis @ u[:, :rank]))
+                labels.append(f"{lj}&{lk}")
     return PDI(tuple(projectors), tuple(labels))
 
 
@@ -574,28 +579,30 @@ def builtin_operator(name, dim: int = 2) -> Operator:
     return Operator(w[0] * _PAULI["X"] + w[1] * _PAULI["Y"] + w[2] * _PAULI["Z"])
 
 
-def _noncommuting_pair(p, q) -> tuple[str | None, str | None, float] | None:
-    """(label, label, defect) of the first pair of projectors, one from each
-    of p and q, whose commutator defect reaches tolerance; a lone Projector
-    counts as one member labelled None."""
+def _commutator_defects(p: PDI | Projector, q: PDI | Projector) -> tuple[np.ndarray, np.ndarray]:
+    """Overlaps M = V_p-dagger W_q of the stacked member bases (a lone P counts
+    as {P, 1 - P}) and every ||[P_j, Q_k]||_F, O(d^3) in all. V_p is unitary,
+    so C_k = M_k M_k-dagger is Q_k in p's coordinates and ||[P_j, Q_k]||_F^2 is
+    twice the sum of row j's off-diagonal blocks of C_k, summed directly: the
+    row total minus its diagonal block would cancel catastrophically."""
     if p.dim != q.dim:
         raise DimensionMismatchError(f"dims differ: {p.dim} vs {q.dim}")
-    tol = tolerances().algebraic
-    ps, qs = (tuple(x.items()) if isinstance(x, PDI) else ((None, x),) for x in (p, q))
-    # each member's dense matrix is built once per scan, not once per pair
-    dense_qs = [(lk, qk.entries) for lk, qk in qs]
-    for lj, pj in ps:
-        x = pj.entries
-        for lk, y in dense_qs:
-            defect = float(np.abs(x @ y - y @ x).max())
-            if defect >= tol:
-                return lj, lk, defect
-    return None
+    ps, qs = (x.projectors if isinstance(x, PDI) else (x, x.complement()) for x in (p, q))
+    overlaps = np.concatenate([pj.basis for pj in ps], axis=1).conj().T
+    overlaps = overlaps @ np.concatenate([qk.basis for qk in qs], axis=1)
+    live = [j for j, pj in enumerate(ps) if pj.rank]  # rank-0 members commute with all
+    ranks = [ps[j].rank for j in live]
+    defects = np.zeros((len(ps), len(qs)))
+    for k, cols in enumerate(np.split(overlaps, _cuts(qs), axis=1)):
+        blocks = _block_sums(np.square(np.abs(cols @ cols.conj().T)), ranks)
+        np.fill_diagonal(blocks, 0.0)
+        defects[live, k] = np.sqrt(2.0 * blocks.sum(axis=1))
+    return overlaps, defects
 
 
 def pdi_compatible(p: "PDI | Projector", q: "PDI | Projector") -> bool:
-    """True iff every projector of p commutes with every projector of q."""
-    return _noncommuting_pair(p, q) is None
+    """True iff every ||[P, Q]||_F, P of p and Q of q, is below tolerance."""
+    return bool((_commutator_defects(p, q)[1] < tolerances().algebraic).all())
 
 
 def partial_trace(op: Operator, dims: tuple[int, int], keep: int) -> Operator:

@@ -8,12 +8,14 @@ Pins TOOL_VERSION to "TEST" so golden bytes do not churn on version bumps.
 """
 
 import io
+import sys
 from pathlib import Path
-
-from histories_kit import cli
 
 ROOT = Path(__file__).resolve().parent.parent.parent
 GOLDEN = Path(__file__).resolve().parent
+
+sys.path.insert(0, str(ROOT / "src"))  # the checkout's package, installed or not
+from histories_kit import cli  # noqa: E402
 
 
 def capture(argv):

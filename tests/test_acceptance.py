@@ -17,6 +17,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from histories_kit import cli
 from histories_kit.bell import (
@@ -36,7 +37,7 @@ from histories_kit.bell import (
     singlet_state,
 )
 from histories_kit.dsl import parse_spec, render_spec
-from histories_kit.errors import ParseError
+from histories_kit.errors import NonCommutingError, ParseError
 from histories_kit.hilbert import (
     PDI,
     GridWavefunction,
@@ -45,6 +46,8 @@ from histories_kit.hilbert import (
     Projector,
     Region,
     builtin_operator,
+    common_refinement,
+    pdi_compatible,
     possesses,
     region_projector,
     spectral_decompose,
@@ -432,3 +435,33 @@ def test_criterion_13_spectral_spec_at_max_dim(tmp_path):
     expected = weights[np.argsort(-values, kind="stable")]
     reported = np.array([result["probabilities"][str(i)] for i in range(dim)])
     assert np.abs(reported - expected).max() < 1e-9
+
+
+def test_criterion_14_commutation_of_spectral_pdis_at_d256():
+    # two Hermitians with the shared random eigenbasis u and the eigenvalues
+    # 1..dim in different orders; spectral labels count the larger eigenvalues
+    dim = 256
+    rng = np.random.default_rng(14)
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    lam, mu = rng.permutation(dim) + 1.0, rng.permutation(dim) + 1.0
+    p = spectral_decompose(Operator((u * lam) @ u.conj().T)).pdi
+    q = spectral_decompose(Operator((u * mu) @ u.conj().T)).pdi
+    with _Budget(14, f"two commuting spectral PDIs at d={dim} refine", 10.0):
+        assert pdi_compatible(p, q)
+        ref = common_refinement(p, q)
+    assert len(ref) == dim and all(m.rank == 1 for m in ref.projectors)
+    # the pair of column i is (P with eigenvalue lam[i], Q with mu[i])
+    assert {f"{dim - int(l)}&{dim - int(m)}" for l, m in zip(lam, mu)} == set(ref.labels)
+
+    # rotating shared eigenvectors a and b of the second Hermitian breaks the
+    # pairs holding them; the first in p-major order is reported
+    a, b = 5, 200
+    rotated = u.copy()
+    c, s = math.cos(0.3), math.sin(0.3)
+    rotated[:, a], rotated[:, b] = c * u[:, a] + s * u[:, b], c * u[:, b] - s * u[:, a]
+    r = spectral_decompose(Operator((rotated * mu) @ rotated.conj().T)).pdi
+    assert not pdi_compatible(p, r)
+    with pytest.raises(NonCommutingError) as exc:
+        common_refinement(p, r)
+    first = (str(dim - int(max(lam[a], lam[b]))), str(dim - int(max(mu[a], mu[b]))))
+    assert exc.value.pair == first

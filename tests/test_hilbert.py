@@ -26,8 +26,10 @@ from histories_kit.hilbert import (
     Operator,
     Projector,
     Region,
+    _commutator_defects,
     builtin_operator,
     common_refinement,
+    commutator_defect,
     commutes,
     partial_trace,
     pdi_compatible,
@@ -532,8 +534,7 @@ class TestGramCertificate:
                 mixed.append(Projector(Operator(b @ b.conj().T)))
             else:
                 mixed.append(Projector.from_basis(b))
-        if all(p.basis is not None for p in mixed):  # keep one bare member
-            mixed[-1] = Projector(Operator(mixed[-1].entries))
+        mixed[-1] = Projector(Operator(mixed[-1].entries))  # one member factored from its matrix
         dense = [Projector(Operator(p.entries)) for p in mixed]
         report, reference = pdi_validate(mixed), pdi_validate(dense)
         assert report.passes == reference.passes == (angle == 0.0)
@@ -550,14 +551,14 @@ class TestRefinementAndCompatibility:
         iz = spectral_decompose(tensor_product(I2, Z)).pdi
         ref = common_refinement(zi, iz)
         assert len(ref) == 4
-        assert set(ref.labels) == {"00", "01", "10", "11"}
+        assert set(ref.labels) == {"0&0", "0&1", "1&0", "1&1"}
         assert all(p.rank == 1 for p in ref.projectors)
 
     def test_rank_zero_products_dropped(self):
         pdi = spectral_decompose(Z).pdi
         ref = common_refinement(pdi, pdi)
         assert len(ref) == 2
-        assert set(ref.labels) == {"00", "11"}
+        assert set(ref.labels) == {"0&0", "1&1"}
 
     def test_refinement_members_are_the_dense_products(self):
         # rank-2 intersections of rank-4 members, in a random basis
@@ -568,9 +569,10 @@ class TestRefinementAndCompatibility:
         p = spectral_decompose(Operator(u @ zii @ u.conj().T)).pdi
         q = spectral_decompose(Operator(u @ izi @ u.conj().T)).pdi
         ref = common_refinement(p, q)
-        assert ref.labels == ("00", "01", "10", "11")
+        assert ref.labels == ("0&0", "0&1", "1&0", "1&1")
         for label, member in ref.items():
-            dense = p.by_label(label[0]).entries @ q.by_label(label[1]).entries
+            lj, lk = label.split("&")
+            dense = p.by_label(lj).entries @ q.by_label(lk).entries
             assert member.rank == 2
             assert np.abs(member.entries - dense).max() < 1e-12
 
@@ -603,10 +605,115 @@ class TestRefinementAndCompatibility:
             common_refinement(p, q)
         assert exc.value.pair == ("1", "1")
 
+    def test_first_clash_is_p_major(self):
+        # [0] clashes with [1] and [2] of q, [1] with [0] and [3]: the first pair
+        # in p-major order is (0, 1), in q-major order (1, 0)
+        p = PDI([basis_ket(4, i).projector() for i in range(4)])
+        halves = [[0, 1, 0, 1], [1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, -1]]
+        q = PDI([Ket(np.array(v, dtype=complex)).projector() for v in halves])
+        with pytest.raises(NonCommutingError) as exc:
+            common_refinement(p, q)
+        assert exc.value.pair == ("0", "1")
+
+    def test_refinement_labels_do_not_collide(self):
+        # P_1 Q_10 and P_11 Q_0 are both nonzero, and "1" + "10" == "11" + "0"
+        p = PDI([basis_ket(12, i).projector() for i in range(12)])
+        q = PDI([basis_ket(12, i).projector() for i in [11, 10, *range(2, 10), 1, 0]])
+        ref = common_refinement(p, q)
+        assert len(ref) == 12
+        assert {"1&10", "11&0"} <= set(ref.labels)
+
+    @pytest.mark.parametrize("theta, compatible", [(3e-11, True), (9e-11, False)])
+    def test_commutation_is_a_frobenius_norm(self, theta, compatible):
+        # a rank-1 member rotated by theta: [P, Q] has max entry cos(theta) sin(theta)
+        # but Frobenius norm sqrt(2) cos(theta) sin(theta), which is what is
+        # certified; the boundary sits at theta = 1e-10 / sqrt(2)
+        c, s = math.cos(theta), math.sin(theta)
+        p = PDI([basis_ket(2, 0).projector(), basis_ket(2, 1).projector()])
+        q = PDI([Ket(np.array(v, dtype=complex)).projector() for v in ([c, s], [-s, c])])
+        assert commutator_defect(p.projectors[0].op, q.projectors[0].op) < TOLERANCES.algebraic
+        assert pdi_compatible(p, q) == compatible
+        assert pdi_compatible(p.projectors[0], q) == compatible
+        if not compatible:
+            with pytest.raises(NonCommutingError) as exc:
+                common_refinement(p, q)
+            assert exc.value.pair == ("0", "0")
+
     def test_commutes(self):
         assert commutes(Z, Z)
         assert not commutes(Z, X)
         assert commutes(tensor_product(Z, I2), tensor_product(I2, X))
+
+
+def pdi_pair_blocks(seed, dim, coordinate, angle):
+    """Bases of two PDIs that commute at angle 0: p's blocks from
+    isometry_blocks, and q the same columns regrouped by a second partition
+    that cuts between p's first two blocks. A nonzero angle rotates q's columns
+    in the plane of the last column of p's first block and the first of its
+    second, so those members stop commuting. The first member of each side
+    holds the rotated column."""
+    blocks = isometry_blocks(seed, dim, coordinate, 0.0)
+    columns = np.concatenate(blocks, axis=1)
+    cut = blocks[0].shape[1]
+    c, s = math.cos(angle), math.sin(angle)
+    a, b = columns[:, cut - 1].copy(), columns[:, cut].copy()
+    columns[:, cut - 1], columns[:, cut] = c * a + s * b, c * b - s * a
+    rng = np.random.default_rng([seed, 1])
+    extra = rng.choice(np.arange(1, dim), size=int(rng.integers(0, dim)), replace=False)
+    cuts = sorted({cut, *extra.tolist()})
+    regrouped = [columns[:, lo:hi] for lo, hi in zip([0, *cuts], [*cuts, dim])]
+    regrouped.insert(0, regrouped.pop(cuts.index(cut)))
+    return blocks, regrouped
+
+
+class TestCommutationScan:
+    """The overlap scan behind pdi_compatible and common_refinement against
+    dense commutators of the same projectors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.booleans(),
+        st.sampled_from([0.0, 1e-8, 1e-5, 1e-2]),
+        st.sampled_from([None, 0, 1]),
+        st.sampled_from([None, 0, 1]),
+    )
+    def test_defects_match_dense_commutators(self, seed, dim, coordinate, angle, lone, zero):
+        # `lone` replaces that side by its first nonzero member, as a lone Projector
+        # {P, 1 - P}; `zero` inserts a rank-0 member into that side
+        bases = pdi_pair_blocks(seed, dim, coordinate, angle)
+        sides = [[Projector.from_basis(b) for b in side] for side in bases]
+        if zero is not None:
+            empty = Projector.from_basis(np.zeros((dim, 0)))
+            sides[zero].insert(seed % (len(sides[zero]) + 1), empty)
+        args = [PDI(members) for members in sides]
+        dense = [[m.entries for m in members] for members in sides]
+        if lone is not None:
+            args[lone] = sides[lone][0] if sides[lone][0].rank else sides[lone][1]
+            dense[lone] = [args[lone].entries, np.eye(dim) - args[lone].entries]
+
+        defects = _commutator_defects(*args)[1]
+        assert defects.shape == (len(dense[0]), len(dense[1]))
+        rounding = 16 * dim * np.finfo(float).eps
+        first = None
+        for j, x in enumerate(dense[0]):
+            for k, y in enumerate(dense[1]):
+                comm = x @ y - y @ x
+                assert defects[j, k] + rounding >= np.abs(comm).max()
+                assert abs(defects[j, k] - np.linalg.norm(comm)) <= rounding
+                if first is None and np.linalg.norm(comm) >= TOLERANCES.algebraic:
+                    first = (j, k)
+        assert pdi_compatible(*args) == (angle == 0.0) == (first is None)
+        if lone is not None:
+            return
+        p, q = args
+        if angle:
+            with pytest.raises(NonCommutingError) as exc:
+                common_refinement(p, q)
+            assert exc.value.pair == (p.labels[first[0]], q.labels[first[1]])
+        else:
+            assert sum(m.rank for m in common_refinement(p, q).projectors) == dim
 
 
 class TestPropertyAlgebra:
