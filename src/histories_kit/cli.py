@@ -321,7 +321,7 @@ def _cmd_run(args) -> dict:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _UnreadableSpec(f"cannot read {args.file}: {err}") from err
     spec = parse_spec(source)
     return {

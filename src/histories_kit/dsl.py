@@ -26,13 +26,17 @@ Grammar sketch (one statement per line; families use a brace block):
 Limits: dimensions up to MAX_DIM, shot counts up to sampler.MAX_SHOTS.
 
 Complex literals are a, ai, a+bi, a-bi with plain decimals (no exponent
-notation); a leading minus negates the first component. In operator
-expressions a scalar is a single real or pure-imaginary literal. Angles are
-degrees. `#` starts a comment; names are declared before use.
+notation); a leading minus negates the first component. A well-formed ket
+literal on one line lexes as a single token and converts in one pass; any
+other bracket is lexed piece by piece, so its first error is reported where
+it occurs. In operator expressions a scalar is a single real or
+pure-imaginary literal. Angles are degrees. `#` starts a comment; names are
+declared before use.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, field
@@ -221,21 +225,29 @@ class ExperimentSpec:
 
 # --- tokenizer ---------------------------------------------------------
 
+_NUM = r"(?:\d+\.\d*|\.\d+|\d+)"
+_NUMBER_RE = re.compile(_NUM)
+# One ket entry: a, ai, a+bi or a-bi, optionally negated. Every whitespace
+# run has exactly one place in a match, so a literal that falls short fails
+# in time linear in its length instead of backtracking over the splits.
+_ENTRY = rf"(?:-[ \t]*)?{_NUM}(?:i|[ \t]*[+\-][ \t]*{_NUM}i)?"
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<ws>[ \t]+)
-    | (?P<imag>(?:\d+\.\d*|\.\d+|\d+)i\b)
-    | (?P<number>\d+\.\d*|\.\d+|\d+)
+    | (?P<vector>\[[ \t]*{_ENTRY}(?:[ \t]*,[ \t]*{_ENTRY})*[ \t]*\])
+    | (?P<imag>{_NUM}i\b)
+    | (?P<number>{_NUM})
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<punct>[={}\[\](),;:|+\-*])
+    | (?P<punct>[={{}}\[\](),;:|+\-*])
     """,
     re.VERBOSE,
 )
-_TOKEN_KINDS = {"imag": "IMAG", "number": "NUMBER", "name": "NAME", "punct": "PUNCT"}
+# a VECTOR token's text as the complex() strings of its entries, comma-joined
+_VECTOR_TO_COMPLEX = str.maketrans("i", "j", "[] \t")
 
 
 class _Token(NamedTuple):
-    kind: str  # NAME | NUMBER | IMAG | PUNCT | NEWLINE | EOF
+    kind: str  # NAME | NUMBER | IMAG | VECTOR | PUNCT | NEWLINE | EOF
     text: str
     line: int
     col: int
@@ -266,7 +278,7 @@ def _tokenize(source: str) -> tuple[list[_Token], list[ParseError]]:
                 break
             kind = m.lastgroup
             if kind != "ws":
-                tokens.append(_Token(_TOKEN_KINDS[kind], m.group(), lineno, pos + 1))
+                tokens.append(_Token(kind.upper(), m.group(), lineno, pos + 1))
             pos = m.end()
         tokens.append(_Token("NEWLINE", "", lineno, len(raw) + 1))
     tokens.append(_Token("EOF", "", len(lines), len(lines[-1]) + 1))
@@ -662,14 +674,25 @@ class _Parser:
     # literals and expressions
 
     def vector(self) -> tuple[complex, ...]:
-        open_tok = self.expect_punct("[")
-        entries = [self.centry()]
-        while self.at_punct(","):
+        tok = self.peek()
+        if tok.kind == "VECTOR":
             self.advance()
-            entries.append(self.centry())
-        self.expect_punct("]")
+            text = tok.text.translate(_VECTOR_TO_COMPLEX)
+            entries = tuple(map(complex, text.split(",")))
+            if not all(map(cmath.isfinite, entries)):
+                # fail at the first number past the float range
+                for m in _NUMBER_RE.finditer(tok.text):
+                    self.number(_Token("NUMBER", m.group(), tok.line, tok.col + m.start()))
+        else:
+            # a malformed literal: walk its tokens to the first error
+            self.expect_punct("[")
+            entries = [self.centry()]
+            while self.at_punct(","):
+                self.advance()
+                entries.append(self.centry())
+            self.expect_punct("]")
         if len(entries) > MAX_DIM:
-            self.resolve_fail(open_tok, f"vector longer than {MAX_DIM}")
+            self.resolve_fail(tok, f"vector longer than {MAX_DIM}")
         return tuple(entries)
 
     def centry(self) -> complex:

@@ -90,6 +90,13 @@ class TestExitCodes:
         code, _ = run_cli(["run", "/nonexistent/x.spec"])
         assert code == 1
 
+    def test_undecodable_file_is_load_failure(self, tmp_path, capsys):
+        bad = tmp_path / "bad.spec"
+        bad.write_bytes(b"ket a = [1, 0]\xff\n")
+        code, _ = run_cli(["run", str(bad)])
+        assert code == 1
+        assert "cannot read" in capsys.readouterr().err
+
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.spec"
         bad.write_text("op A = ?\nket b = [\n")

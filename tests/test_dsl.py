@@ -2,10 +2,13 @@
 
 import math
 import random
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histories_kit.dsl import (
     BellQuery,
@@ -125,8 +128,18 @@ class TestLoadErrors:
             (f"op A = sigma(-{BIG})\n", 15),
             (f"ket k = [{BIG}, 0]\n", 10),
             (f"ket k = [1 - {BIG}i, 0]\n", 14),
+            (f"ket k = [1, 0, {BIG}]\n", 16),
+            (f"ket k = [0, 1 - {BIG}i]\n", 17),
         ],
-        ids=["scalar", "imag-scalar", "sigma-angle", "ket-entry", "ket-imag-part"],
+        ids=[
+            "scalar",
+            "imag-scalar",
+            "sigma-angle",
+            "ket-entry",
+            "ket-imag-part",
+            "ket-entry-late",
+            "ket-imag-part-late",
+        ],
     )
     def test_number_out_of_range_is_located(self, source, column):
         err = first_error(source)
@@ -343,6 +356,130 @@ class TestRendering:
         assert np.abs(
             again.environment["a"].value.amplitudes - np.array([0.6, 0.8])
         ).max() < 1e-12
+
+
+_WS = st.text(alphabet=" \t", max_size=2)
+# ASCII digits plus two non-ASCII decimal digits, which float() also reads
+_DIGITS = st.text(alphabet="0123456789٣５", min_size=1, max_size=6)
+
+
+@st.composite
+def _number(draw):
+    whole, frac = draw(_DIGITS), draw(_DIGITS)
+    return draw(st.sampled_from([whole, whole + ".", f"{whole}.{frac}", "." + frac]))
+
+
+@st.composite
+def _entry(draw):
+    """One literal entry and its value by the token walk's sign rules: a
+    leading minus negates the first component, the infix sign the second."""
+    negate = draw(st.booleans())
+    lead = "-" + draw(_WS) if negate else ""
+    a = draw(_number())
+    form = draw(st.sampled_from(["a", "ai", "a+bi", "a-bi"]))
+    first = -float(a) if negate else float(a)
+    if form == "a":
+        return lead + a, complex(first, 0.0)
+    if form == "ai":
+        return lead + a + "i", complex(0.0, first)
+    b, sign = draw(_number()), form[1]
+    text = f"{lead}{a}{draw(_WS)}{sign}{draw(_WS)}{b}i"
+    return text, complex(first, float(b) if sign == "+" else -float(b))
+
+
+@st.composite
+def _literal(draw):
+    # a trailing 1 keeps the ket nonzero
+    entries = draw(st.lists(_entry(), min_size=0, max_size=12)) + [("1", 1 + 0j)]
+    body = ",".join(draw(_WS) + text + draw(_WS) for text, _ in entries)
+    return f"[{body}]", tuple(value for _, value in entries)
+
+
+def _same_bits(x: float, y: float) -> bool:
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+class TestLiterals:
+    BIG = TestLoadErrors.BIG
+    # a second, independent error on line 3 shows that recovery resumes
+    # on the line after the literal
+    TAIL = "\nket j = [1, 0]\nop A = ?\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_literal())
+    def test_amplitudes_match_the_token_walk(self, literal):
+        text, expected = literal
+        spec = parse_spec(f"ket k = {text}\n")
+        amplitudes = spec.declarations[0].amplitudes
+        assert len(amplitudes) == len(expected)
+        for got, want in zip(amplitudes, expected):
+            assert _same_bits(got.real, want.real), (got, want)
+            assert _same_bits(got.imag, want.imag), (got, want)
+        assert parse_spec(render_spec(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "literal, column, message",
+        [
+            ("[1, 0", 14, "expected ']'"),
+            ("[1 + 2]", 12, "expected ']'"),
+            ("[2i + 3i]", 13, "expected ']'"),
+            ("[- - 1]", 12, "expected a number"),
+            ("[1,, 2]", 12, "expected a number"),
+            ("[]", 10, "expected a number"),
+            ("[1, 2,]", 15, "expected a number"),
+            ("[1e-3, 0]", 11, "expected ']'"),
+            ("[1, $, 0]", 13, "unexpected character '$'"),
+            ("[1, # 0]", 17, "expected a number"),
+            ("[[1, 0]]", 10, "expected a number"),
+            ("[1, 0] x", 16, "unexpected trailing input"),
+        ],
+        ids=[
+            "unclosed",
+            "real-plus-real",
+            "imag-plus-imag",
+            "double-minus",
+            "double-comma",
+            "empty",
+            "trailing-comma",
+            "exponent",
+            "dollar",
+            "comment",
+            "nested",
+            "trailing-input",
+        ],
+    )
+    def test_malformed_literal_diagnostics(self, literal, column, message):
+        err = first_error(f"ket k = {literal}{self.TAIL}")
+        assert (err.line, err.column, err.message) == (1, column, message)
+        assert len(err.all_errors) == 2
+        last = err.all_errors[1]
+        assert (last.line, last.column, last.message) == (3, 8, "unexpected character '?'")
+
+    def test_literal_outside_a_ket_is_located_at_its_bracket(self):
+        err = first_error("op A = [1, 0]\n")
+        assert (err.line, err.column, err.message) == (1, 8, "expected an operator expression")
+
+    def test_vector_length_capped(self):
+        err = first_error("ket k = [" + ", ".join(["1"] * 1025) + "]\n")
+        assert isinstance(err, ResolutionError)
+        assert (err.line, err.column, err.message) == (1, 9, "vector longer than 1024")
+        assert len(err.all_errors) == 1
+
+    def test_out_of_range_number_outranks_length(self):
+        err = first_error("ket k = [" + ", ".join(["1"] * 1025 + [self.BIG]) + "]\n")
+        assert (err.column, err.message) == (10 + 3 * 1025, "number out of range")
+
+    @pytest.mark.parametrize("ending", ["", " - 3 ]"], ids=["unclosed", "real-minus-real"])
+    def test_malformed_long_literal_fails_in_linear_time(self, ending):
+        # two spaces after each comma: a whitespace pattern that can split a
+        # run two ways backtracks exponentially on these
+        line = "ket k = [" + ",  ".join(["1"] * 4096) + ending
+        column = len(line) + 1 if not ending else line.index(ending) + 2
+        start = time.perf_counter()
+        err = first_error(line + "\n")
+        elapsed = time.perf_counter() - start
+        assert (err.line, err.column, err.message) == (1, column, "expected ']'")
+        assert elapsed < 1.0, f"4096-entry malformed literal took {elapsed:.3f}s >= 1.0s"
 
 
 def mutate(data, rng):
