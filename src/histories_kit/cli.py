@@ -17,6 +17,7 @@ probabilities, non-commuting CHSH operators, and the like), 64 usage errors
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -444,6 +445,7 @@ _seed = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
 _angle = _checked(float, math.isfinite, "a finite angle in degrees")
 
 
+@functools.cache  # built on first use, then shared: parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="histkit", description="consistent-histories CHSH toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

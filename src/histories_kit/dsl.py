@@ -30,8 +30,9 @@ notation); a leading minus negates the first component. A well-formed ket
 literal on one line lexes as a single token and converts in one pass; any
 other bracket is lexed piece by piece, so its first error is reported where
 it occurs. In operator expressions a scalar is a single real or
-pure-imaginary literal. Angles are degrees. `#` starts a comment; names are
-declared before use.
+pure-imaginary literal. A +/- chain evaluates in one loop, its terms
+c*proj(v) as one product over the stacked kets. Angles are degrees. `#`
+starts a comment; names are declared before use.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
+from .config import check, tolerances
 from .errors import ParseError, ResolutionError, ToolkitError
 from .hilbert import (
     PDI,
@@ -91,13 +93,9 @@ class NameRef:
 
 
 @dataclass(frozen=True)
-class BuiltinPauli:
-    which: str  # "X" | "Y" | "Z"
-
-
-@dataclass(frozen=True)
-class BuiltinI:
-    dim: int
+class Builtin:
+    name: str  # "I" | "X" | "Y" | "Z"
+    dim: int = 2  # read only for "I"
 
 
 @dataclass(frozen=True)
@@ -127,10 +125,13 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class BinOp:
-    op: str  # "+" | "-" | "*"
-    left: object
-    right: object
+class Sum:
+    terms: tuple[tuple[str, object], ...]  # (sign, term) in source order; the first sign is "+"
+
+
+@dataclass(frozen=True)
+class Product:
+    factors: tuple[object, ...]  # in source order
 
 
 @dataclass(frozen=True)
@@ -724,19 +725,19 @@ class _Parser:
 
     def expr(self, depth: int):
         self.check_depth(depth)
-        node = self.term(depth + 1)
+        terms = [("+", self.term(depth + 1))]
         while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance().text
-            node = BinOp(op, node, self.term(depth + 1))
-        return node
+            sign = self.advance().text
+            terms.append((sign, self.term(depth + 1)))
+        return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self, depth: int):
         self.check_depth(depth)
-        node = self.factor(depth + 1)
+        factors = [self.factor(depth + 1)]
         while self.at_punct("*"):
             self.advance()
-            node = BinOp("*", node, self.factor(depth + 1))
-        return node
+            factors.append(self.factor(depth + 1))
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def factor(self, depth: int):
         self.check_depth(depth)
@@ -754,7 +755,7 @@ class _Parser:
             self.fail(tok, "expected an operator expression")
         if tok.text in ("X", "Y", "Z"):
             self.advance()
-            return BuiltinPauli(tok.text)
+            return Builtin(tok.text)
         if tok.text == "I":
             self.advance()
             self.expect_punct("(")
@@ -762,7 +763,7 @@ class _Parser:
             self.expect_punct(")")
             if not 1 <= dim <= MAX_DIM:
                 self.resolve_fail(dim_tok, f"dimension must lie in 1..{MAX_DIM}")
-            return BuiltinI(dim)
+            return Builtin("I", dim)
         if tok.text == "sigma":
             self.advance()
             self.expect_punct("(")
@@ -813,25 +814,24 @@ class _Parser:
             self.resolve_fail(tok, f"{tok.text!r} is a {bound.kind}, expected a {kind}")
         return bound.value
 
+    def _ket(self, name: str, at: _Token) -> Ket:
+        return self.lookup(_Token("NAME", name, at.line, at.col), "ket")
+
     def _eval(self, node, at: _Token):
         if isinstance(node, ScalarLit):
             return node.value
         if isinstance(node, NameRef):
             tok = _Token("NAME", node.name, at.line, at.col)
             return self.lookup(tok, "op")
-        if isinstance(node, BuiltinPauli):
-            return builtin_operator(node.which)
-        if isinstance(node, BuiltinI):
-            return builtin_operator("I", node.dim)
+        if isinstance(node, Builtin):
+            return builtin_operator(node.name, node.dim)
         if isinstance(node, BuiltinSigma):
             angle = np.radians(node.angle_deg)
             return self.evaluated(
                 at, lambda: builtin_operator((np.sin(angle), 0.0, np.cos(angle)))
             )
         if isinstance(node, Proj):
-            tok = _Token("NAME", node.ket, at.line, at.col)
-            ket = self.lookup(tok, "ket")
-            return ket.projector().op
+            return self._ket(node.ket, at).projector().op
         if isinstance(node, Neg):
             return -self._eval(node.inner, at)
         if isinstance(node, Kron):
@@ -842,25 +842,94 @@ class _Parser:
             if left.dim * right.dim > MAX_DIM:
                 self.resolve_fail(at, f"kron result exceeds dimension {MAX_DIM}")
             return Operator(np.kron(left.entries, right.entries))
-        if isinstance(node, BinOp):
-            left = self._eval(node.left, at)
-            right = self._eval(node.right, at)
-            if node.op == "*":
-                if isinstance(left, Operator) and isinstance(right, Operator):
-                    return self.evaluated(at, lambda: left @ right)
-                if isinstance(left, Operator):
-                    return right * left
-                if isinstance(right, Operator):
-                    return left * right
-                return left * right
-            if isinstance(left, Operator) != isinstance(right, Operator):
-                self.resolve_fail(at, f"cannot apply {node.op!r} to an operator and a scalar")
-            if not isinstance(left, Operator):
-                return left + right if node.op == "+" else left - right
-            return self.evaluated(
-                at, lambda: left + right if node.op == "+" else left - right
-            )
+        if isinstance(node, Product):
+            # fold left to right: operators compose, a scalar scales
+            value = self._eval(node.factors[0], at)
+            for factor in node.factors[1:]:
+                right = self._eval(factor, at)
+                if isinstance(value, Operator) and isinstance(right, Operator):
+                    value = self.evaluated(at, lambda: value @ right)
+                else:
+                    value = value * right
+            return value
+        if isinstance(node, Sum):
+            return self._sum(node.terms, at)
         raise AssertionError(f"unhandled node {node!r}")
+
+    def _scaled_projector(self, node, at: _Token) -> tuple[np.ndarray, complex] | None:
+        """(v, c) when the term is c*proj(v), proj(v)*c or proj(v), any factor
+        negated; None for any other term."""
+        factors = node.factors if isinstance(node, Product) else (node,)
+        if len(factors) > 2:
+            return None
+        coeff, ket = 1.0 + 0.0j, None
+        for factor in factors:
+            while isinstance(factor, Neg):
+                factor, coeff = factor.inner, -coeff
+            if isinstance(factor, Proj) and ket is None:
+                ket = self._ket(factor.ket, at)
+            elif isinstance(factor, ScalarLit):
+                coeff *= factor.value
+            else:
+                return None
+        return None if ket is None else (ket.amplitudes, coeff)
+
+    def _sum(self, terms, at: _Token):
+        """Evaluate a +/- chain in one pass, running the checks of a
+        term-by-term sum in source order: each term matches the first in kind
+        (operator or scalar) and in dimension.
+
+        The terms c*proj(v) stack v into the columns of K and become one
+        product, K diag(c) K-dagger, symmetrised when every c is real. The other
+        operator terms accumulate in source order, so a chain without such
+        terms sums exactly as term by term.
+        """
+        dim = None  # the first term's dimension; None for a scalar chain
+        total = dense = None
+        kets, coeffs = [], []
+        for index, (sign, node) in enumerate(terms):
+            scaled = self._scaled_projector(node, at)
+            if scaled:
+                value, d = None, len(scaled[0])
+            else:
+                value = self._eval(node, at)
+                d = value.dim if isinstance(value, Operator) else None
+            if index == 0:
+                dim = d
+            elif (d is None) != (dim is None):
+                self.resolve_fail(at, f"cannot apply {sign!r} to an operator and a scalar")
+            elif d != dim:
+                self.resolve_fail(at, f"operator dims differ: {dim} vs {d}")
+            if d is None:
+                total = value if index == 0 else total + value if sign == "+" else total - value
+            elif scaled:
+                kets.append(scaled[0])
+                coeffs.append(scaled[1] if sign == "+" else -scaled[1])
+            elif dense is None:
+                dense = np.array(value.entries) if sign == "+" else -value.entries
+            elif sign == "+":
+                dense += value.entries
+            else:
+                dense -= value.entries
+        if dim is None:
+            return total
+        if kets:
+            k = np.array(kets).T
+            # the unit-norm check that Projector.from_basis runs on one ket
+            defect = float(np.abs(np.einsum("ij,ij->j", k.conj(), k) - 1.0).max())
+            message = "basis columns are not orthonormal"
+            self.evaluated(at, lambda: check(defect, tolerances().algebraic, ValueError, message))
+            weights = np.array(coeffs)
+            real = not weights.imag.any()
+            combined = (k * (weights.real if real else weights)) @ k.conj().T
+            if real:
+                combined += combined.conj().T
+                combined *= 0.5
+            if dense is None:
+                dense = combined
+            else:
+                dense += combined
+        return Operator(dense)
 
 
 def parse_spec(source: str) -> ExperimentSpec:
@@ -899,10 +968,8 @@ def _render_complex(z: complex) -> str:
 def _render_expr(node) -> str:
     if isinstance(node, NameRef):
         return node.name
-    if isinstance(node, BuiltinPauli):
-        return node.which
-    if isinstance(node, BuiltinI):
-        return f"I({node.dim})"
+    if isinstance(node, Builtin):
+        return f"I({node.dim})" if node.name == "I" else node.name
     if isinstance(node, BuiltinSigma):
         return f"sigma({_dec(node.angle_deg)})"
     if isinstance(node, Kron):
@@ -913,10 +980,11 @@ def _render_expr(node) -> str:
         return _render_complex(node.value)
     if isinstance(node, Neg):
         return "-" + _render_expr(node.inner)
-    if isinstance(node, BinOp):
-        if node.op == "*":
-            return f"{_render_expr(node.left)}*{_render_expr(node.right)}"
-        return f"{_render_expr(node.left)} {node.op} {_render_expr(node.right)}"
+    if isinstance(node, Product):
+        return "*".join(map(_render_expr, node.factors))
+    if isinstance(node, Sum):
+        (_, first), *rest = node.terms
+        return _render_expr(first) + "".join(f" {sign} {_render_expr(t)}" for sign, t in rest)
     raise AssertionError(f"unhandled node {node!r}")
 
 

@@ -465,3 +465,23 @@ def test_criterion_14_commutation_of_spectral_pdis_at_d256():
         common_refinement(p, r)
     first = (str(dim - int(max(lam[a], lam[b]))), str(dim - int(max(mu[a], mu[b]))))
     assert exc.value.pair == first
+
+
+def test_criterion_16_projector_sum_parse_at_d512():
+    # H is written as its spectral decomposition, 512 terms lambda_k*proj(v_k)
+    # over a random real orthonormal basis: about 5 MB of spec text
+    dim = 512
+    rng = np.random.default_rng(512)
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0].T  # rows are orthonormal
+    values = [f"{1.0 + 0.05 * i:.6f}" for i in rng.permutation(dim)]
+    lines = [f"ket v{i} = [{', '.join(f'{x:.15f}' for x in row)}]" for i, row in enumerate(basis)]
+    lines.append("op H = " + " + ".join(f"{lam}*proj(v{i})" for i, lam in enumerate(values)))
+    lines.append("pdi P = spectral(H)")
+    text = "\n".join(lines) + "\n"
+    with _Budget(16, f"spectral(H) spec with a {dim}-term projector sum parses", 2.0):
+        spec = parse_spec(text)
+    binding = spec.environment["P"]
+    assert len(binding.value) == dim
+    expected = sorted((float(v) for v in values), reverse=True)
+    assert np.abs(np.array(binding.extra) - expected).max() < 1e-9
+

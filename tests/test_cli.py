@@ -179,6 +179,39 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    # the epr default angle lists go straight into the payload: a command that
+    # mutated them would change every later epr report of the process
+    SEQUENCE = [
+        ["epr", "--alice-deg", "0", "90", "--format", "json"],
+        ["epr", "--format", "json"],
+        ["run", str(SPEC_DIR / "neon.spec"), "--tol", "1e-6", "--format", "json"],
+        ["run", str(SPEC_DIR / "neon.spec"), "--format", "json"],
+        ["epr", "--alice-deg", "0"],
+        ["lhv-bound", "--format", "json"],
+    ]
+    GOLDEN = {1: "epr.json", 3: "run-neon.json", 5: "lhv-bound.json"}
+
+    def test_one_parser_serves_a_sequence_of_commands(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "TOOL_VERSION", "TEST")
+
+        def outcome(argv):
+            code, out = run_cli(argv)
+            return code, out, capsys.readouterr().err
+
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        cli._build_parser.cache_clear()
+        shared = [outcome(argv) for argv in self.SEQUENCE]
+        assert cli._build_parser() is cli._build_parser()
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 64, 0]
+        assert shared == fresh
+        for index, name in self.GOLDEN.items():
+            assert shared[index][1] == (GOLDEN_DIR / name).read_text()
+
+
 class TestToleranceOverrides:
     def test_env_var_loosens_consistency(self, monkeypatch):
         spec = str(SPEC_DIR / "interference.spec")

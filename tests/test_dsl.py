@@ -1,5 +1,7 @@
 """Experiment-description language: parsing, validation, rendering, fuzzing."""
 
+import io
+import json
 import math
 import random
 import time
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from histories_kit import cli
 from histories_kit.dsl import (
     BellQuery,
     ConditionalQuery,
@@ -20,6 +23,7 @@ from histories_kit.dsl import (
     render_spec,
 )
 from histories_kit.errors import ParseError, ResolutionError
+from histories_kit.hilbert import Ket, builtin_operator
 from histories_kit.sampler import MAX_SHOTS
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -480,6 +484,202 @@ class TestLiterals:
         elapsed = time.perf_counter() - start
         assert (err.line, err.column, err.message) == (1, column, "expected ']'")
         assert elapsed < 1.0, f"4096-entry malformed literal took {elapsed:.3f}s >= 1.0s"
+
+
+def _projector(amplitudes) -> np.ndarray:
+    return Ket(np.array(amplitudes, dtype=complex)).projector().entries
+
+
+def _pauli(name: str) -> np.ndarray:
+    return builtin_operator(name).entries
+
+
+# Hermitian dense terms by dimension, as (text, matrix); N is declared as the last
+_DENSE = {
+    2: [("X", _pauli("X")), ("I(2)", np.eye(2, dtype=complex))],
+    3: [("I(3)", np.eye(3, dtype=complex))],
+    4: [("kron(X, Z)", np.kron(_pauli("X"), _pauli("Z"))), ("I(4)", np.eye(4, dtype=complex))],
+    8: [("kron(X, kron(Y, Z))", np.kron(_pauli("X"), np.kron(_pauli("Y"), _pauli("Z"))))],
+}
+_QUARTERS = st.integers(-4, 4).map(lambda n: n / 4)
+
+
+@st.composite
+def _chain_ket(draw, dim):
+    parts = draw(st.lists(st.tuples(_QUARTERS, _QUARTERS), min_size=dim, max_size=dim))
+    if not any(re or im for re, im in parts):
+        parts[0] = (1.0, 0.0)
+    text = [f"{re}" if im == 0 else f"{re}{'+' if im > 0 else '-'}{abs(im)}i" for re, im in parts]
+    return f"[{', '.join(text)}]", [complex(re, im) for re, im in parts]
+
+
+@st.composite
+def _chain(draw):
+    """A +/- chain at a random dimension, as (spec text, terms). Each term is
+    (sign, matrix, kind, c): kind "proj" for c*proj(v) in one of its forms,
+    "dense" for a Hermitian operator, "product" for proj(u)*proj(w); c is
+    the coefficient of a "proj" term, else None."""
+    dim = draw(st.sampled_from([2, 3, 4, 8]))
+    kets = [draw(_chain_ket(dim)) for _ in range(draw(st.integers(1, 3)))]
+    projectors = [_projector(amplitudes) for _, amplitudes in kets]
+    named = _DENSE[dim][-1]
+    dense = _DENSE[dim] + [("N", named[1])]
+    lines = [f"ket k{i} = {text}" for i, (text, _) in enumerate(kets)]
+    lines.append(f"op N = {named[0]}")
+    body, terms = [], []
+    for index in range(draw(st.integers(2, 8))):
+        sign = "+" if index == 0 else draw(st.sampled_from("+-"))
+        kind = draw(st.sampled_from(["proj", "proj", "dense", "product"]))
+        k = draw(st.integers(0, len(kets) - 1))
+        if kind == "proj":
+            coeff = draw(st.integers(0, 4000)) / 1000
+            imaginary = draw(st.booleans())
+            c = complex(0.0, coeff) if imaginary else complex(coeff, 0.0)
+            c_text = f"{coeff}i" if imaginary else f"{coeff}"
+            form = draw(st.sampled_from(["c*p", "p*c", "-c*p", "p", "-p"]))
+            text = {"c*p": f"{c_text}*proj(k{k})", "p*c": f"proj(k{k})*{c_text}",
+                    "-c*p": f"-{c_text}*proj(k{k})", "p": f"proj(k{k})",
+                    "-p": f"-proj(k{k})"}[form]
+            value = {"c*p": c, "p*c": c, "-c*p": -c, "p": 1.0 + 0.0j, "-p": -1.0 + 0.0j}[form]
+            matrix = projectors[k] * value
+        elif kind == "dense":
+            text, matrix = draw(st.sampled_from(dense))
+        else:
+            j = draw(st.integers(0, len(kets) - 1))
+            text, matrix = f"proj(k{k})*proj(k{j})", projectors[k] @ projectors[j]
+        body.append(text if index == 0 else f"{sign} {text}")
+        terms.append((sign, matrix, kind, value if kind == "proj" else None))
+    lines.append("op H = " + " ".join(body))
+    return "\n".join(lines) + "\n", terms
+
+
+class TestChains:
+    KETS = "ket a = [1, 0]\nket b = [0, 1]\nket c = [1, 0, 0]\nop A = X\n"
+    # a second, independent error on line 6 shows that recovery resumes
+    TAIL = "\nop B = ?\n"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("proj(a) + 2*proj(b) + proj(c) + proj(a)", "operator dims differ: 2 vs 3"),
+            ("proj(c) + X", "operator dims differ: 3 vs 2"),
+            ("X + proj(a) + kron(X, Z)", "operator dims differ: 2 vs 4"),
+            ("-proj(a) - -2*proj(c)", "operator dims differ: 2 vs 3"),
+            ("X*Z*proj(c)", "operator dims differ: 2 vs 3"),
+            ("proj(a) - proj(b) + 0.5*proj(zz) + proj(a)", "unknown name 'zz'"),
+            ("proj(a)*2*proj(zz)", "unknown name 'zz'"),
+            ("proj(c) + X + proj(zz)", "operator dims differ: 3 vs 2"),
+            ("1 + proj(a)", "cannot apply '+' to an operator and a scalar"),
+            ("proj(a) + 1", "cannot apply '+' to an operator and a scalar"),
+            ("proj(a) - 2", "cannot apply '-' to an operator and a scalar"),
+            ("1 + 2 - proj(a)", "cannot apply '-' to an operator and a scalar"),
+            ("proj(a) + 1 + proj(zz)", "cannot apply '+' to an operator and a scalar"),
+            ("2 + 3", "operator expression evaluates to a bare scalar"),
+            ("kron(1 + 2, X)", "kron needs two operators"),
+            ("proj(a) + proj(A)", "'A' is a op, expected a ket"),
+        ],
+        ids=[
+            "ket-dim-mid-chain",
+            "projector-then-dense",
+            "dense-dims",
+            "negated-terms",
+            "product-dims",
+            "unknown-third-term",
+            "unknown-in-product",
+            "dims-before-unknown",
+            "scalar-then-operator",
+            "operator-then-scalar",
+            "operator-minus-scalar",
+            "scalar-chain-then-operator",
+            "kind-before-unknown",
+            "bare-scalar",
+            "kron-of-scalar-sum",
+            "proj-of-op",
+        ],
+    )
+    def test_chain_diagnostics(self, body, message):
+        # pinned from the term-by-term evaluation: each check fires at the
+        # op name, in source order
+        err = first_error(f"{self.KETS}op H = {body}{self.TAIL}")
+        assert isinstance(err, ResolutionError)
+        assert (err.line, err.column, err.message) == (5, 4, message)
+        assert len(err.all_errors) == 2
+        last = err.all_errors[1]
+        assert (last.line, last.column, last.message) == (6, 8, "unexpected character '?'")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_chain())
+    def test_chain_matches_left_to_right_sum(self, chain):
+        text, terms = chain
+        spec = parse_spec(text)
+        got = spec.environment["H"].value.entries
+        want = terms[0][1]
+        for sign, matrix, _, _ in terms[1:]:
+            want = want + matrix if sign == "+" else want - matrix
+        coeffs = [c for _, _, kind, c in terms if kind == "proj"]
+        if not coeffs:
+            assert got.tobytes() == want.tobytes()
+        else:
+            scale = sum(float(np.abs(matrix).max()) for _, matrix, _, _ in terms)
+            assert np.abs(got - want).max() <= 1e-13 * scale
+        if all(c.imag == 0 for c in coeffs) and all(kind != "product" for *_, kind, _ in terms):
+            assert np.array_equal(got, got.conj().T)
+        assert parse_spec(render_spec(spec)) == spec
+
+    def test_chains_without_projector_terms_sum_bit_for_bit(self):
+        # measurement.spec's pointer shift: products of projectors, summed
+        spec = parse_spec((SPEC_DIR / "measurement.spec").read_text())
+        env = spec.environment
+        kets = {d.name: d.amplitudes for d in spec.declarations if isinstance(d, KetDecl)}
+        proj = {name: _projector(amplitudes) for name, amplitudes in kets.items()}
+        shift = (
+            ((proj["p1"] * 2) @ proj["m01"]) @ proj["p0"]
+            + ((proj["p2"] * 2) @ proj["m12"]) @ proj["p1"]
+            + ((proj["p0"] * 2) @ proj["m20"]) @ proj["p2"]
+        )
+        t = np.kron(proj["s0"], shift) + np.kron(proj["s1"], shift @ shift)
+        assert env["SHIFT"].value.entries.tobytes() == shift.tobytes()
+        assert env["T"].value.entries.tobytes() == t.tobytes()
+
+        # a criterion-13-style sum of scaled kron terms at d = 16
+        factors, dim = 4, 16
+        terms, want = [], None
+        for k in range(factors):
+            theta = 10.0 + 17.0 * k
+            terms.append(
+                f"{2**k / dim}*kron(I({2**k}), kron(sigma({theta}), I({2 ** (factors - 1 - k)})))"
+            )
+            angle = np.radians(theta)
+            sigma = builtin_operator((np.sin(angle), 0.0, np.cos(angle))).entries
+            eye = np.eye(2 ** (factors - 1 - k), dtype=complex)
+            term = np.kron(np.eye(2**k, dtype=complex), np.kron(sigma, eye)) * (2**k / dim)
+            want = term if want is None else want + term
+        got = parse_spec(f"op H = {' + '.join(terms)}\n").environment["H"].value.entries
+        assert got.tobytes() == want.tobytes()
+
+    def test_long_chains_run(self, tmp_path):
+        # 2,000 terms and 2,000 factors: H = 500 [a] - 250 [b] and U = -X
+        n = 2000
+        terms = ["0.5*proj(a)" if k % 2 == 0 else "proj(b)*0.25" for k in range(n)]
+        body = " + ".join(" - ".join(terms[k : k + 2]) for k in range(0, n, 2))
+        sums = f"op H = {body}\npdi P = spectral(H)\nquery sample a P shots 1000 seed 1\n"
+        products = "op U = -1*" + "*".join(["X"] * (n - 1))
+        products += "\npdi P = spectral(U)\nquery sample s P shots 1000 seed 1\n"
+        cases = [
+            (sums, "H", np.diag([500.0, -250.0]), 500.0),
+            (products, "U", -_pauli("X"), -1.0),
+        ]
+        kets = "ket a = [1, 0]\nket b = [0, 1]\nket s = [1, 1]\n"
+        for decls, name, closed_form, mean in cases:
+            spec = parse_spec(kets + decls)
+            assert np.array_equal(spec.environment[name].value.entries, closed_form)
+            assert parse_spec(render_spec(spec)) == spec
+            path = tmp_path / f"{name}.spec"
+            path.write_text(kets + decls)
+            out = io.StringIO()
+            assert cli.execute(["run", str(path), "--format", "json"], out=out) == 0
+            (result,) = json.loads(out.getvalue())["results"]
+            assert abs(result["empirical_mean"] - mean) < 1e-9
 
 
 def mutate(data, rng):
