@@ -10,10 +10,16 @@ propagated once. Off-diagonal chain-vector inner products are the
 decoherence functional; the family is consistent when every off-diagonal
 modulus falls below the algebraic tolerance, and only then are squared chain
 norms handed out as probabilities. The largest off-diagonal modulus is
-streamed over blocks of Gram rows with exactly-zero chains skipped, so the
-check holds O(H*d) memory plus one row block for H histories; the dense
-H x H Gram matrix is assembled, at O(H^2), only when `ConsistencyReport.gram`
-is read.
+found by scanning the nonzero chains in decreasing norm order, one block of
+Gram rows at a time, and stopping where Cauchy-Schwarz (|<y|z>| <= |y||z|)
+shows that no entry not yet formed can exceed the maximum so far. The check
+holds O(H*d) memory plus one row block for H histories. When the maximum
+lies among the largest chains, as it does for two-qubit families with
+kron(sigma, sigma) propagators and Z events, the scan forms one 256 x 256
+block (65,536 entries) where a full scan forms 8.4 M at H = 4096 and 134 M
+at H = 16,384; mutually orthogonal chains are still scanned in full. The
+dense H x H Gram matrix is assembled, at O(H^2), only when
+`ConsistencyReport.gram` is read.
 """
 
 from __future__ import annotations
@@ -117,6 +123,8 @@ class HistoryFamily:
         object.__setattr__(self, "event_pdis", pdis)
         if self.histories is not None:
             chosen = tuple(tuple(str(l) for l in h) for h in self.histories)
+            if not chosen:
+                raise ValueError("explicit history subset is empty")
             if len(set(chosen)) != len(chosen):
                 raise ValueError("duplicate history in explicit subset")
             for h in chosen:
@@ -141,8 +149,9 @@ class HistoryFamily:
         return tuple(product(*(pdi.labels for pdi in self.event_pdis)))
 
 
-# Gram rows per block of the streamed off-diagonal scan; a block holds at
-# most _GRAM_BLOCK x H complex entries (16 MiB at H = 4096).
+# Gram rows per block of the norm-ordered off-diagonal scan, which stops at
+# the Cauchy-Schwarz cut; a block holds at most _GRAM_BLOCK x H complex
+# entries (16 MiB at H = 4096), and only one block is held at a time.
 _GRAM_BLOCK = 256
 
 
@@ -211,24 +220,54 @@ def _chain_matrix(fam: HistoryFamily, histories=None) -> np.ndarray:
 
 
 def _gram_scan(chains: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gram diagonal and largest |<K(Y)|K(Z)>| over Y != Z, by row blocks.
+    """Squared chain norms and the largest |<K(Y)|K(Z)>| over Y != Z.
 
     Exactly-zero chains have exactly-zero inner products, so they are
-    skipped: their diagonal entries stay 0.0 and the maximum is unchanged.
-    The Gram matrix is Hermitian, so each block covers only the columns from
-    its own first row on, and the block's own diagonal is the Gram diagonal.
+    skipped with weight exactly 0. The live chains are sorted by decreasing
+    norm and scanned one block of _GRAM_BLOCK rows at a time: the block's own
+    square first, then its columns up to `cut`. Every row y of the block
+    starting at s has |y| <= norm[s], so by Cauchy-Schwarz a column z with
+    norm[s] |z| < worst cannot raise the maximum `worst`; once `cut` falls
+    inside the block, no later pair can either and the scan stops.
     """
     live = np.flatnonzero(chains.any(axis=1))
     rows = chains[live]
-    diag = np.zeros(len(chains), dtype=complex)
+    parts = rows.view(float)
+    squares = np.einsum("ij,ij->i", parts, parts)
+    weights = np.zeros(len(chains))
+    weights[live] = squares
+    norms = np.sqrt(squares)
+    small = squares < np.finfo(float).tiny
+    if small.any():
+        # the squared norm underflowed: rescale by the largest |entry| so a
+        # live chain never gets a zero (and so always pruned) bound
+        peak = np.abs(rows[small]).max(axis=1)
+        norms[small] = peak * np.linalg.norm(rows[small] / peak[:, None], axis=1)
+    order = np.argsort(-norms, kind="stable")
+    rows, norms = rows[order], norms[order]
+    ascending = -norms  # searchsorted keys
+    # A pruned pair must have a computed |<y|z>| no larger than `worst`. With
+    # u the unit roundoff and d the row length, the computed modulus of a
+    # d-term complex inner product is at most |y||z| (1 + (d+3)u), a computed
+    # norm is at least the true one times 1 - (d+1)u (2d squares summed, one
+    # square root), and the bound worst / (norm[s] slack) is itself off by
+    # 2u. Together that is (3d+7)u to first order; the slack takes about
+    # twice it, so a pair can be pruned only when its entry cannot exceed
+    # `worst`.
+    slack = 1.0 + 4 * (rows.shape[1] + 4) * np.finfo(float).eps
     worst = 0.0
     for start in range(0, len(rows), _GRAM_BLOCK):
-        block = rows[start : start + _GRAM_BLOCK].conj() @ rows[start:].T
-        own = np.arange(len(block))
-        diag[live[start : start + _GRAM_BLOCK]] = block[own, own]
-        block[own, own] = 0.0
+        end = min(start + _GRAM_BLOCK, len(rows))
+        head = rows[start:end].conj()
+        block = head @ rows[start:end].T
+        np.fill_diagonal(block, 0.0)
         worst = max(worst, float(np.abs(block).max()))
-    return diag, worst
+        bound = worst / (norms[start] * slack)
+        cut = int(np.searchsorted(ascending, -bound, side="right"))
+        if cut <= end:
+            break
+        worst = max(worst, float(np.abs(head @ rows[end:cut].T).max()))
+    return weights, worst
 
 
 def chain_vector(fam: HistoryFamily, history) -> np.ndarray:
@@ -253,16 +292,12 @@ def consistency_check(fam: HistoryFamily) -> ConsistencyReport:
     """
     histories = fam.all_histories()
     chains = _chain_matrix(fam, fam.histories)
-    diag, max_offdiag = _gram_scan(chains)
+    weights, max_offdiag = _gram_scan(chains)
     tol = tolerances()
-    message = "gram diagonal is not a real nonnegative weight vector"
-    check(-float(diag.real.min()), tol.probability, VerificationFailedError, message)
-    check(float(np.abs(diag.imag).max()), tol.probability, VerificationFailedError, message)
     if fam.exhaustive:
-        excess = float(diag.real.sum()) - 1.0
+        excess = float(weights.sum()) - 1.0
         message = "exhaustive family weights exceed 1"
         check(excess, tol.reconstruction, VerificationFailedError, message)
-    weights = diag.real
     chains.setflags(write=False)
     weights.setflags(write=False)
     return ConsistencyReport(

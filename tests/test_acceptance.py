@@ -485,3 +485,71 @@ def test_criterion_16_projector_sum_parse_at_d512():
     expected = sorted((float(v) for v in values), reverse=True)
     assert np.abs(np.array(binding.extra) - expected).max() < 1e-9
 
+
+
+def _blocked_max_offdiag(chains: np.ndarray, block: int = 128) -> float:
+    """Largest |<K(Y)|K(Z)>| over Y != Z from every upper-triangle Gram entry."""
+    worst = 0.0
+    for start in range(0, len(chains), block):
+        rows = chains[start : start + block].conj() @ chains[start:].T
+        own = np.arange(len(rows))
+        rows[own, own] = 0.0
+        worst = max(worst, float(np.abs(rows).max()))
+    return worst
+
+
+def test_criterion_17_consistency_of_a_16384_history_family(tmp_path):
+    # a two-qubit family with 14 two-outcome times, kron(sigma(a), sigma(b))
+    # propagators and Z events on either qubit: generically inconsistent
+    times = 14
+    rng = np.random.default_rng(17)
+    angles = [(f"{a:.6f}", f"{b:.6f}") for a, b in rng.uniform(0.0, 360.0, size=(times, 2))]
+    events = rng.choice(["ZA", "ZB"], size=times)
+    amps = rng.uniform(0.3, 0.7, size=4) * rng.choice([-1.0, 1.0], size=4)
+    lines = [
+        "ket k0 = [1, 0]",
+        "ket k1 = [0, 1]",
+        "op ZA0 = kron(proj(k0), I(2))",
+        "op ZA1 = kron(proj(k1), I(2))",
+        "op ZB0 = kron(I(2), proj(k0))",
+        "op ZB1 = kron(I(2), proj(k1))",
+        "pdi ZA = {ZA0, ZA1}",
+        "pdi ZB = {ZB0, ZB1}",
+        f"ket psi = [{', '.join(f'{x:.17f}' for x in amps)}]",
+    ]
+    lines += [
+        f"op U{t} = kron(sigma({a}), sigma({b}))"
+        for t, (a, b) in enumerate(angles, start=1)
+    ]
+    lines += ["family F {", "  initial psi;"]
+    lines += [f"  prop {t} = U{t};" for t in range(1, times + 1)]
+    lines += [f"  events {t} = {e};" for t, e in enumerate(events, start=1)]
+    lines += ["}", "query consistency F"]
+    spec = tmp_path / "h16384.spec"
+    spec.write_text("\n".join(lines) + "\n")
+    out = io.StringIO()
+    with _Budget(17, f"consistency of a {2**times}-history family", 0.5):
+        code = cli.execute(["run", str(spec), "--format", "json"], out=out)
+    assert code == 0
+    (result,) = json.loads(out.getvalue())["results"]
+    assert result["n_histories"] == 2**times
+
+    # reference: chain vectors level by level in plain numpy, then every
+    # upper-triangle Gram entry
+    def sigma(deg):
+        c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+        return np.array([[c, s], [s, -c]])
+
+    z = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    lifted = {"ZA": [np.kron(p, np.eye(2)) for p in z], "ZB": [np.kron(np.eye(2), p) for p in z]}
+    chains = (amps / np.linalg.norm(amps))[None, :].astype(complex)
+    for (a, b), e in zip(angles, events):
+        moved = chains @ np.kron(sigma(float(a)), sigma(float(b))).T
+        chains = np.stack([moved @ p.T for p in lifted[e]], axis=1).reshape(-1, 4)
+    expected = _blocked_max_offdiag(chains)
+    assert expected > 1e-6  # far from the consistency tolerance
+    # the report rounds to 12 significant digits; the library value is exact
+    report = consistency_check(parse_spec(spec.read_text()).environment["F"].value)
+    assert abs(report.max_offdiag - expected) <= 1e-12 * expected
+    assert result["max_offdiag"] == float(f"{report.max_offdiag:.12g}")
+    assert result["consistent"] is False

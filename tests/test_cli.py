@@ -63,10 +63,7 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN_DIR / name).read_text()
 
-    @pytest.mark.parametrize(
-        "stem",
-        ["epr", "interference", "measurement", "neon", "product", "sampling"],
-    )
+    @pytest.mark.parametrize("stem", [path.stem for path in sorted(SPEC_DIR.glob("*.spec"))])
     def test_run_reports(self, stem, monkeypatch):
         code, out = run_cli(
             ["run", str(SPEC_DIR / f"{stem}.spec"), "--format", "json"], monkeypatch

@@ -1,6 +1,7 @@
 """History families, chain vectors, consistency, and the measurement model."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from histories_kit.errors import (
     UnknownLabelError,
     ZeroProbabilityConditionError,
 )
+from histories_kit import histories
 from histories_kit.hilbert import (
     PDI,
     Ket,
@@ -90,6 +92,12 @@ class TestHistoryFamily:
             HistoryFamily(grid, ket(1, 0), (pdi,), histories=(("nope",),))
         with pytest.raises(ValueError):
             HistoryFamily(grid, ket(1, 0), (pdi,), histories=(("0",), ("0",)))
+
+    def test_empty_explicit_subset_rejected(self):
+        grid = TimeGrid(("t0", "t1"), (EYE2,))
+        pdi = spectral_decompose(Z).pdi
+        with pytest.raises(ValueError, match="explicit history subset is empty"):
+            HistoryFamily(grid, ket(1, 0), (pdi,), histories=[])
 
     def test_all_histories_cartesian(self):
         fam = interference_family()
@@ -224,6 +232,72 @@ class TestConsistencyDifferential:
         np.testing.assert_allclose(report.gram, gram, rtol=0, atol=1e-12)
         for history, vec in zip(fam.all_histories(), chains):
             np.testing.assert_allclose(chain_vector(fam, history), vec, rtol=0, atol=1e-12)
+
+
+def scan_rows(seed, kind):
+    """Up to 400 chain-like rows of length 1..8 for the pruned Gram scan.
+
+    "spread": log-normal norms; "ties": copies of a few rows times unit
+    phases, so norms tie exactly and the maximum is a Cauchy-Schwarz
+    equality; "parallel": large mutually orthogonal coordinate rows, two
+    small parallel rows that hold the maximum (again an equality), and many
+    tiny rows. Every kind gets some exactly-zero rows.
+    """
+    rng = np.random.default_rng(seed)
+    h, d = int(rng.integers(0, 401)), int(rng.integers(1, 9))
+    is_complex = rng.random() < 0.5
+
+    def draw(n, dim):
+        x = rng.standard_normal((n, dim)).astype(complex)
+        return x + 1j * rng.standard_normal((n, dim)) if is_complex else x
+
+    phases = np.array([1, -1, 1j, -1j]) if is_complex else np.array([1.0, -1.0])
+    if kind == "spread":
+        rows = draw(h, d) * np.exp(rng.uniform(0, 5) * rng.standard_normal(h))[:, None]
+    elif kind == "ties":
+        base = draw(int(rng.integers(1, 6)), d)
+        rows = base[rng.integers(0, len(base), size=h)] * rng.choice(phases, size=h)[:, None]
+    else:
+        d = max(d, 3)
+        big = int(rng.integers(1, d - 1))
+        large = np.zeros((big, d), dtype=complex)
+        large[np.arange(big), np.arange(big)] = 10.0 ** rng.uniform(2, 4, size=big)
+        direction = np.zeros(d, dtype=complex)
+        direction[big:] = draw(1, d - big)[0]
+        direction /= np.linalg.norm(direction)
+        small = np.outer(rng.uniform(0.5, 2, size=2) * rng.choice(phases, size=2), direction)
+        rows = np.concatenate([large, small, 1e-8 * draw(h, d)])
+        rows = rows[rng.permutation(len(rows))]
+    rows[rng.random(len(rows)) < rng.uniform(0, 0.5)] = 0.0
+    return rows
+
+
+class TestGramScan:
+    @pytest.mark.parametrize("block", [1, 2, 3, 256])
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["spread", "ties", "parallel"]))
+    def test_matches_dense_gram(self, block, seed, kind):
+        chains = scan_rows(seed, kind)
+        with mock.patch.object(histories, "_GRAM_BLOCK", block):
+            weights, max_offdiag = histories._gram_scan(chains)
+        gram = chains.conj() @ chains.T
+        diag = np.diag(gram).real.copy()
+        np.fill_diagonal(gram, 0.0)
+        expected = float(np.abs(gram).max(initial=0.0))
+        assert abs(max_offdiag - expected) <= 8 * np.spacing(expected)
+        # both weights sum 2d rounded squares, in different orders: each is
+        # within 2d eps of the exact value
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(weights - diag) <= 4 * chains.shape[1] * eps * diag)
+        assert np.all(weights[~chains.any(axis=1)] == 0.0)
+
+    def test_underflowing_norm_is_not_pruned(self):
+        # the last row's squared norm underflows to 0, yet it holds the maximum
+        chains = np.array([[1, 0, 0], [2e-200, 0.5, 0], [0, 1e-170, 0]], dtype=complex)
+        with mock.patch.object(histories, "_GRAM_BLOCK", 1):
+            weights, max_offdiag = histories._gram_scan(chains)
+        assert max_offdiag == 5e-171
+        assert weights.tolist() == [1.0, 0.25, 0.0]
 
 
 class TestConditional:
