@@ -9,7 +9,10 @@ Local models fill a 4-D cross-polytope of correlator tables (Fine, PRL 48,
 Correlators are always assembled the way a laboratory would assemble them:
 one Born-rule average per setting pair over the common refinement of the two
 commuting one-party decompositions, then combined with the CHSH signs. The
-direct operator expectation is computed alongside as a cross-check.
+direct operator expectation is computed alongside as a cross-check. Every
+joint is read from one table T[j, k] = Re<P_j psi|Q_k psi>, the Born weight
+of the refinement's member P_j Q_k: E(a,b) sums f_a f_b T, the fixed-setting
+model's prior is T, and Bob's marginal is T summed over Alice's outcomes.
 """
 
 from __future__ import annotations
@@ -251,13 +254,12 @@ def chsh_operator(ops: CHSHOperators) -> Operator:
     return (ops.a0 @ ops.b0) + (ops.a0 @ ops.b1) + (ops.a1 @ ops.b0) - (ops.a1 @ ops.b1)
 
 
-def _born_joints(psi: np.ndarray, obs_a: Observable, obs_b: Observable):
-    """(f_a, f_b, <P_a psi | P_b psi>) for every eigenvalue pair, A-major."""
-    return [
-        (fa, fb, float(np.vdot(pa.apply(psi), pb.apply(psi)).real))
-        for fa, pa in zip(obs_a.eigenvalues, obs_a.pdi.projectors)
-        for fb, pb in zip(obs_b.eigenvalues, obs_b.pdi.projectors)
-    ]
+def _joint_table(psi: np.ndarray, p: PDI, q: PDI) -> np.ndarray:
+    """T[j, k] = Re<P_j psi|Q_k psi>, the Born weight of P_j Q_k when p and q
+    commute; a rank-0 member gives a zero row or column."""
+    left = np.array([pj.apply(psi) for pj in p.projectors])
+    right = np.array([qk.apply(psi) for qk in q.projectors])
+    return (left.conj() @ right.T).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,13 +280,11 @@ def chsh_value(state: Ket, ops: CHSHOperators) -> CHSHValue:
         raise DimensionMismatchError(f"state dim {state.dim} vs operator dim {ops.dim}")
     obs_a = (spectral_decompose(ops.a0), spectral_decompose(ops.a1))
     obs_b = (spectral_decompose(ops.b0), spectral_decompose(ops.b1))
-    psi = state.amplitudes
     e = np.zeros((2, 2))
     for a, b in product((0, 1), repeat=2):
-        total = 0.0
-        for fa, fb, pr in _born_joints(psi, obs_a[a], obs_b[b]):
-            total += fa * fb * pr
-        e[a, b] = total
+        table = _joint_table(state.amplitudes, obs_a[a].pdi, obs_b[b].pdi)
+        # entry by entry, A-major: a cancelling S (singlet, Alice 0/90 deg) rounds by this order
+        e[a, b] = np.sum(np.outer(obs_a[a].eigenvalues, obs_b[b].eigenvalues) * table)
     corr = CorrelationData(e)
     direct = float(chsh_operator(ops).expectation(state).real)
     message = f"per-setting sum {corr.chsh!r} disagrees with direct expectation {direct!r}"
@@ -346,20 +346,18 @@ def lambda_model_fixed_settings(state: Ket, ops: CHSHOperators, s: SettingPair) 
         raise DimensionMismatchError(f"state dim {state.dim} vs operator dim {ops.dim}")
     obs_a = spectral_decompose(ops.alice(s.a))
     obs_b = spectral_decompose(ops.bob(s.b))
-    lambdas = []
-    prior = []
-    resp_a = []
-    resp_b = []
+    table = _joint_table(state.amplitudes, obs_a.pdi, obs_b.pdi)
+    lambdas, resp_a, resp_b = [], [], []
     born = np.zeros((2, 2))
-    for fa, fb, weight in _born_joints(state.amplitudes, obs_a, obs_b):
+    # lambda runs over the eigenvalue pairs A-major, the order of table's entries
+    for (j, fa), (k, fb) in product(enumerate(obs_a.eigenvalues), enumerate(obs_b.eigenvalues)):
         lambdas.append(_sign_label(fa) + _sign_label(fb))
-        prior.append(max(0.0, weight))
         resp_a.append(1.0 if fa > 0 else 0.0)
         resp_b.append(1.0 if fb > 0 else 0.0)
-        born[0 if fa > 0 else 1, 0 if fb > 0 else 1] += weight
+        born[0 if fa > 0 else 1, 0 if fb > 0 else 1] += table[j, k]
     model = LHVModel(
         lambdas=tuple(lambdas),
-        prior=np.array(prior),
+        prior=np.maximum(table, 0.0).reshape(-1),
         resp_a={s.a: np.array(resp_a)},
         resp_b={s.b: np.array(resp_b)},
     )
@@ -570,10 +568,7 @@ def no_signaling_check(
     def _marginals(psi: np.ndarray) -> tuple[tuple[np.ndarray, ...], float]:
         per_choice = []
         for pdi in alice_pdis:
-            marginal = np.zeros(len(bob_pdi))
-            for k, qk in enumerate(bob_pdi.projectors):
-                for pj in pdi.projectors:
-                    marginal[k] += float(np.vdot(pj.apply(psi), qk.apply(psi)).real)
+            marginal = _joint_table(psi, pdi, bob_pdi).sum(axis=0)
             marginal.setflags(write=False)
             per_choice.append(marginal)
         deviation = 0.0

@@ -54,7 +54,7 @@ from .dsl import (
     parse_spec,
     render_query,
 )
-from .hilbert import PDI, Projector, spectral_decompose
+from .hilbert import spectral_decompose
 from .histories import (
     conditional_probability,
     consistency_check,
@@ -378,18 +378,10 @@ def _cmd_epr(args) -> dict:
                     product = res.outcome_probability * res.conditional_probability
                     worst = max(worst, abs(product - joints[j, k]))
 
-    # no-signaling: Alice may measure along either of her directions
-    eye2 = np.eye(2)
-
-    def lift(local, side):
-        bases = [
-            np.kron(p.basis, eye2) if side == 0 else np.kron(eye2, p.basis)
-            for p in local.projectors
-        ]
-        return PDI([Projector.from_basis(b) for b in bases], labels=local.labels)
-
-    alice_pdis = [lift(local, 0) for local in alice_obs]
-    ns_report = no_signaling_check(state, alice_pdis, lift(bob_obs[0], 1), (2, 2))
+    # no-signaling: Alice may measure along either of her directions; chsh_value
+    # has already decomposed A0 x I, A1 x I and I x B0 on the full space
+    (obs_a0, obs_a1), (obs_b0, _) = value.observables
+    ns_report = no_signaling_check(state, [obs_a0.pdi, obs_a1.pdi], obs_b0.pdi, (2, 2))
     return {
         "angles_deg": {"alice": alice, "bob": bob},
         "correlators": value.correlations.e,

@@ -25,6 +25,7 @@ dense H x H Gram matrix is assembled, at O(H^2), only when
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -122,17 +123,11 @@ class HistoryFamily:
                 raise DimensionMismatchError("event PDI dimension differs from grid dimension")
         object.__setattr__(self, "event_pdis", pdis)
         if self.histories is not None:
-            chosen = tuple(tuple(str(l) for l in h) for h in self.histories)
+            chosen = tuple(_checked_history(h, pdis) for h in self.histories)
             if not chosen:
                 raise ValueError("explicit history subset is empty")
             if len(set(chosen)) != len(chosen):
                 raise ValueError("duplicate history in explicit subset")
-            for h in chosen:
-                if len(h) != len(pdis):
-                    raise UnknownLabelError(f"history {h} must pick one label per time")
-                for label, pdi in zip(h, pdis):
-                    if label not in pdi.labels:
-                        raise UnknownLabelError(f"no event labeled {label!r} at that time")
             object.__setattr__(self, "histories", chosen)
 
     @property
@@ -147,6 +142,30 @@ class HistoryFamily:
         if self.histories is not None:
             return self.histories
         return tuple(product(*(pdi.labels for pdi in self.event_pdis)))
+
+    @cached_property
+    def _scan(self) -> tuple[tuple[tuple[str, ...], ...], np.ndarray, np.ndarray, float]:
+        """(histories, chains, weights, max_offdiag), free of any tolerance; built
+        on first use and kept, as the family is frozen and the arrays read-only."""
+        chains = _chain_matrix(self, self.histories)
+        weights, max_offdiag = _gram_scan(chains)
+        chains.setflags(write=False)
+        weights.setflags(write=False)
+        return self.all_histories(), chains, weights, max_offdiag
+
+
+def _checked_history(history, pdis: tuple[PDI, ...]) -> tuple[str, ...]:
+    """The history as label strings; UnknownLabelError unless it picks one
+    known label per time."""
+    labels = tuple(str(l) for l in history)
+    if len(labels) != len(pdis):
+        raise UnknownLabelError(
+            f"history {labels} picks {len(labels)} events but the family has {len(pdis)} times"
+        )
+    for label, pdi in zip(labels, pdis):
+        if label not in pdi.labels:
+            raise UnknownLabelError(f"no event labeled {label!r} at that time")
+    return labels
 
 
 # Gram rows per block of the norm-ordered off-diagonal scan, which stops at
@@ -272,15 +291,7 @@ def _gram_scan(chains: np.ndarray) -> tuple[np.ndarray, float]:
 
 def chain_vector(fam: HistoryFamily, history) -> np.ndarray:
     """Unnormalized chain vector; its squared norm is the history weight."""
-    labels = tuple(str(l) for l in history)
-    if len(labels) != fam.n_times:
-        raise UnknownLabelError(
-            f"history picks {len(labels)} events but the family has {fam.n_times} times"
-        )
-    for label, pdi in zip(labels, fam.event_pdis):
-        if label not in pdi.labels:
-            raise UnknownLabelError(f"no event labeled {label!r} at that time")
-    return _chain_matrix(fam, [labels])[0]
+    return _chain_matrix(fam, [_checked_history(history, fam.event_pdis)])[0]
 
 
 def consistency_check(fam: HistoryFamily) -> ConsistencyReport:
@@ -288,18 +299,22 @@ def consistency_check(fam: HistoryFamily) -> ConsistencyReport:
 
     This is the medium decoherence condition: the full complex modulus of
     every off-diagonal Gram entry must fall below the algebraic tolerance.
-    The Gram matrix itself is never held; see `_gram_scan`.
+    The Gram matrix itself is never held; see `_gram_scan`. The family scans
+    once; the tolerances in force are applied to that scan on every call.
     """
-    histories = fam.all_histories()
-    chains = _chain_matrix(fam, fam.histories)
-    weights, max_offdiag = _gram_scan(chains)
+    histories, chains, weights, max_offdiag = fam._scan
     tol = tolerances()
     if fam.exhaustive:
-        excess = float(weights.sum()) - 1.0
-        message = "exhaustive family weights exceed 1"
-        check(excess, tol.reconstruction, VerificationFailedError, message)
-    chains.setflags(write=False)
-    weights.setflags(write=False)
+        # The weights of an exhaustive family sum to 1, consistent or not: each
+        # last-time sum collapses by completeness and each propagator keeps the
+        # norm. Per step, a propagator accepted at max|U-dagger U - I| < algebraic
+        # moves the total by up to ||U-dagger U - I||_2 <= d algebraic, and a
+        # PDI's Frobenius certificates (completeness and idempotency) by up to
+        # 2 algebraic; reconstruction absorbs rounding and higher orders.
+        total = float(weights.sum())
+        limit = tol.reconstruction + fam.grid.steps * (fam.grid.dim + 2) * tol.algebraic
+        message = f"exhaustive family weights sum to {total!r}, not 1"
+        check(abs(total - 1.0), limit, VerificationFailedError, message)
     return ConsistencyReport(
         histories=histories,
         chains=chains,
@@ -321,12 +336,7 @@ def family_probabilities(fam: HistoryFamily) -> ProbabilityTable:
         )
     probs = {h: float(w) for h, w in zip(report.histories, report.weights)}
     total = float(sum(probs.values()))
-    if fam.exhaustive:
-        message = f"exhaustive family total {total!r} differs from 1"
-        check(abs(total - 1.0), tolerances().reconstruction, VerificationFailedError, message)
-        omitted = 0.0
-    else:
-        omitted = max(0.0, 1.0 - total)
+    omitted = 0.0 if fam.exhaustive else max(0.0, 1.0 - total)
     return ProbabilityTable(
         probabilities=probs, total=total, omitted=omitted, exhaustive=fam.exhaustive
     )

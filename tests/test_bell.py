@@ -468,6 +468,58 @@ class TestCollapse:
                 assert abs(product_rule - joints[j, k]) < 1e-12
 
 
+def random_local_bases(rng, dim):
+    """Bases of a random 3-member PDI of `dim`: each column of a random unitary
+    joins one of three members, so members may be degenerate or rank 0."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    groups = rng.integers(0, 3, size=dim)
+    return [q[:, groups == g] for g in range(3)]
+
+
+class TestJointTable:
+    """Bell-layer joints against dense Born weights, beyond qubit pairs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+    def test_matches_dense_born_weights(self, da, db, seed):
+        rng = np.random.default_rng(seed)
+        state = random_ket(rng, da * db)
+        psi = state.amplitudes
+        eye_a, eye_b = np.eye(da), np.eye(db)
+        alice = [random_local_bases(rng, da) for _ in range(2)]
+        bob = [random_local_bases(rng, db) for _ in range(2)]
+
+        alice_pdis = [
+            PDI([Projector.from_basis(np.kron(v, eye_b)) for v in bases]) for bases in alice
+        ]
+        bob_pdi = PDI([Projector.from_basis(np.kron(eye_a, w)) for w in bob[0]])
+        report = no_signaling_check(state, alice_pdis, bob_pdi, (da, db))
+        dense = np.array(
+            [np.vdot(psi, np.kron(eye_a, w @ w.conj().T) @ psi).real for w in bob[0]]
+        )
+        for marginal in report.bob_marginals:
+            assert np.abs(marginal - dense).max() < 1e-12
+
+        # +-1 observables sum_j f_j P_j over the same local members
+        signs = [[rng.choice([-1.0, 1.0], size=3) for _ in range(2)] for _ in range(2)]
+        local = [
+            [sum(f * v @ v.conj().T for f, v in zip(fs, bases)) for fs, bases in zip(fss, party)]
+            for fss, party in zip(signs, (alice, bob))
+        ]
+        ops = CHSHOperators(
+            *(Operator(np.kron(a, eye_b)) for a in local[0]),
+            *(Operator(np.kron(eye_a, b)) for b in local[1]),
+        )
+        e = chsh_value(state, ops).correlations.e
+        for a, b in itertools.product((0, 1), repeat=2):
+            expected = sum(
+                fa * fb * np.vdot(psi, np.kron(va @ va.conj().T, wb @ wb.conj().T) @ psi).real
+                for fa, va in zip(signs[0][a], alice[a])
+                for fb, wb in zip(signs[1][b], bob[b])
+            )
+            assert abs(e[a, b] - expected) < 1e-12
+
+
 class TestNoSignaling:
     def test_singlet_marginals_invariant(self):
         state = singlet_state()

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histories_kit.config import TOLERANCES
+from histories_kit.config import TOLERANCES, override
 from histories_kit.errors import (
     DimensionMismatchError,
     InconsistentFamilyError,
     PointerTooSmallError,
     UnknownLabelError,
+    VerificationFailedError,
     ZeroProbabilityConditionError,
 )
 from histories_kit import histories
@@ -165,6 +166,52 @@ class TestConsistency:
         assert abs(table.probabilities[("0",)] - 0.5) < 1e-12
         assert abs(table.probabilities[("1",)] - 0.5) < 1e-12
         assert table.exhaustive and table.omitted == 0.0
+
+    def test_family_scans_once(self):
+        fam = standard_families(z_model(), ket(0.6, 0.8)).f2
+        with mock.patch.object(histories, "_gram_scan", wraps=histories._gram_scan) as scan:
+            assert consistency_check(fam).consistent
+            family_probabilities(fam)
+            for cond, event in (((1, "0"), (2, "0")), ((2, "1"), (1, "1")), ((2, "0"), (1, "1"))):
+                conditional_probability(fam, given=cond, target=event)
+        assert scan.call_count == 1
+
+    def test_cached_verdict_follows_override(self):
+        fam = interference_family()
+        assert not consistency_check(fam).consistent
+        with override(algebraic=0.5):
+            report = consistency_check(fam)
+            assert report.consistent and report.tolerance == 0.5
+            assert family_probabilities(fam).total == pytest.approx(1.0)
+        assert not consistency_check(fam).consistent
+
+    def test_near_unitary_propagator_keeps_total(self):
+        # max|U-dagger U - I| = 9.9e-11 passes the grid, yet the weights of
+        # this d = 16 family sum to 1 + 1.58e-9
+        d = 16
+        u = np.ones(d) / 4.0
+        prop = Operator(np.eye(d) + 7.9e-10 * np.outer(u, u))
+        assert prop.unitarity_defect() < TOLERANCES.algebraic
+        fam = HistoryFamily(
+            grid=TimeGrid(("t0", "t1"), (prop,)),
+            initial=Ket(np.ones(d, dtype=complex)),
+            event_pdis=(PDI([Ket(row).projector() for row in np.eye(d, dtype=complex)]),),
+        )
+        assert consistency_check(fam).consistent
+        assert family_probabilities(fam).total == pytest.approx(1.0 + 1.58e-9, abs=1e-11)
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_corrupted_total_raises(self, factor):
+        fam = interference_family()
+        real_scan = histories._gram_scan
+
+        def corrupted(chains):
+            weights, max_offdiag = real_scan(chains)
+            return weights * factor, max_offdiag
+
+        with mock.patch.object(histories, "_gram_scan", corrupted):
+            with pytest.raises(VerificationFailedError, match="weights sum to"):
+                consistency_check(fam)
 
 
 def random_unitary(rng, d):
