@@ -287,8 +287,17 @@ def chsh_value(state: Ket, ops: CHSHOperators) -> CHSHValue:
         e[a, b] = np.sum(np.outer(obs_a[a].eigenvalues, obs_b[b].eigenvalues) * table)
     corr = CorrelationData(e)
     direct = float(chsh_operator(ops).expectation(state).real)
+    # E(a,b) is <A'B'>, with A' the decomposed A (within s_a of it, ||A'|| = m_a the
+    # largest |eigenvalue|), so |<A'B'> - <AB>| <= ||A' - A|| ||B|| + ||A'|| ||B' - B||
+    # <= s_a (m_b + s_b) + m_a s_b; S adds four such terms to the rounding
+    a_side, b_side = (
+        [(o.shift, max(map(abs, o.eigenvalues))) for o in side] for side in (obs_a, obs_b)
+    )
+    limit = tolerances().algebraic + sum(
+        s_a * (m_b + s_b) + m_a * s_b for (s_a, m_a), (s_b, m_b) in product(a_side, b_side)
+    )
     message = f"per-setting sum {corr.chsh!r} disagrees with direct expectation {direct!r}"
-    check(abs(corr.chsh - direct), tolerances().algebraic, VerificationFailedError, message)
+    check(abs(corr.chsh - direct), limit, VerificationFailedError, message)
     return CHSHValue(
         correlations=corr,
         direct_expectation=direct,

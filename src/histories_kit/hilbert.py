@@ -383,10 +383,16 @@ class PDI:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Spectral form: strictly distinct eigenvalues, one eigenspace projector each."""
+    """Spectral form: strictly distinct eigenvalues, one eigenspace projector each.
+
+    `shift` bounds how far the decomposed operator's eigenvalues moved to reach
+    `eigenvalues` (a merged group moves onto its mean), so `operator()` lies
+    within `shift` of the decomposed operator in the spectral norm.
+    """
 
     eigenvalues: tuple[float, ...]
     pdi: PDI
+    shift: float = 0.0
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.eigenvalues)
@@ -394,6 +400,8 @@ class Observable:
             raise ValueError("one eigenvalue per projector required")
         if not all(map(math.isfinite, vals)):
             raise ValueError(f"eigenvalues must be finite, got {vals!r}")
+        if not 0.0 <= self.shift < math.inf:
+            raise ValueError(f"shift must be finite and nonnegative, got {self.shift!r}")
         gap = tolerances().eigen_grouping
         for hi, lo in zip(vals, vals[1:]):
             if hi - lo <= gap:
@@ -490,7 +498,7 @@ def spectral_decompose(h: Operator) -> Observable:
         shift = max(shift, value - ascending[lo], ascending[hi - 1] - value)
         values.append(value)
         projectors.append(Projector.from_basis(evecs[:, lo:hi]))
-    obs = Observable(tuple(values), PDI(tuple(projectors)))
+    obs = Observable(tuple(values), PDI(tuple(projectors)), shift)
     # rounding in eigh and in the rebuilt sum scales with the largest entry; moving
     # eigenvalues onto their group's mean moves each entry by at most `shift` more
     scale = max(1.0, float(np.abs(h.entries).max()))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from histories_kit import bell
 from histories_kit.bell import (
     SINGLET_OPTIMAL_ANGLES_DEG,
     CHSHOperators,
@@ -31,6 +32,7 @@ from histories_kit.bell import (
 from histories_kit.errors import (
     MalformedLocalPDIError,
     NonCommutingABError,
+    VerificationFailedError,
     ZeroProbabilityOutcomeError,
 )
 from histories_kit.hilbert import (
@@ -167,6 +169,32 @@ class TestCHSHValue:
         state = random_ket(rng, 4)
         value = chsh_value(state, neon_setup().ops)
         assert abs(value.correlations.chsh - value.direct_expectation) < 1e-10
+
+    @staticmethod
+    def merged_alice_ops():
+        # Alice's a has eigenvalues 1 and 1 - 4.5e-10, merged at their mean (shift 2.25e-10)
+        a = Operator(np.diag([1.0, 0.99999999955]))
+        a0 = tensor_product(a, I2)
+        return CHSHOperators(a0, Operator(-a0.entries), tensor_product(I2, X), tensor_product(I2, Z))
+
+    def test_merged_eigenvalue_shift_widens_the_check(self):
+        # the per-setting sum reads 0 and the direct <S> -4.32e-10, beyond `algebraic` alone
+        value = chsh_value(Ket(np.array([0.1, 0.7, 0.7, 0.1])), self.merged_alice_ops())
+        assert value.observables[0][0].shift == pytest.approx(2.25e-10, rel=1e-3)
+        assert abs(value.correlations.chsh) < 1e-12
+        assert abs(value.correlations.chsh - value.direct_expectation) > 1e-10
+
+    def test_corrupted_joint_table_raises(self, monkeypatch):
+        joint_table = bell._joint_table
+
+        def corrupted(*args):
+            table = joint_table(*args)
+            table[0, 0] += 1e-6
+            return table
+
+        monkeypatch.setattr(bell, "_joint_table", corrupted)
+        with pytest.raises(VerificationFailedError, match="per-setting sum"):
+            chsh_value(Ket(np.array([0.1, 0.7, 0.7, 0.1])), self.merged_alice_ops())
 
     def test_chsh_operator_matches_manual_combination(self):
         ops = neon_setup().ops

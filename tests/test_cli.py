@@ -121,6 +121,20 @@ class TestExitCodes:
         assert result["counts"] == {"O": 0, "ID": 100}
         assert result["probabilities"] == {"O": 0.0, "ID": 1.0}
 
+    def test_merged_eigenvalues_pass_the_chsh_check(self, tmp_path):
+        # a's two eigenvalues merge at their mean; the per-setting sum (0) and the
+        # direct <S> (-4.32e-10) differ by more than the algebraic tolerance alone
+        spec = tmp_path / "merged.spec"
+        spec.write_text(
+            "ket e0 = [1, 0]\nket e1 = [0, 1]\nop a = proj(e0) + 0.99999999955*proj(e1)\n"
+            "op A0 = kron(a, I(2))\nop A1 = -1*A0\nop B0 = kron(I(2), X)\n"
+            "op B1 = kron(I(2), Z)\nket s = [0.1, 0.7, 0.7, 0.1]\n"
+            "query chsh A0 A1 B0 B1 in s\n"
+        )
+        code, out = run_cli(["run", str(spec), "--format", "json"])
+        assert code == 0
+        assert abs(json.loads(out)["results"][0]["s"]) < 1e-12
+
     def test_usage_error(self, capsys):
         code, _ = run_cli([])
         assert code == 64

@@ -331,6 +331,13 @@ class TestObservable:
         with pytest.raises(ValueError, match="finite"):
             Observable(eigenvalues=(bad, 0.0) if bad > 0 else (0.0, bad), pdi=pdi)
 
+    @pytest.mark.parametrize("bad", [-1e-12, math.inf, math.nan])
+    def test_shift_must_be_finite_and_nonnegative(self, bad):
+        pdi = PDI([basis_ket(2, 0).projector(), basis_ket(2, 1).projector()])
+        assert Observable(eigenvalues=(1.0, 0.0), pdi=pdi).shift == 0.0
+        with pytest.raises(ValueError, match="shift"):
+            Observable(eigenvalues=(1.0, 0.0), pdi=pdi, shift=bad)
+
     def test_operator_reconstruction(self):
         obs = spectral_decompose(Z)
         assert np.allclose(obs.operator().entries, Z.entries)
@@ -358,6 +365,9 @@ class TestSpectralDecompose:
         obs = spectral_decompose(op)
         assert len(obs.eigenvalues) == 2
         assert obs.pdi.projectors[0].rank == 2
+        # each merged eigenvalue moves eps/2 onto the mean; the lone one stays put
+        assert obs.shift == pytest.approx(eps / 2, rel=1e-6)
+        assert spectral_decompose(Z).shift == 0.0
 
     @pytest.mark.parametrize("scale", [1e6, 1e7])
     def test_reconstruction_tolerance_scales_with_entries(self, scale):

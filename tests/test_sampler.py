@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from histories_kit.bell import neon_setup, singlet_state
@@ -21,6 +21,7 @@ from histories_kit.hilbert import (
 )
 from histories_kit.sampler import (
     _CHUNK,
+    _COMPARE_MAX,
     MAX_SHOTS,
     RunConfig,
     _mix,
@@ -157,6 +158,17 @@ class TestSamplePDI:
         result = sample_pdi(singlet_state(), basis, RunConfig(shots=50000, seed=7))
         assert result.counts == {"b00": 0, "b01": 25158, "b10": 24842, "b11": 0}
 
+    def test_frozen_counts_sixteen_outcomes(self):
+        # more outcomes than the comparison tally takes, so these come from the sort
+        basis = PDI([Ket(v).projector() for v in np.eye(16, dtype=complex)])
+        state = Ket(np.arange(1, 17) * np.exp(0.3j * np.arange(16)))
+        result = sample_pdi(state, basis, RunConfig(shots=50000, seed=16))
+        assert list(result.counts.values()) == [
+            27, 150, 259, 540, 851, 1174, 1651, 2133,
+            2736, 3240, 3977, 4906, 5686, 6609, 7533, 8528,
+        ]
+        assert result.empirical_mean == pytest.approx(11.37428, abs=1e-12)
+
     def test_counts_cover_all_labels_and_sum_to_shots(self):
         result = sample_pdi(PLUS, PZ, RunConfig(shots=3, seed=0))
         assert set(result.counts) == set(PZ.labels)
@@ -275,10 +287,12 @@ class TestChunkedTally:
         assert counts == dense_counts(edges_of(result), 11, 2 * _CHUNK + 1)
         assert counts[3] == 0
 
-    def test_draws_exactly_on_an_edge(self):
+    @pytest.mark.parametrize("extra", [0, 2 * _COMPARE_MAX], ids=["compare", "sort"])
+    def test_draws_exactly_on_an_edge(self, extra):
         # an edge equal to a draw sends that draw up; an edge one ulp above a
         # draw in [1/4, 1/2), finer than the 2^-53 draw grid, keeps it below
-        # (one such draw on an even and one on an odd multiple of 2^-53)
+        # (one such draw on an even and one on an odd multiple of 2^-53);
+        # `extra` more edges in [1/2, 1) take the tally past the comparison path
         seed, shots = 9, 3 * _CHUNK + 5
         draws = uniform_stream(seed, 0, shots)
         on = draws[(draws > 0.1) & (draws < 0.25)][-1]
@@ -286,17 +300,28 @@ class TestChunkedTally:
         middle = (draws >= 0.25) & (draws < 0.5)
         even = draws[middle & (grid % 2 == 0)][-1]
         odd = draws[middle & (grid % 2 == 1)][-1]
-        edges = np.sort([on, np.nextafter(even, 1.0), np.nextafter(odd, 1.0), 1.0])
+        upper = draws[draws >= 0.5][:extra]
+        edges = np.sort([on, np.nextafter(even, 1.0), np.nextafter(odd, 1.0), *upper, 1.0])
+        assert (len(edges) - 1 > _COMPARE_MAX) == bool(extra)
         assert _tally(edges, shots, seed).tolist() == dense_counts(edges, seed, shots)
 
     @settings(max_examples=40, deadline=None)
     @given(
-        outcomes=st.integers(1, 1024),
+        # few outcomes take the comparison tally, more than _COMPARE_MAX + 1 the sort
+        outcomes=st.integers(1, 16) | st.integers(1, 1024),
         zero_share=st.sampled_from([0.0, 0.5, 0.95]),
         trailing_zeros=st.booleans(),
         shots=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1]) | st.integers(1, 3 * _CHUNK + 7),
         seed=st.integers(0, 2**64 - 1),
         draw=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        outcomes=_COMPARE_MAX + 1, zero_share=0.0, trailing_zeros=False,
+        shots=3 * _CHUNK + 7, seed=2**64 - 1, draw=8,
+    )
+    @example(
+        outcomes=_COMPARE_MAX + 2, zero_share=0.0, trailing_zeros=False,
+        shots=3 * _CHUNK + 7, seed=2**64 - 1, draw=9,
     )
     def test_matches_dense_inversion(self, outcomes, zero_share, trailing_zeros, shots, seed, draw):
         rng = np.random.default_rng(draw)
@@ -309,10 +334,12 @@ class TestChunkedTally:
         expected = dense_counts(edges_of(result), seed, shots)
         assert list(result.counts.values()) == expected
 
-    def test_memory_does_not_grow_with_shots(self):
+    @pytest.mark.parametrize("outcomes", [2, 16])
+    def test_memory_does_not_grow_with_shots(self, outcomes):
+        state, pdi = Ket(np.ones(outcomes)), SparseBasis(outcomes)
         tracemalloc.start()
         try:
-            result = sample_pdi(PLUS, PZ, RunConfig(shots=10**7, seed=3))
+            result = sample_pdi(state, pdi, RunConfig(shots=10**7, seed=3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
