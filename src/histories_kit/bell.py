@@ -25,7 +25,6 @@ import numpy as np
 
 from .config import check, tolerances
 from .errors import (
-    DimensionMismatchError,
     MalformedLocalPDIError,
     NonCommutingABError,
     VerificationFailedError,
@@ -37,6 +36,7 @@ from .hilbert import (
     Observable,
     Operator,
     Projector,
+    _check_dims,
     builtin_operator,
     commutator_defect,
     partial_trace,
@@ -81,6 +81,12 @@ SINGLET_OPTIMAL_ANGLES_DEG = ((90.0, 0.0), (45.0, 135.0))
 SQUARE_IDENTITY_TOL = 1e-9
 
 
+def _chsh(e00, e01, e10, e11):
+    """The canonical CHSH combination E00 + E01 + E10 - E11, summed left to
+    right, of numbers or of operators."""
+    return e00 + e01 + e10 - e11
+
+
 @dataclass(frozen=True, eq=False)
 class CHSHOperators:
     """Two settings per party; each party's operators commute with the other's."""
@@ -96,8 +102,7 @@ class CHSHOperators:
         eye = np.eye(dim)
         tol = tolerances().algebraic
         for name, op in ops.items():
-            if op.dim != dim:
-                raise DimensionMismatchError("CHSH operators live on one shared space")
+            _check_dims(f"A0 and {name}", dim, op.dim)
             check(op.hermiticity_defect(), tol, ValueError, f"{name} is not Hermitian")
             square = float(np.abs(op.entries @ op.entries - eye).max())
             message = f"{name} does not square to identity; eigenvalues must lie in {{+1,-1}}"
@@ -145,9 +150,7 @@ class CorrelationData:
             raise ValueError(f"correlator magnitude exceeds 1: {table!r}")
         table.setflags(write=False)
         object.__setattr__(self, "e", table)
-        object.__setattr__(
-            self, "chsh", float(table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1])
-        )
+        object.__setattr__(self, "chsh", float(_chsh(*table.flat)))
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,7 @@ class DeterministicStrategy:
                 raise ValueError("strategy entries are +1 or -1")
 
     def chsh(self) -> int:
-        return self.a0 * self.b0 + self.a0 * self.b1 + self.a1 * self.b0 - self.a1 * self.b1
+        return _chsh(*self.correlators())
 
     def correlators(self) -> tuple[int, int, int, int]:
         return (self.a0 * self.b0, self.a0 * self.b1, self.a1 * self.b0, self.a1 * self.b1)
@@ -226,20 +229,16 @@ class LHVModel:
         return self.resp_a[s.a], self.resp_b[s.b]
 
     def joint(self, s: SettingPair) -> np.ndarray:
-        """2x2 outcome table, rows A in (+1,-1), columns B in (+1,-1)."""
+        """2x2 outcome table, rows A in (+1,-1), columns B in (+1,-1): entry
+        (j, k) sums prior * (A's response j) * (B's response k) over lambda."""
         pa, pb = self._responses(s)
-        w = self.prior
-        table = np.array(
-            [
-                [float(np.sum(w * pa * pb)), float(np.sum(w * pa * (1 - pb)))],
-                [float(np.sum(w * (1 - pa) * pb)), float(np.sum(w * (1 - pa) * (1 - pb)))],
-            ]
-        )
-        return table
+        weighted = np.stack([pa, 1 - pa]) * self.prior
+        return (weighted[:, None, :] * np.stack([pb, 1 - pb])).sum(axis=2)
 
     def correlator(self, s: SettingPair) -> float:
-        pa, pb = self._responses(s)
-        return float(np.sum(self.prior * (2 * pa - 1) * (2 * pb - 1)))
+        """E(a, b): the joint table summed with the sign of the outcome product."""
+        t = self.joint(s)
+        return float(t[0, 0] - t[0, 1] - t[1, 0] + t[1, 1])
 
     def correlation_data(self) -> CorrelationData:
         e = np.zeros((2, 2))
@@ -251,7 +250,7 @@ class LHVModel:
 def chsh_operator(ops: CHSHOperators) -> Operator:
     """S = A0 B0 + A0 B1 + A1 B0 - A1 B1 (cross-party commutation is
     enforced when `ops` is built)."""
-    return (ops.a0 @ ops.b0) + (ops.a0 @ ops.b1) + (ops.a1 @ ops.b0) - (ops.a1 @ ops.b1)
+    return _chsh(*(a @ b for a, b in product((ops.a0, ops.a1), (ops.b0, ops.b1))))
 
 
 def _joint_table(psi: np.ndarray, p: PDI, q: PDI) -> np.ndarray:
@@ -276,8 +275,7 @@ def chsh_value(state: Ket, ops: CHSHOperators) -> CHSHValue:
     setting decompositions; by linearity the signed sum must match the
     direct expectation, which is verified here rather than assumed.
     """
-    if state.dim != ops.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} vs operator dim {ops.dim}")
+    _check_dims("state and operator", state.dim, ops.dim)
     obs_a = (spectral_decompose(ops.a0), spectral_decompose(ops.a1))
     obs_b = (spectral_decompose(ops.b0), spectral_decompose(ops.b1))
     e = np.zeros((2, 2))
@@ -351,8 +349,7 @@ def lambda_model_fixed_settings(state: Ket, ops: CHSHOperators, s: SettingPair) 
     matching component. The model reproduces the quantum joints for its own
     settings exactly, and for nothing else, which is the whole obstruction.
     """
-    if state.dim != ops.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} vs operator dim {ops.dim}")
+    _check_dims("state and operator", state.dim, ops.dim)
     obs_a = spectral_decompose(ops.alice(s.a))
     obs_b = spectral_decompose(ops.bob(s.b))
     table = _joint_table(state.amplitudes, obs_a.pdi, obs_b.pdi)
@@ -472,11 +469,7 @@ def singlet_state() -> Ket:
 
 def joint_probabilities(state: Ket, alice_basis: PDI, bob_basis: PDI) -> np.ndarray:
     """Pr(j,k) = |(V_j x W_k)-dagger psi|^2, V_j x W_k being a basis of A_j x B_k."""
-    da, db = alice_basis.dim, bob_basis.dim
-    if da * db != state.dim:
-        raise DimensionMismatchError(
-            f"local dims {da}x{db} do not compose to state dim {state.dim}"
-        )
+    _check_dims("state and factor product", state.dim, alice_basis.dim * bob_basis.dim)
     psi = state.amplitudes
     table = np.zeros((len(alice_basis), len(bob_basis)))
     for j, pj in enumerate(alice_basis.projectors):
@@ -505,10 +498,7 @@ def collapse_conditional(state: Ket, alice_outcome: Projector, bob_event: Projec
     than dynamics, and callers can verify it against joint_probabilities.
     """
     da, db = alice_outcome.dim, bob_event.dim
-    if da * db != state.dim:
-        raise DimensionMismatchError(
-            f"local dims {da}x{db} do not compose to state dim {state.dim}"
-        )
+    _check_dims("state and factor product", state.dim, da * db)
     psi = state.amplitudes
     lifted_a = np.kron(alice_outcome.basis, np.eye(db))
     projected = lifted_a @ (lifted_a.conj().T @ psi)
@@ -562,8 +552,7 @@ def no_signaling_check(
     independent local dynamics must not open a signaling channel either.
     """
     da, db = dims
-    if da * db != state.dim:
-        raise DimensionMismatchError(f"dims {da}x{db} do not compose to state dim {state.dim}")
+    _check_dims("state and factor product", state.dim, da * db)
     if not alice_pdis:
         raise ValueError("at least one Alice PDI required")
     tol = tolerances()
@@ -589,8 +578,8 @@ def no_signaling_check(
     dyn_deviation = None
     if dynamics is not None:
         ta, tb = dynamics
-        if ta.dim != da or tb.dim != db:
-            raise DimensionMismatchError("dynamics must act on the two local factors")
+        _check_dims("T_a and Alice factor", ta.dim, da)
+        _check_dims("T_b and Bob factor", tb.dim, db)
         for name, u in (("T_a", ta), ("T_b", tb)):
             check(u.unitarity_defect(), tol.algebraic, ValueError, f"{name} is not unitary")
         evolved = np.kron(ta.entries, tb.entries) @ state.amplitudes

@@ -145,9 +145,9 @@ def _write_e(e, out, indent=""):
 
 def _write_lhv(payload: dict, out, indent=""):
     """The LHV verdict: a witness mixture, or the combination outside [-2, 2]."""
-    combination = _g(payload["max_combination"])
+    combination = f"max |CHSH combination| = {_g(payload['max_combination'])}"
     if payload["feasible"]:
-        out.write(f"{indent}feasible (max |CHSH combination| = {combination} <= 2)\n")
+        out.write(f"{indent}feasible ({combination} <= 2)\n")
         out.write(f"{indent}witness mixture:\n")
         for item in payload["mixture"]:
             out.write(
@@ -155,7 +155,7 @@ def _write_lhv(payload: dict, out, indent=""):
                 f"{_strategy(item['strategy'])}\n"
             )
     else:
-        out.write(f"{indent}infeasible (S={combination} > 2)\n")
+        out.write(f"{indent}infeasible ({combination} > 2)\n")
         out.write(
             f"{indent}  signs {tuple(payload['violated_signs'])} give "
             f"{_g(payload['violated_value'])}, outside [-2, 2]\n"

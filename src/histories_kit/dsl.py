@@ -56,7 +56,7 @@ from .hilbert import (
     builtin_operator,
     spectral_decompose,
 )
-from .histories import HistoryFamily, TimeGrid
+from .histories import HistoryFamily, TimeGrid, _check_event
 from .sampler import MAX_SHOTS
 
 __all__ = [
@@ -622,11 +622,8 @@ class _Parser:
         given, given_tok = self.event_ref()
         self.end_statement()
         family = self.lookup(fam_tok, "family")
-        for (index, label), tok in ((target, target_tok), (given, given_tok)):
-            if not 1 <= index <= family.n_times:
-                self.resolve_fail(tok, f"time index {index} outside 1..{family.n_times}")
-            if label not in family.event_pdis[index - 1].labels:
-                self.resolve_fail(tok, f"no event labeled {label!r} at time {index}")
+        for event, tok in ((target, target_tok), (given, given_tok)):
+            self.evaluated(tok, lambda: _check_event(family, *event))
         self.queries.append(ConditionalQuery(fam_tok.text, target=target, given=given))
 
     def sample_query(self, kind: _Token):

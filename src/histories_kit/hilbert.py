@@ -80,6 +80,14 @@ def _normalized_vector(values) -> np.ndarray:
     return vec
 
 
+def _check_dims(label: str, dim: int, other: int) -> None:
+    """The one dimension guard: raise DimensionMismatchError, naming both
+    dimensions, unless the operands live on one space (a bipartite check
+    passes d_A * d_B as one of them)."""
+    if dim != other:
+        raise DimensionMismatchError(f"{label} dims differ: {dim} vs {other}")
+
+
 def _frozen_matrix(values) -> np.ndarray:
     mat = np.array(values, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -104,8 +112,7 @@ class Ket:
 
     def inner(self, other: "Ket") -> complex:
         """<self|other>."""
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"ket dims differ: {self.dim} vs {other.dim}")
+        _check_dims("ket", self.dim, other.dim)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def projector(self) -> "Projector":
@@ -126,20 +133,16 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def _check_dim(self, other: "Operator") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"operator dims differ: {self.dim} vs {other.dim}")
-
     def __add__(self, other: "Operator") -> "Operator":
-        self._check_dim(other)
+        _check_dims("operator", self.dim, other.dim)
         return Operator(self.entries + other.entries)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        self._check_dim(other)
+        _check_dims("operator", self.dim, other.dim)
         return Operator(self.entries - other.entries)
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_dim(other)
+        _check_dims("operator", self.dim, other.dim)
         return Operator(self.entries @ other.entries)
 
     def __mul__(self, scalar: complex) -> "Operator":
@@ -150,16 +153,12 @@ class Operator:
     def __neg__(self) -> "Operator":
         return Operator(-self.entries)
 
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T)
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Raw matrix-vector product; callers wrap in Ket when appropriate."""
         return self.entries @ np.asarray(vec, dtype=complex)
 
     def expectation(self, state: Ket) -> complex:
-        if state.dim != self.dim:
-            raise DimensionMismatchError(f"state dim {state.dim} vs operator dim {self.dim}")
+        _check_dims("state and operator", state.dim, self.dim)
         return complex(np.vdot(state.amplitudes, self.entries @ state.amplitudes))
 
     def hermiticity_defect(self) -> float:
@@ -184,8 +183,7 @@ def commutator_defect(a: Operator, b: Operator) -> float:
 
 
 def commutes(a: Operator, b: Operator) -> bool:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"operator dims differ: {a.dim} vs {b.dim}")
+    _check_dims("operator", a.dim, b.dim)
     return commutator_defect(a, b) < tolerances().algebraic
 
 
@@ -312,8 +310,7 @@ def pdi_validate(projectors: "PDI | Sequence[Projector]") -> PDIValidation:
         raise ValueError("empty projector list")
     dim = projs[0].dim
     for p in projs:
-        if p.dim != dim:
-            raise DimensionMismatchError("projectors have mixed dimensions")
+        _check_dims("projector", dim, p.dim)
     ranks = [p.rank for p in projs if p.rank]
     stacked = np.concatenate([p.basis for p in projs], axis=1)
     size = stacked.shape[1]
@@ -541,8 +538,7 @@ def common_refinement(p: PDI, q: PDI) -> PDI:
 
 def possesses(k: Ket, p: Projector) -> bool:
     """Property possession: P|psi> = |psi> within tolerance."""
-    if k.dim != p.dim:
-        raise DimensionMismatchError(f"ket dim {k.dim} vs projector dim {p.dim}")
+    _check_dims("ket and projector", k.dim, p.dim)
     residual = float(np.linalg.norm(p.apply(k.amplitudes) - k.amplitudes))
     return residual < tolerances().algebraic
 
@@ -593,8 +589,7 @@ def _commutator_defects(p: PDI | Projector, q: PDI | Projector) -> tuple[np.ndar
     so C_k = M_k M_k-dagger is Q_k in p's coordinates and ||[P_j, Q_k]||_F^2 is
     twice the sum of row j's off-diagonal blocks of C_k, summed directly: the
     row total minus its diagonal block would cancel catastrophically."""
-    if p.dim != q.dim:
-        raise DimensionMismatchError(f"dims differ: {p.dim} vs {q.dim}")
+    _check_dims("PDI", p.dim, q.dim)
     ps, qs = (x.projectors if isinstance(x, PDI) else (x, x.complement()) for x in (p, q))
     overlaps = np.concatenate([pj.basis for pj in ps], axis=1).conj().T
     overlaps = overlaps @ np.concatenate([qk.basis for qk in qs], axis=1)
@@ -616,8 +611,7 @@ def pdi_compatible(p: "PDI | Projector", q: "PDI | Projector") -> bool:
 def partial_trace(op: Operator, dims: tuple[int, int], keep: int) -> Operator:
     """Trace out one factor of a bipartite operator; keep=0 keeps the left."""
     da, db = dims
-    if op.dim != da * db:
-        raise DimensionMismatchError(f"operator dim {op.dim} is not {da}*{db}")
+    _check_dims("operator and factor product", op.dim, da * db)
     blocks = op.entries.reshape(da, db, da, db)
     if keep == 0:
         return Operator(np.einsum("ijkj->ik", blocks))

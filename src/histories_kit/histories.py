@@ -32,7 +32,6 @@ import numpy as np
 
 from .config import check, tolerances
 from .errors import (
-    DimensionMismatchError,
     InconsistentFamilyError,
     PointerTooSmallError,
     UnknownLabelError,
@@ -45,6 +44,7 @@ from .hilbert import (
     Observable,
     Operator,
     Projector,
+    _check_dims,
     tensor_state,
 )
 
@@ -81,8 +81,7 @@ class TimeGrid:
         dim = props[0].dim
         tol = tolerances().algebraic
         for i, u in enumerate(props, start=1):
-            if u.dim != dim:
-                raise DimensionMismatchError("propagators have mixed dimensions")
+            _check_dims("propagator", dim, u.dim)
             check(u.unitarity_defect(), tol, ValueError, f"propagator {i} is not unitary")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "propagators", props)
@@ -116,11 +115,9 @@ class HistoryFamily:
             raise ValueError(
                 f"{self.grid.steps} post-initial times require {self.grid.steps} event PDIs"
             )
-        if self.initial.dim != self.grid.dim:
-            raise DimensionMismatchError("initial state dimension differs from grid dimension")
+        _check_dims("initial state and grid", self.initial.dim, self.grid.dim)
         for pdi in pdis:
-            if pdi.dim != self.grid.dim:
-                raise DimensionMismatchError("event PDI dimension differs from grid dimension")
+            _check_dims("event PDI and grid", pdi.dim, self.grid.dim)
         object.__setattr__(self, "event_pdis", pdis)
         if self.histories is not None:
             chosen = tuple(_checked_history(h, pdis) for h in self.histories)
@@ -342,6 +339,14 @@ def family_probabilities(fam: HistoryFamily) -> ProbabilityTable:
     )
 
 
+def _check_event(fam: HistoryFamily, time_index: int, label) -> None:
+    """UnknownLabelError unless the family has an event `label` at the 1-based time."""
+    if not 1 <= time_index <= fam.n_times:
+        raise UnknownLabelError(f"time index {time_index} outside 1..{fam.n_times}")
+    if str(label) not in fam.event_pdis[time_index - 1].labels:
+        raise UnknownLabelError(f"no event labeled {label!r} at time {time_index}")
+
+
 def conditional_probability(fam: HistoryFamily, given, target) -> float:
     """Pr(target | given) for events (time_index, label), time_index 1-based.
 
@@ -349,11 +354,8 @@ def conditional_probability(fam: HistoryFamily, given, target) -> float:
     conditioning on a zero-probability event is an error, not a NaN. Both
     events are validated before any probability is computed.
     """
-    for time_index, label in (given, target):
-        if not 1 <= time_index <= fam.n_times:
-            raise UnknownLabelError(f"time index {time_index} outside 1..{fam.n_times}")
-        if str(label) not in fam.event_pdis[time_index - 1].labels:
-            raise UnknownLabelError(f"no event labeled {label!r} at time {time_index}")
+    for event in (given, target):
+        _check_event(fam, *event)
     table = family_probabilities(fam)
     gi, gl = given[0] - 1, str(given[1])
     ti, tl = target[0] - 1, str(target[1])
@@ -460,10 +462,7 @@ def standard_families(model: MeasurementModel, psi0: Ket) -> StandardFamilies:
       f2:  {[phi^j] x I} at t1 and the pointer PDI at t2, the family whose
            probabilities are delta(j,k) |c_k|^2.
     """
-    if psi0.dim != model.system_dim:
-        raise DimensionMismatchError(
-            f"state dim {psi0.dim} differs from system dim {model.system_dim}"
-        )
+    _check_dims("state and system", psi0.dim, model.system_dim)
     phi0 = model.pointer_states[0]
     psi_full = tensor_state(psi0, phi0)
     full = model.full_dim

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ProbabilityNormalizationError
-from .hilbert import PDI, Ket, spectral_decompose
-from .bell import CHSHOperators, SettingPair
+from .config import check
+from .errors import ProbabilityNormalizationError
+from .hilbert import PDI, Ket, _check_dims, spectral_decompose
+from .bell import CHSHOperators, SettingPair, _chsh
 
 __all__ = [
     "MAX_SHOTS",
@@ -179,17 +180,14 @@ def sample_pdi(
     otherwise labels that all parse as finite floats are used as values, and
     if any does not, both statistics are None.
     """
-    if state.dim != pdi.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} vs decomposition dim {pdi.dim}")
+    _check_dims("state and PDI", state.dim, pdi.dim)
     psi = state.amplitudes
     weights = np.array(
         [max(0.0, float(np.vdot(psi, p.apply(psi)).real)) for p in pdi.projectors]
     )
     total = float(weights.sum())
-    if not (1 - _NORM_WINDOW <= total <= 1 + _NORM_WINDOW):
-        raise ProbabilityNormalizationError(
-            f"outcome weights sum to {total!r}, outside [1-{_NORM_WINDOW}, 1+{_NORM_WINDOW}]"
-        )
+    message = f"outcome weights sum to {total!r}, not 1"
+    check(abs(total - 1.0), _NORM_WINDOW, ProbabilityNormalizationError, message)
     weights = weights / total
     tallies = _tally(np.cumsum(weights), config.shots, config.seed)
 
@@ -247,7 +245,7 @@ def empirical_chsh(state: Ket, ops: CHSHOperators, config: RunConfig) -> Empiric
             per_setting[(a, b)] = result
             e_hat[a, b] = result.empirical_mean
             variance_sum += result.std_error**2
-    s_hat = float(e_hat[0, 0] + e_hat[0, 1] + e_hat[1, 0] - e_hat[1, 1])
+    s_hat = float(_chsh(*e_hat.flat))
     e_hat.setflags(write=False)
     return EmpiricalCHSH(
         e_hat=e_hat,

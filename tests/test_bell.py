@@ -302,6 +302,33 @@ class TestLambdaModel:
             LHVModel(("a", "b"), np.array([0.5, 0.5]), {0: np.array([bad, 1.0])}, ones)
 
 
+class TestInputGuards:
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            (lambda: LHVModel(("a", "b"), [1.0], {}, {}), "one prior entry per lambda"),
+            (
+                lambda: LHVModel(("a", "b"), [1.5, -0.5], {}, {}),
+                "negative prior probability",
+            ),
+            (
+                lambda: LHVModel(("a",), [1.0], {0: [1.0, 0.0]}, {0: [1.0]}),
+                "one response entry per lambda",
+            ),
+            (
+                lambda: no_signaling_check(
+                    singlet_state(), [], lift_local_pdi(spectral_decompose(Z).pdi, 1), (2, 2)
+                ),
+                "at least one Alice PDI",
+            ),
+        ],
+        ids=["prior-length", "negative-prior", "response-length", "no-alice-pdi"],
+    )
+    def test_rejected_with_reason(self, call, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            call()
+
+
 class TestFeasibility:
     def test_quantum_correlators_infeasible(self):
         setup = neon_setup()

@@ -44,6 +44,55 @@ def run_cli(argv, monkeypatch=None, pin_version=True):
     return code, buf.getvalue()
 
 
+def human_block(entry: dict) -> list[str]:
+    """The human lines of one `run` result, rebuilt from its JSON entry at 6
+    significant digits."""
+    g = "{:.6g}".format
+    lines = [f"== {entry['query']} =="]
+    kind = entry["kind"]
+    if kind in ("chsh", "lhv"):
+        lines += [f"  E({a},{b}) = {g(entry['e'][a][b])}" for a in (0, 1) for b in (0, 1)]
+        lines.append(f"  S = {g(entry['s'])}")
+    if kind == "chsh":
+        lines.append(f"  direct expectation = {g(entry['direct_expectation'])}")
+    elif kind == "lhv" and entry["feasible"]:
+        lines.append(f"  feasible (max |CHSH combination| = {g(entry['max_combination'])} <= 2)")
+        lines.append("  witness mixture:")
+        for item in entry["mixture"]:
+            values = zip(("a0", "a1", "b0", "b1"), item["strategy"])
+            strategy = " ".join(f"{name}={v:+d}" for name, v in values)
+            lines.append(f"    weight {g(item['weight'])} on strategy {strategy}")
+    elif kind == "lhv":
+        lines.append(f"  infeasible (max |CHSH combination| = {g(entry['max_combination'])} > 2)")
+        signs = tuple(entry["violated_signs"])
+        lines.append(f"    signs {signs} give {g(entry['violated_value'])}, outside [-2, 2]")
+    elif kind == "probs":
+        lines += [f"  Pr({key}) = {g(p)}" for key, p in entry["probabilities"].items()]
+        omitted = "" if entry["exhaustive"] else f" (omitted {g(entry['omitted'])})"
+        lines.append(f"  total = {g(entry['total'])}{omitted}")
+    elif kind == "consistency":
+        verdict = "consistent" if entry["consistent"] else "INCONSISTENT"
+        lines.append(
+            f"  {verdict}: max off-diagonal {g(entry['max_offdiag'])} "
+            f"(tolerance {g(entry['tolerance'])}, {entry['n_histories']} histories)"
+        )
+    elif kind == "conditional":
+        lines.append(f"  Pr({entry['target']} | {entry['given']}) = {g(entry['probability'])}")
+    elif kind == "sample":
+        lines.append(f"  shots {entry['shots']}, seed {entry['seed']}")
+        for label, n in entry["counts"].items():
+            lines.append(f"  {label}: {n} (Born {g(entry['probabilities'][label])})")
+        if entry["empirical_mean"] is not None:
+            lines.append(f"  mean = {g(entry['empirical_mean'])} +- {g(entry['std_error'])}")
+    elif kind == "nosignal":
+        verdict = "passes" if entry["passes"] else "FAILS"
+        lines.append(
+            f"  no-signaling {verdict}: max marginal deviation "
+            f"{g(entry['max_deviation'])} (tolerance {g(entry['tolerance'])})"
+        )
+    return lines
+
+
 class TestGolden:
     @pytest.mark.parametrize(
         "name,argv",
@@ -308,9 +357,14 @@ class TestHumanOutput:
         assert out.splitlines()[0] == "max |S| = 2 over 16 deterministic strategies"
 
     def test_lhv_check_infeasible_message(self):
-        code, out = run_cli(["lhv-check", "1", "1", "1", "-1"])
-        assert code == 0
-        assert out.splitlines()[0] == "infeasible (S=4 > 2)"
+        # the verdict names the largest |combination|, not S: for 1 1 -1 1, S = 0
+        for table, s_value in ((["1", "1", "1", "-1"], 4.0), (["1", "1", "-1", "1"], 0.0)):
+            code, out = run_cli(["lhv-check", *table])
+            assert code == 0
+            assert out.splitlines()[0] == "infeasible (max |CHSH combination| = 4 > 2)"
+            _, machine = run_cli(["lhv-check", *table, "--format", "json"])
+            payload = json.loads(machine)
+            assert (payload["s"], payload["max_combination"]) == (s_value, 4.0)
 
     def test_lhv_check_feasible_prints_mixture(self):
         code, out = run_cli(["lhv-check", "0.5", "0.3", "0.2", "-0.1"])
@@ -331,6 +385,16 @@ class TestHumanOutput:
         assert len(blocks) == 4
         assert "consistency" in blocks[0]
         assert "probs" in blocks[1]
+
+    @pytest.mark.parametrize("stem", [path.stem for path in sorted(SPEC_DIR.glob("*.spec"))])
+    def test_run_human_matches_json_golden(self, stem):
+        code, out = run_cli(["run", str(SPEC_DIR / f"{stem}.spec")])
+        assert code == 0
+        report = json.loads((GOLDEN_DIR / f"run-{stem}.json").read_text())
+        expected = [f"{stem}.spec: {len(report['results'])} queries"]
+        for entry in report["results"]:
+            expected += human_block(entry)
+        assert out.splitlines() == expected
 
     def test_epr_explicit_default_angles_match_golden(self, monkeypatch):
         code, out = run_cli(

@@ -277,7 +277,7 @@ class TestQueryValidation:
         )
         err = first_error(src)
         assert isinstance(err, ResolutionError)
-        assert err.line == 8
+        assert (err.line, err.column, err.message) == (8, 21, "time index 2 outside 1..1")
 
     def test_conditional_unknown_label(self):
         src = (
@@ -285,9 +285,16 @@ class TestQueryValidation:
             "op FZ = Z\n"
             "pdi PZ = spectral(FZ)\n"
             "family F {\n  initial zero;\n  events 1 = PZ;\n}\n"
-            "query conditional F 1:nope | 1:0\n"
+            "query conditional F 1:nope | GIVEN\n"
         )
-        assert isinstance(first_error(src), ResolutionError)
+        # the target is checked before the given event, each at its time index
+        for given in ("1:0", "2:0"):
+            err = first_error(src.replace("GIVEN", given))
+            assert isinstance(err, ResolutionError)
+            message = "no event labeled 'nope' at time 1"
+            assert (err.line, err.column, err.message) == (8, 21, message)
+        err = first_error(src.replace("1:nope | GIVEN", "1:0 | 1:nope"))
+        assert (err.column, err.message) == (27, "no event labeled 'nope' at time 1")
 
     def test_sample_query_parses(self):
         spec = parse_spec(self.PREFIX + "query sample top PA0 shots 100 seed 3\n")
@@ -350,6 +357,14 @@ class TestRendering:
         rendered = render_spec(parse_spec(src))
         assert "family F {" in rendered
         assert "  initial zero;" in rendered
+
+    def test_exponent_reprs_render_as_plain_decimals(self):
+        # repr gives 1e-05 and 1.2345678901234568e+29; the language has no exponents
+        spec = parse_spec("ket a = [0.00001, 123456789012345678901234567890]\n")
+        rendered = render_spec(spec)
+        assert rendered == "ket a = [0.00001, 123456789012345680000000000000]\n"
+        assert "e" not in rendered.split("=", 1)[1]
+        assert parse_spec(rendered) == spec
 
     def test_normalized_amplitudes_round_trip(self):
         # rendering writes the stored (normalized) amplitudes
@@ -432,6 +447,7 @@ class TestLiterals:
             ("[]", 10, "expected a number"),
             ("[1, 2,]", 15, "expected a number"),
             ("[1e-3, 0]", 11, "expected ']'"),
+            ("[1+2i 3]", 15, "expected ']'"),
             ("[1, $, 0]", 13, "unexpected character '$'"),
             ("[1, # 0]", 17, "expected a number"),
             ("[[1, 0]]", 10, "expected a number"),
@@ -446,6 +462,7 @@ class TestLiterals:
             "empty",
             "trailing-comma",
             "exponent",
+            "complex-entry-missing-comma",
             "dollar",
             "comment",
             "nested",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from histories_kit import bell, histories, sampler
 from histories_kit.config import TOLERANCES
 from histories_kit.errors import (
     AmbiguousSpectrumError,
@@ -802,3 +803,114 @@ class TestBuiltinsAndTensors:
         assert np.abs(reduced.entries - np.eye(2) / 2).max() < 1e-12
         reduced_b = partial_trace(rho, (2, 2), keep=1)
         assert np.abs(reduced_b.entries - np.eye(2) / 2).max() < 1e-12
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize(
+        "call, error, fragment",
+        [
+            (lambda: Operator(np.ones((2, 3))), ValueError, "expected a square matrix"),
+            (lambda: pdi_validate([]), ValueError, "empty projector list"),
+            (
+                lambda: PDI(spectral_decompose(Z).pdi.projectors, labels=("up",)),
+                ValueError,
+                "2 projectors but 1 labels",
+            ),
+            (
+                lambda: Observable((1.0,), spectral_decompose(Z).pdi),
+                ValueError,
+                "one eigenvalue per projector",
+            ),
+            (lambda: region_projector(0, Region([])), ValueError, "grid size must be positive"),
+            (
+                lambda: builtin_operator((1.0, 0.0)),
+                UnknownNameError,
+                "exactly three components",
+            ),
+            (
+                lambda: partial_trace(tensor_product(Z, Z), (2, 2), keep=2),
+                ValueError,
+                "keep must be 0 or 1",
+            ),
+        ],
+        ids=[
+            "non-square",
+            "empty-pdi",
+            "label-count",
+            "eigenvalue-count",
+            "grid-size-0",
+            "two-vector-direction",
+            "keep-2",
+        ],
+    )
+    def test_rejected_with_reason(self, call, error, fragment):
+        with pytest.raises(error, match=fragment):
+            call()
+
+
+def _dimension_guard_sites():
+    """(call, message) for every entry point that checks that its operands share
+    a space, each called on operands that do not."""
+    i3 = builtin_operator("I", 3)
+    k2, k3, k4 = basis_ket(2, 0), basis_ket(3, 0), basis_ket(4, 0)
+    pz, p3 = spectral_decompose(Z).pdi, spectral_decompose(i3).pdi
+    ops4 = bell.singlet_chsh_operators()
+    z_eye, eye_z = (spectral_decompose(op).pdi for op in (ops4.a0, tensor_product(I2, Z)))
+    grid2 = histories.TimeGrid(("t0", "t1"), (I2,))
+    model = histories.build_measurement_model(spectral_decompose(Z), pointer_dim=3)
+    singlet = bell.singlet_state()
+    sites = [
+        ("Ket.inner", lambda: k2.inner(k3), "ket dims differ: 2 vs 3"),
+        ("Operator.__add__", lambda: Z + i3, "operator dims differ: 2 vs 3"),
+        ("Operator.__sub__", lambda: Z - i3, "operator dims differ: 2 vs 3"),
+        ("Operator.__matmul__", lambda: Z @ i3, "operator dims differ: 2 vs 3"),
+        ("Operator.expectation", lambda: Z.expectation(k3),
+         "state and operator dims differ: 3 vs 2"),
+        ("commutes", lambda: commutes(Z, i3), "operator dims differ: 2 vs 3"),
+        ("pdi_validate", lambda: pdi_validate([pz.projectors[0], p3.projectors[0]]),
+         "projector dims differ: 2 vs 3"),
+        ("possesses", lambda: possesses(k3, pz.projectors[0]),
+         "ket and projector dims differ: 3 vs 2"),
+        ("pdi_compatible", lambda: pdi_compatible(pz, p3), "PDI dims differ: 2 vs 3"),
+        ("partial_trace", lambda: partial_trace(Z, (2, 2), keep=0),
+         "operator and factor product dims differ: 2 vs 4"),
+        ("CHSHOperators", lambda: bell.CHSHOperators(ops4.a0, ops4.a1, ops4.b0, Z),
+         "A0 and B1 dims differ: 4 vs 2"),
+        ("chsh_value", lambda: bell.chsh_value(k2, ops4),
+         "state and operator dims differ: 2 vs 4"),
+        ("lambda_model_fixed_settings",
+         lambda: bell.lambda_model_fixed_settings(k2, ops4, bell.SettingPair(0, 0)),
+         "state and operator dims differ: 2 vs 4"),
+        ("joint_probabilities", lambda: bell.joint_probabilities(k4, pz, p3),
+         "state and factor product dims differ: 4 vs 6"),
+        ("collapse_conditional",
+         lambda: bell.collapse_conditional(k4, pz.projectors[0], p3.projectors[0]),
+         "state and factor product dims differ: 4 vs 6"),
+        ("no_signaling_check", lambda: bell.no_signaling_check(k4, [pz], pz, (2, 3)),
+         "state and factor product dims differ: 4 vs 6"),
+        ("no_signaling_check T_a",
+         lambda: bell.no_signaling_check(singlet, [z_eye], eye_z, (2, 2), (i3, I2)),
+         "T_a and Alice factor dims differ: 3 vs 2"),
+        ("no_signaling_check T_b",
+         lambda: bell.no_signaling_check(singlet, [z_eye], eye_z, (2, 2), (I2, i3)),
+         "T_b and Bob factor dims differ: 3 vs 2"),
+        ("TimeGrid", lambda: histories.TimeGrid(("t0", "t1", "t2"), (I2, i3)),
+         "propagator dims differ: 2 vs 3"),
+        ("HistoryFamily initial", lambda: histories.HistoryFamily(grid2, k3, (pz,)),
+         "initial state and grid dims differ: 3 vs 2"),
+        ("HistoryFamily events", lambda: histories.HistoryFamily(grid2, k2, (p3,)),
+         "event PDI and grid dims differ: 3 vs 2"),
+        ("standard_families", lambda: histories.standard_families(model, k3),
+         "state and system dims differ: 3 vs 2"),
+        ("sample_pdi", lambda: sampler.sample_pdi(k3, pz, sampler.RunConfig(10, 1)),
+         "state and PDI dims differ: 3 vs 2"),
+    ]
+    return [pytest.param(call, message, id=name) for name, call, message in sites]
+
+
+class TestDimensionGuard:
+    @pytest.mark.parametrize("call, message", _dimension_guard_sites())
+    def test_names_both_dimensions(self, call, message):
+        with pytest.raises(DimensionMismatchError) as info:
+            call()
+        assert str(info.value) == message

@@ -366,10 +366,13 @@ class TestConditional:
     def test_event_validation(self):
         model = z_model()
         fams = standard_families(model, ket(0.6, 0.8))
-        with pytest.raises(UnknownLabelError):
+        with pytest.raises(UnknownLabelError, match=r"^time index 3 outside 1\.\.2$"):
             conditional_probability(fams.f2, given=(3, "0"), target=(1, "0"))
-        with pytest.raises(UnknownLabelError):
+        with pytest.raises(UnknownLabelError, match="^no event labeled 'zzz' at time 2$"):
             conditional_probability(fams.f2, given=(2, "zzz"), target=(1, "0"))
+        # the given event is checked first; a label keeps its own repr
+        with pytest.raises(UnknownLabelError, match="^no event labeled 5 at time 1$"):
+            conditional_probability(fams.f2, given=(1, 5), target=(1, "zzz"))
 
     def test_events_validated_before_consistency(self):
         # a bad event is reported as such even when the family is inconsistent

@@ -114,6 +114,11 @@ class TestUniformStream:
         assert uniform_stream(seed, start, 4).tolist() == expected
         assert uniform_stream(seed, 0, 3 * _CHUNK + 2)[start:].tolist() == expected
 
+    @pytest.mark.parametrize("start, count", [(-1, 3), (0, -1)], ids=["start", "count"])
+    def test_negative_start_or_count_rejected(self, start, count):
+        with pytest.raises(ValueError, match="start and count must be nonnegative"):
+            uniform_stream(1, start, count)
+
     def test_seed_must_fit_64_bits(self):
         with pytest.raises(ValueError):
             uniform_stream(2**64, 0, 1)
@@ -233,7 +238,9 @@ class TestSamplePDI:
                     Ket(np.array([math.sin(eps), math.cos(eps)], dtype=complex)).projector(),
                 ]
             )
-            with pytest.raises(ProbabilityNormalizationError):
+            # a `defect < limit` check, whose message names the sum, defect and limit
+            message = r"sum to 1\.000499\d*, not 1 \(defect 0\.0005, tolerance 1e-09\)$"
+            with pytest.raises(ProbabilityNormalizationError, match=message):
                 sample_pdi(PLUS, leaky, RunConfig(shots=10, seed=3))
 
     @settings(max_examples=25, deadline=None)
