@@ -24,6 +24,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, astuple
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -85,10 +86,15 @@ class _UnreadableSpec(Exception):
     """The spec file of `run` cannot be read; exits 1 like a load failure."""
 
 
+def _rounded(value: float) -> float:
+    """The value rounded to 12 significant digits, -0.0 folded into 0.0."""
+    return float(f"{value:.12g}") + 0.0
+
+
 def _jsonable(value):
     """Payload as plain JSON types, every float rounded to 12 significant digits."""
     if isinstance(value, float):
-        return float(f"{value:.12g}") + 0.0  # + 0.0 folds -0.0 into 0.0
+        return _rounded(value)
     if isinstance(value, (np.floating, np.integer)):
         return _jsonable(value.item())
     if isinstance(value, np.ndarray):
@@ -100,8 +106,47 @@ def _jsonable(value):
     return value
 
 
+def _json_float(value: float) -> str:
+    """The rounded value as json.dumps writes a float."""
+    x = _rounded(value)
+    if x - x == 0.0:  # finite
+        return repr(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _json_text(value, newline: str) -> str:
+    """The JSON text of one payload value, nested lines starting `newline`."""
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, (np.floating, np.integer)):
+        return _json_text(value.item(), newline)
+    if isinstance(value, np.ndarray):
+        return _json_text(value.tolist(), newline)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(type(k) is str for k in value):
+            value = {str(k): v for k, v in value.items()}  # as _jsonable keys them
+        inner = newline + "  "
+        items = [
+            f"{_json_str(k)}: {_json_float(v) if type(v) is float else _json_text(v, inner)}"
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)  # str, int, bool or None; anything else raises TypeError
+
+
 def _emit_json(payload, out):
-    out.write(json.dumps(_jsonable(payload), indent=2) + "\n")
+    """Write the report as `json.dumps(_jsonable(payload), indent=2)` does, byte
+    for byte, rounding each float and writing it in one walk (with `indent`,
+    json.dumps would run its pure-Python encoder over a second copy)."""
+    out.write(_json_text(payload, "\n") + "\n")
 
 
 def _g(x: float) -> str:

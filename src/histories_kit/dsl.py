@@ -53,6 +53,7 @@ from .hilbert import (
     Ket,
     Operator,
     Projector,
+    _check_dims,
     builtin_operator,
     spectral_decompose,
 )
@@ -590,10 +591,7 @@ class _Parser:
         ops = [self.lookup(n, "op") for n in names]
         ket = self.lookup(state, "ket")
         for n, op in zip(names, ops):
-            if op.dim != ket.dim:
-                self.resolve_fail(
-                    n, f"operator dimension {op.dim} differs from state dimension {ket.dim}"
-                )
+            self.evaluated(n, lambda: _check_dims("state and operator", ket.dim, op.dim))
         self.queries.append(BellQuery(kind.text, *(n.text for n in names), state.text))
 
     def family_query(self, kind: _Token):
@@ -636,8 +634,7 @@ class _Parser:
         self.end_statement()
         ket = self.lookup(state, "ket")
         decomposition = self.lookup(pdi, "pdi")
-        if decomposition.dim != ket.dim:
-            self.resolve_fail(pdi, "PDI dimension differs from state dimension")
+        self.evaluated(pdi, lambda: _check_dims("state and PDI", ket.dim, decomposition.dim))
         if not 1 <= shots <= MAX_SHOTS:
             self.resolve_fail(shots_tok, f"shots must lie in 1..{MAX_SHOTS}")
         if seed >= 2**64:
@@ -663,8 +660,9 @@ class _Parser:
             self.resolve_fail(da_tok, f"dims {da}x{db} do not compose to state dimension {ket.dim}")
         for tok in alice + [bob]:
             pdi = self.lookup(tok, "pdi")
-            if pdi.dim != ket.dim:
-                self.resolve_fail(tok, "PDI must live on the full bipartite space")
+            self.evaluated(
+                tok, lambda: _check_dims("operator and factor product", pdi.dim, da * db)
+            )
         self.queries.append(
             NoSignalQuery(state.text, da, db, tuple(t.text for t in alice), bob.text)
         )

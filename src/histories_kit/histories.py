@@ -20,6 +20,12 @@ block (65,536 entries) where a full scan forms 8.4 M at H = 4096 and 134 M
 at H = 16,384; mutually orthogonal chains are still scanned in full. The
 dense H x H Gram matrix is assembled, at O(H^2), only when
 `ConsistencyReport.gram` is read.
+
+A family caches its scan and an (H, n) array of event indices, one row per
+history in history order. Probabilities and conditional probabilities read
+the scan's weights: a conditional sums them under boolean masks over the
+index array, with the built-in `sum` in history order, so it equals the sum
+over the probability table bit for bit without building that table.
 """
 
 from __future__ import annotations
@@ -139,6 +145,24 @@ class HistoryFamily:
         if self.histories is not None:
             return self.histories
         return tuple(product(*(pdi.labels for pdi in self.event_pdis)))
+
+    @cached_property
+    def _label_index(self) -> np.ndarray:
+        """(H, n) event indices of every history, rows in all_histories()
+        order (itertools.product order for an exhaustive family), in the
+        smallest unsigned type that holds them; built on first use and kept
+        read-only."""
+        sizes = [len(pdi.labels) for pdi in self.event_pdis]
+        dtype = np.min_scalar_type(max(sizes) - 1)
+        if self.histories is None:
+            index = np.indices(sizes, dtype=dtype).reshape(len(sizes), -1).T
+        else:
+            positions = [{l: i for i, l in enumerate(pdi.labels)} for pdi in self.event_pdis]
+            index = np.array(
+                [[at[l] for at, l in zip(positions, h)] for h in self.histories], dtype=dtype
+            )
+        index.setflags(write=False)
+        return index
 
     @cached_property
     def _scan(self) -> tuple[tuple[tuple[str, ...], ...], np.ndarray, np.ndarray, float]:
@@ -322,8 +346,9 @@ def consistency_check(fam: HistoryFamily) -> ConsistencyReport:
     )
 
 
-def family_probabilities(fam: HistoryFamily) -> ProbabilityTable:
-    """Squared chain norms of a consistent family, with omitted mass reported."""
+def _consistent_report(fam: HistoryFamily) -> ConsistencyReport:
+    """The family's consistency report; InconsistentFamilyError unless it is
+    consistent, as probabilities are defined only then."""
     report = consistency_check(fam)
     if not report.consistent:
         raise InconsistentFamilyError(
@@ -331,7 +356,13 @@ def family_probabilities(fam: HistoryFamily) -> ProbabilityTable:
             f"tolerance {report.tolerance:g}); probabilities are undefined",
             report=report,
         )
-    probs = {h: float(w) for h, w in zip(report.histories, report.weights)}
+    return report
+
+
+def family_probabilities(fam: HistoryFamily) -> ProbabilityTable:
+    """Squared chain norms of a consistent family, with omitted mass reported."""
+    report = _consistent_report(fam)
+    probs = dict(zip(report.histories, report.weights.tolist()))
     total = float(sum(probs.values()))
     omitted = 0.0 if fam.exhaustive else max(0.0, 1.0 - total)
     return ProbabilityTable(
@@ -356,17 +387,20 @@ def conditional_probability(fam: HistoryFamily, given, target) -> float:
     """
     for event in (given, target):
         _check_event(fam, *event)
-    table = family_probabilities(fam)
+    weights = _consistent_report(fam).weights
+    index = fam._label_index
     gi, gl = given[0] - 1, str(given[1])
     ti, tl = target[0] - 1, str(target[1])
-    pr_given = sum(p for h, p in table.probabilities.items() if h[gi] == gl)
+    in_given = index[:, gi] == fam.event_pdis[gi].labels.index(gl)
+    # the built-in sum in history order, as over the ProbabilityTable, so the
+    # result is the table's bit for bit (np.sum would pair the terms)
+    pr_given = sum(weights[in_given].tolist())
     if pr_given <= tolerances().probability:
         raise ZeroProbabilityConditionError(
             f"conditioning event {gl!r} at time {given[0]} has probability {pr_given:.3g}"
         )
-    pr_joint = sum(
-        p for h, p in table.probabilities.items() if h[gi] == gl and h[ti] == tl
-    )
+    in_target = index[:, ti] == fam.event_pdis[ti].labels.index(tl)
+    pr_joint = sum(weights[in_given & in_target].tolist())
     return pr_joint / pr_given
 
 

@@ -553,3 +553,77 @@ def test_criterion_17_consistency_of_a_16384_history_family(tmp_path):
     assert abs(report.max_offdiag - expected) <= 1e-12 * expected
     assert result["max_offdiag"] == float(f"{report.max_offdiag:.12g}")
     assert result["consistent"] is False
+
+
+def test_criterion_18_probs_and_conditionals_of_a_65536_history_family(tmp_path):
+    # a two-qubit family with 16 two-outcome times, X-flip propagators and Z
+    # events on either qubit: each basis state follows one history, so the
+    # family is consistent and its weights have a closed form
+    times = 16
+    rng = np.random.default_rng(18)
+    events = [str(e) for e in rng.choice(["ZA", "ZB"], size=times)]
+    props = [str(p) for p in rng.choice(["XA", "XB", "XX"], size=times)]
+    amps = rng.uniform(0.3, 0.7, size=4) * rng.choice([-1.0, 1.0], size=4)
+    flips = {"XA": 2, "XB": 1, "XX": 3}  # XORs on the basis index 2*qA + qB
+    trajectories = []
+    for start in range(4):
+        state, labels = start, []
+        for prop, event in zip(props, events):
+            state ^= flips[prop]
+            bit = state >> 1 if event == "ZA" else state & 1
+            labels.append(f"{event}{bit}")
+        trajectories.append((labels, amps[start] ** 2 / float(np.sum(amps**2))))
+    weights: dict[str, float] = {}
+    for labels, w in trajectories:
+        key = ",".join(labels)
+        weights[key] = weights.get(key, 0.0) + w
+    conditionals = []
+    for _ in range(3):
+        given_t, target_t = (int(t) for t in rng.choice(times, size=2, replace=False) + 1)
+        given_label = trajectories[int(rng.integers(4))][0][given_t - 1]
+        target_label = f"{events[target_t - 1]}{int(rng.integers(2))}"
+        given_w = [w for labels, w in trajectories if labels[given_t - 1] == given_label]
+        joint_w = [
+            w for labels, w in trajectories
+            if labels[given_t - 1] == given_label and labels[target_t - 1] == target_label
+        ]
+        pr = sum(joint_w) / sum(given_w)
+        conditionals.append((target_t, target_label, given_t, given_label, pr))
+
+    lines = [
+        "ket k0 = [1, 0]",
+        "ket k1 = [0, 1]",
+        "op ZA0 = kron(proj(k0), I(2))",
+        "op ZA1 = kron(proj(k1), I(2))",
+        "op ZB0 = kron(I(2), proj(k0))",
+        "op ZB1 = kron(I(2), proj(k1))",
+        "pdi ZA = {ZA0, ZA1}",
+        "pdi ZB = {ZB0, ZB1}",
+        "op XA = kron(X, I(2))",
+        "op XB = kron(I(2), X)",
+        "op XX = kron(X, X)",
+        f"ket psi = [{', '.join(f'{x:.17f}' for x in amps)}]",
+        "family C {",
+        "  initial psi;",
+    ]
+    lines += [f"  prop {t} = {p};" for t, p in enumerate(props, start=1)]
+    lines += [f"  events {t} = {e};" for t, e in enumerate(events, start=1)]
+    lines += ["}", "query probs C"]
+    lines += [f"query conditional C {t}:{tl} | {g}:{gl}" for t, tl, g, gl, _ in conditionals]
+    spec = tmp_path / "h65536.spec"
+    spec.write_text("\n".join(lines) + "\n")
+    out = io.StringIO()
+    with _Budget(18, f"probs and 3 conditionals of a {2**times}-history family", 0.5):
+        code = cli.execute(["run", str(spec), "--format", "json"], out=out)
+    assert code == 0
+    table, *conds = json.loads(out.getvalue())["results"]
+    probs = table["probabilities"]
+    assert len(probs) == 2**times
+    assert sum(1 for p in probs.values() if p != 0.0) == len(weights)
+    for key, w in weights.items():
+        assert abs(probs[key] - w) < 1e-11
+    assert abs(table["total"] - 1.0) < 1e-11
+    assert table["exhaustive"] is True
+    for got, (t, tl, g, gl, want) in zip(conds, conditionals):
+        assert (got["target"], got["given"]) == (f"{t}:{tl}", f"{g}:{gl}")
+        assert abs(got["probability"] - want) < 1e-10

@@ -9,7 +9,10 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histories_kit import cli
 from histories_kit.config import TOLERANCES, tolerances
@@ -435,3 +438,75 @@ class TestHumanOutput:
         _, machine = run_cli(["neon", "--format", "json"], monkeypatch)
         s_json = json.loads(machine)["chsh"]["s"]
         assert f"{s_json:.6g}"[:6] in human
+
+
+# strings that need escaping: separators, quotes, backslashes, control
+# characters and non-ASCII text (BMP and astral)
+_ESCAPED = st.sampled_from(list(',:"\\/\n\t\x00\x1f\x7fé\u2028€\U0001f600'))
+_TEXT = st.text(alphabet=st.one_of(_ESCAPED, st.characters()), max_size=6)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1e300, -1e300, 1e16]),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _TEXT,
+    st.lists(_FLOATS, max_size=4).map(np.array),
+    st.lists(st.integers(-1000, 1000), max_size=4).map(lambda xs: np.array(xs, dtype=np.int64)),
+    st.lists(_FLOATS, min_size=4, max_size=4).map(lambda xs: np.array(xs).reshape(2, 2)),
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def reference_json(payload) -> str:
+    return json.dumps(cli._jsonable(payload), indent=2) + "\n"
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_PAYLOADS)
+    def test_matches_json_dumps_of_rounded_payload(self, payload):
+        out = io.StringIO()
+        cli._emit_json(payload, out)
+        assert out.getvalue() == reference_json(payload)
+
+    def test_non_string_keys_fold_as_jsonable_does(self):
+        payload = {1: "int", "1": "str", 2.5: [], None: {}, "x": {True: 0.1, "True": -0.0}}
+        out = io.StringIO()
+        cli._emit_json(payload, out)
+        assert out.getvalue() == reference_json(payload)
+
+    def test_probs_report_of_4096_histories(self, tmp_path, monkeypatch):
+        times = 12
+        events = "".join(f"  events {t} = P;\n" for t in range(1, times + 1))
+        spec = tmp_path / "h4096.spec"
+        spec.write_text(
+            "ket psi = [0.6, 0.8]\nop H = Z\npdi P = spectral(H)\n"
+            f"family F {{\n  initial psi;\n{events}}}\nquery probs F\n"
+        )
+        reports = []
+        writer = cli._emit_json
+
+        def recording(report, out):
+            reports.append(report)
+            writer(report, out)
+
+        monkeypatch.setattr(cli, "_emit_json", recording)
+        code, out = run_cli(["run", str(spec), "--format", "json"], monkeypatch)
+        assert code == 0
+        (report,) = reports
+        assert len(report["results"][0]["probabilities"]) == 2**times
+        assert out == reference_json(report)

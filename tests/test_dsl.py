@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from histories_kit import cli
+from histories_kit.bell import CHSHOperators, chsh_value, no_signaling_check
 from histories_kit.dsl import (
     BellQuery,
     ConditionalQuery,
@@ -22,9 +23,9 @@ from histories_kit.dsl import (
     parse_spec,
     render_spec,
 )
-from histories_kit.errors import ParseError, ResolutionError
-from histories_kit.hilbert import Ket, builtin_operator
-from histories_kit.sampler import MAX_SHOTS
+from histories_kit.errors import DimensionMismatchError, ParseError, ResolutionError
+from histories_kit.hilbert import Ket, builtin_operator, spectral_decompose
+from histories_kit.sampler import MAX_SHOTS, RunConfig, sample_pdi
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 CORPUS = sorted(SPEC_DIR.glob("*.spec"))
@@ -331,6 +332,43 @@ class TestQueryValidation:
     def test_probs_requires_family(self):
         err = first_error(self.PREFIX + "query probs A0\n")
         assert isinstance(err, ResolutionError)
+
+    # a one-qubit PDI or operator against a two-qubit state, at the token
+    # naming it, with the message of the library call the query makes
+    DIM_MISMATCHES = {
+        "sample": ("query sample k P shots 10 seed 1", 16, "state and PDI dims differ: 4 vs 2"),
+        "nosignal": (
+            "query nosignal k dims 2 2 alice P bob P",
+            33,
+            "operator and factor product dims differ: 2 vs 4",
+        ),
+        "chsh": ("query chsh A A A A in k", 12, "state and operator dims differ: 4 vs 2"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DIM_MISMATCHES))
+    def test_dimension_mismatch_matches_library(self, kind, tmp_path, capsys):
+        query, column, message = self.DIM_MISMATCHES[kind]
+        src = "ket k = [1, 0, 0, 0]\nop A = Z\npdi P = spectral(A)\n" + query + "\n"
+        err = first_error(src)
+        assert isinstance(err, ResolutionError)
+        assert (err.line, err.column, err.message) == (4, column, message)
+
+        state = Ket(np.array([1, 0, 0, 0], dtype=complex))
+        z = builtin_operator("Z")
+        pdi = spectral_decompose(z).pdi
+        library = {
+            "sample": lambda: sample_pdi(state, pdi, RunConfig(shots=10, seed=1)),
+            "nosignal": lambda: no_signaling_check(state, [pdi], pdi, (2, 2)),
+            "chsh": lambda: chsh_value(state, CHSHOperators(z, z, z, z)),
+        }[kind]
+        with pytest.raises(DimensionMismatchError) as exc_info:
+            library()
+        assert str(exc_info.value) == message
+
+        spec = tmp_path / f"{kind}.spec"
+        spec.write_text(src)
+        assert cli.execute(["run", str(spec)], out=io.StringIO()) == 1
+        assert capsys.readouterr().err == f"line 4, col {column}: {message}\n"
 
 
 class TestRendering:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from histories_kit.config import TOLERANCES, override
@@ -323,6 +323,9 @@ class TestGramScan:
     @pytest.mark.parametrize("block", [1, 2, 3, 256])
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["spread", "ties", "parallel"]))
+    # entries that cancel: the scan (row by row at block 1) and the dense
+    # product round the maximum 12 ulps apart
+    @example(6706, "spread")
     def test_matches_dense_gram(self, block, seed, kind):
         chains = scan_rows(seed, kind)
         with mock.patch.object(histories, "_GRAM_BLOCK", block):
@@ -331,7 +334,17 @@ class TestGramScan:
         diag = np.diag(gram).real.copy()
         np.fill_diagonal(gram, 0.0)
         expected = float(np.abs(gram).max(initial=0.0))
-        assert abs(max_offdiag - expected) <= 8 * np.spacing(expected)
+        # As in _gram_scan's pruning comment, with u the unit roundoff and d
+        # the row length, each computed |<y|z>| lies within (d+3)u |y||z| of
+        # the exact modulus, however its d products are grouped. Every pair
+        # Y != Z has |y||z| <= n1 n2, the two largest chain norms, so each
+        # computed maximum lies within (d+3)u n1 n2 of the exact maximum and
+        # the two within 2(d+3)u n1 n2 of each other. Relative to the maximum
+        # that is unbounded when entries cancel, so no ulp count holds.
+        top = np.sort(np.linalg.norm(chains, axis=1))[::-1]
+        n1n2 = top[0] * top[1] if len(top) > 1 else 0.0
+        u = np.finfo(float).eps / 2
+        assert abs(max_offdiag - expected) <= 2 * (chains.shape[1] + 3) * u * n1n2
         # both weights sum 2d rounded squares, in different orders: each is
         # within 2d eps of the exact value
         eps = np.finfo(float).eps
@@ -347,7 +360,80 @@ class TestGramScan:
         assert weights.tolist() == [1.0, 0.25, 0.0]
 
 
+def coordinate_family(seed, subset):
+    """A consistent family: coordinate PDIs of 2 or 3 members and propagators
+    that permute the basis with phases, so each basis component of the
+    initial state follows exactly one history."""
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(3, 7)), int(rng.integers(1, 5))
+    props = []
+    for _ in range(n):
+        perm = np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
+        props.append(Operator(perm))
+    pdis = []
+    for _ in range(n):
+        cuts = np.sort(rng.choice(np.arange(1, d), size=int(rng.integers(1, 3)), replace=False))
+        parts = np.split(rng.permutation(d), cuts)
+        members = [np.diag(np.isin(np.arange(d), part)).astype(complex) for part in parts]
+        labels = [f"e{j}" for j in rng.permutation(len(parts))]
+        pdis.append(PDI([Projector(Operator(m)) for m in members], labels=labels))
+    fam = HistoryFamily(
+        grid=TimeGrid(tuple(f"t{i}" for i in range(n + 1)), tuple(props)),
+        initial=Ket(rng.standard_normal(d) + 1j * rng.standard_normal(d)),
+        event_pdis=tuple(pdis),
+    )
+    if not subset:
+        return fam
+    every = fam.all_histories()
+    picked = rng.choice(len(every), size=rng.integers(1, len(every) + 1), replace=False)
+    return HistoryFamily(fam.grid, fam.initial, fam.event_pdis, histories=[every[i] for i in picked])
+
+
+def table_sums(fam, given, target):
+    """Pr(given) and Pr(given and target), summed over the probability table
+    history by history."""
+    table = family_probabilities(fam)
+    gi, gl = given[0] - 1, str(given[1])
+    ti, tl = target[0] - 1, str(target[1])
+    pr_given = sum(p for h, p in table.probabilities.items() if h[gi] == gl)
+    pr_joint = sum(
+        p for h, p in table.probabilities.items() if h[gi] == gl and h[ti] == tl
+    )
+    return pr_given, pr_joint
+
+
 class TestConditional:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_table_sums_bit_for_bit(self, seed, subset):
+        fam = coordinate_family(seed, subset)
+        assert consistency_check(fam).consistent
+        events = [(t, l) for t, pdi in enumerate(fam.event_pdis, start=1) for l in pdi.labels]
+        # every ordered pair: prediction, retrodiction and same-time events
+        for given in events:
+            for target in events:
+                pr_given, pr_joint = table_sums(fam, given, target)
+                if pr_given > TOLERANCES.probability:
+                    got = conditional_probability(fam, given=given, target=target)
+                    assert got == pr_joint / pr_given
+                    continue
+                with pytest.raises(ZeroProbabilityConditionError) as exc_info:
+                    conditional_probability(fam, given=given, target=target)
+                message = f"conditioning event {given[1]!r} at time {given[0]} has probability"
+                assert str(exc_info.value) == f"{message} {pr_given:.3g}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_label_index_decodes_to_histories(self, seed, subset):
+        fam = random_family(seed, subset)
+        index = fam._label_index
+        assert index.shape == (len(fam.all_histories()), fam.n_times)
+        assert not index.flags.writeable
+        decoded = [
+            tuple(pdi.labels[i] for pdi, i in zip(fam.event_pdis, row)) for row in index.tolist()
+        ]
+        assert decoded == list(fam.all_histories())
+
     def test_prediction_and_retrodiction(self):
         model = z_model()
         fams = standard_families(model, ket(0.6, 0.8))
@@ -378,6 +464,28 @@ class TestConditional:
         # a bad event is reported as such even when the family is inconsistent
         with pytest.raises(UnknownLabelError):
             conditional_probability(interference_family(), given=(3, "0"), target=(1, "plus"))
+        # and the target is checked before the given event's probability
+        fams = standard_families(z_model(), ket(0.6, 0.8))
+        with pytest.raises(UnknownLabelError, match="^no event labeled 'zzz' at time 1$"):
+            conditional_probability(fams.f2, given=(2, "rest"), target=(1, "zzz"))
+
+    def test_inconsistent_family_error_matches_probs(self):
+        message = (
+            r"^family is inconsistent \(max off-diagonal 0\.25, tolerance 1e-10\); "
+            r"probabilities are undefined$"
+        )
+        fam = interference_family()
+        with pytest.raises(InconsistentFamilyError, match=message) as from_probs:
+            family_probabilities(fam)
+        with pytest.raises(InconsistentFamilyError, match=message) as from_conditional:
+            conditional_probability(fam, given=(2, "0"), target=(1, "plus"))
+        assert from_conditional.value.report.max_offdiag == from_probs.value.report.max_offdiag
+
+    def test_zero_probability_message(self):
+        fams = standard_families(z_model(), ket(0.6, 0.8))
+        message = "^conditioning event 'rest' at time 2 has probability 0$"
+        with pytest.raises(ZeroProbabilityConditionError, match=message):
+            conditional_probability(fams.f2, given=(2, "rest"), target=(1, "0"))
 
 
 class TestMeasurementModel:
