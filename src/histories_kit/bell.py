@@ -147,7 +147,7 @@ class CorrelationData:
         if not np.isfinite(table).all():
             raise ValueError(f"correlator entries must be finite: {table.tolist()}")
         if float(np.abs(table).max()) > 1 + tolerances().probability:
-            raise ValueError(f"correlator magnitude exceeds 1: {table!r}")
+            raise ValueError(f"correlator magnitude exceeds 1: {table.tolist()}")
         table.setflags(write=False)
         object.__setattr__(self, "e", table)
         object.__setattr__(self, "chsh", float(_chsh(*table.flat)))

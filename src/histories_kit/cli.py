@@ -294,12 +294,15 @@ def _human_lhv_bound(report: dict, out):
         out.write(f"  {_strategy(s)}\n")
 
 
-def _run_query(query, env) -> dict:
-    """Execute one query against resolved bindings."""
+def _run_query(query, env, chsh_values: dict) -> dict:
+    """Execute one query against resolved bindings; chsh_values maps each Bell
+    setup's (state, A0, A1, B0, B1) names, fixed for the run, to its CHSHValue."""
     if isinstance(query, BellQuery):
-        names = (query.a0, query.a1, query.b0, query.b1)
-        ops = CHSHOperators(*(env[name].value for name in names))
-        value = chsh_value(env[query.state].value, ops)
+        setup = (query.state, query.a0, query.a1, query.b0, query.b1)
+        value = chsh_values.get(setup)
+        if value is None:
+            ops = CHSHOperators(*(env[name].value for name in setup[1:]))
+            value = chsh_values[setup] = chsh_value(env[query.state].value, ops)
         if query.kind == "chsh":
             return _chsh_payload(value)
         return _lhv_payload(value.correlations)
@@ -370,9 +373,11 @@ def _cmd_run(args) -> dict:
     except (OSError, UnicodeDecodeError) as err:
         raise _UnreadableSpec(f"cannot read {args.file}: {err}") from err
     spec = parse_spec(source)
+    env = spec.environment
+    chsh_values = {}  # the chsh and lhv queries on one setup evaluate it once
     return {
         "results": [
-            {"query": render_query(q), "kind": q.kind, **_run_query(q, spec.environment)}
+            {"query": render_query(q), "kind": q.kind, **_run_query(q, env, chsh_values)}
             for q in spec.queries
         ]
     }

@@ -473,8 +473,17 @@ def spectral_decompose(h: Operator) -> Observable:
     neighbours each within the gap whose ends lie farther apart has no
     grouping within tolerance and raises AmbiguousSpectrumError. Eigenvalues
     come back sorted descending.
+
+    The result is memoized on `h` (outside its dataclass fields), keyed by the
+    tolerance bundle in force, for as long as `h` lives: a later call under
+    the same bundle returns the same immutable Observable, one under another
+    bundle decomposes afresh, and a failure is never stored, so it raises
+    again. The memo relies on `h.entries` staying read-only.
     """
     tol = tolerances()
+    memo = vars(h).setdefault("_spectra", {})
+    if tol in memo:
+        return memo[tol]
     check(h.hermiticity_defect(), tol.algebraic, NotHermitianError, "operator is not Hermitian")
     evals, evecs = np.linalg.eigh(h.entries)
     ascending = evals.tolist()
@@ -502,7 +511,7 @@ def spectral_decompose(h: Operator) -> Observable:
     defect = float(np.abs(obs.operator().entries - h.entries).max())
     limit = tol.reconstruction * scale + shift
     check(defect, limit, VerificationFailedError, "spectral reconstruction")
-    return obs
+    return memo.setdefault(tol, obs)  # a thread that stored first wins the race
 
 
 def common_refinement(p: PDI, q: PDI) -> PDI:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from histories_kit import cli
+from histories_kit import cli, hilbert
 from histories_kit.bell import (
     CHSHOperators,
     LHVModel,
@@ -627,3 +627,48 @@ def test_criterion_18_probs_and_conditionals_of_a_65536_history_family(tmp_path)
     for got, (t, tl, g, gl, want) in zip(conds, conditionals):
         assert (got["target"], got["given"]) == (f"{t}:{tl}", f"{g}:{gl}")
         assert abs(got["probability"] - want) < 1e-10
+
+
+def test_criterion_19_chsh_and_lhv_of_one_setup_at_max_dim(tmp_path, monkeypatch):
+    # Alice measures the first qubit and Bob the second of a d=1024 space, in
+    # the singlet on those two qubits times a random state of the rest, so
+    # E(a, b) = -cos(a - b); each of the four operators has two eigenspaces of
+    # rank 512, and the chsh and lhv queries share one decomposition of each
+    dim = 1024
+    rest = dim // 4
+    deg = (100.0, 10.0, 55.0, 145.0)
+    rng = np.random.default_rng(19)
+    amps = np.kron([0.0, 1.0, -1.0, 0.0], rng.standard_normal(rest))
+    spec = tmp_path / "bell_max_dim.spec"
+    spec.write_text(
+        f"op A0 = kron(sigma({deg[0]}), I({dim // 2}))\n"
+        f"op A1 = kron(sigma({deg[1]}), I({dim // 2}))\n"
+        f"op B0 = kron(I(2), kron(sigma({deg[2]}), I({rest})))\n"
+        f"op B1 = kron(I(2), kron(sigma({deg[3]}), I({rest})))\n"
+        f"ket psi = [{', '.join(f'{x:.17f}' for x in amps)}]\n"
+        "query chsh A0 A1 B0 B1 in psi\nquery lhv A0 A1 B0 B1 in psi\n"
+    )
+    validated = []
+    validate = hilbert.pdi_validate
+
+    def counting(projectors):
+        validated.append(len(projectors))
+        return validate(projectors)
+
+    monkeypatch.setattr(hilbert, "pdi_validate", counting)
+    out = io.StringIO()
+    with _Budget(19, f"chsh and lhv of one setup at d={dim} decompose 4 operators", 12.0):
+        code = cli.execute(["run", str(spec), "--format", "json"], out=out)
+    assert code == 0
+    assert validated == [2] * 4
+    chsh, lhv = json.loads(out.getvalue())["results"]
+    a, b = np.radians(deg[:2]), np.radians(deg[2:])
+    e = -np.cos(a[:, None] - b[None, :])
+    s = e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]
+    assert abs(abs(s) - ROOT8) < 1e-12
+    for result in (chsh, lhv):
+        assert np.abs(np.array(result["e"]) - e).max() < 1e-9
+        assert abs(result["s"] - s) < 1e-9
+    assert abs(chsh["direct_expectation"] - s) < 1e-9
+    assert lhv["feasible"] is False
+    assert abs(lhv["max_combination"] - ROOT8) < 1e-9

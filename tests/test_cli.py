@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histories_kit import cli
+from histories_kit import cli, hilbert
 from histories_kit.config import TOLERANCES, tolerances
 from histories_kit.hilbert import builtin_operator, commutes
 from histories_kit.sampler import MAX_SHOTS
@@ -241,6 +241,14 @@ class TestExitCodes:
         assert out == ""
         assert "finite" in capsys.readouterr().err
 
+    def test_correlator_above_one_is_a_one_line_violation(self, capsys):
+        code, out = run_cli(["lhv-check", "1.5", "0", "0", "0"])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.splitlines() == [
+            "ValueError: correlator magnitude exceeds 1: [[1.5, 0.0], [0.0, 0.0]]"
+        ]
+
 
 class TestParserReuse:
     # the epr default angle lists go straight into the payload: a command that
@@ -346,6 +354,96 @@ class TestToleranceOverrides:
         assert [code for code, _ in reports] == [0] * 4
         for _, out in reports:
             assert json.loads(out)["metadata"]["tolerances"]["algebraic"] == 0.5
+
+
+BELL_SPEC = """\
+ket s = [0, 1, -1, 0]
+ket t = [0.6, 0, 0, 0.8]
+op A0 = kron(sigma(100), I(2))
+op A1 = kron(sigma(10), I(2))
+op B0 = kron(I(2), sigma(55))
+op B1 = kron(I(2), sigma(145))
+pdi PA0 = spectral(A0)
+pdi PA1 = spectral(A1)
+pdi PB0 = spectral(B0)
+query chsh A0 A1 B0 B1 in s
+query lhv A0 A1 B0 B1 in s
+query nosignal s dims 2 2 alice PA0 PA1 bob PB0
+"""
+
+
+class TestDecompositionCounts:
+    """Each operator is decomposed once per run, and the chsh and lhv queries
+    on one setup share one evaluation."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"pdi_validate": 0, "chsh_value": []}
+        validate, evaluate = hilbert.pdi_validate, cli.chsh_value
+
+        def counting_validate(projectors):
+            calls["pdi_validate"] += 1
+            return validate(projectors)
+
+        def recording_chsh_value(state, ops):
+            calls["chsh_value"].append(evaluate(state, ops))
+            return calls["chsh_value"][-1]
+
+        monkeypatch.setattr(hilbert, "pdi_validate", counting_validate)
+        monkeypatch.setattr(cli, "chsh_value", recording_chsh_value)
+        return calls
+
+    def test_bell_spec_decomposes_four_operators_and_evaluates_once(
+        self, tmp_path, counted, reachable_arrays
+    ):
+        spec = tmp_path / "bell.spec"
+        spec.write_text(BELL_SPEC)
+        code, out = run_cli(["run", str(spec), "--format", "json"])
+        assert code == 0
+        assert counted["pdi_validate"] == 4
+        (value,) = counted["chsh_value"]
+        chsh, lhv, _ = json.loads(out)["results"]
+        assert chsh["e"] == lhv["e"] and chsh["s"] == lhv["s"]
+        assert abs(abs(chsh["s"]) - 2 * math.sqrt(2)) < 1e-9
+        # the shared evaluation exposes no writeable array
+        arrays = reachable_arrays(value)
+        assert len(arrays) == 1 + 8  # the correlator table and 4 x 2 eigenspace bases
+        assert arrays[0] is value.correlations.e
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_distinct_setups_are_evaluated_apart(self, tmp_path, counted):
+        spec = tmp_path / "setups.spec"
+        spec.write_text(
+            BELL_SPEC
+            + "query chsh A0 A1 B0 B1 in t\nquery chsh A0 A1 B1 B0 in s\n"
+            + "query lhv A0 A1 B0 B1 in t\n"
+        )
+        code, out = run_cli(["run", str(spec), "--format", "json"])
+        assert code == 0
+        assert counted["pdi_validate"] == 4
+        assert len(counted["chsh_value"]) == 3
+        chsh_s, _, _, chsh_t, swapped, lhv_t = json.loads(out)["results"]
+        assert lhv_t["e"] == chsh_t["e"] != chsh_s["e"]
+        assert swapped["e"] == [row[::-1] for row in chsh_s["e"]]
+
+    def test_neon_decomposes_s_once(self, monkeypatch):
+        setups, factored = [], []
+        build, eigh = cli.neon_setup, np.linalg.eigh
+
+        def recording_setup():
+            setups.append(build())
+            return setups[-1]
+
+        def recording_eigh(a, *args, **kwargs):
+            factored.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "neon_setup", recording_setup)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        code, _ = run_cli(["neon", "--shots", "1000", "--format", "json"])
+        assert code == 0
+        (setup,) = setups
+        assert sum(a is setup.s.entries for a in factored) == 1
 
 
 class TestHumanOutput:

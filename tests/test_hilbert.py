@@ -1,6 +1,9 @@
 """State, operator, and decomposition layer."""
 
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from histories_kit import bell, histories, sampler
-from histories_kit.config import TOLERANCES
+from histories_kit.config import TOLERANCES, override
 from histories_kit.errors import (
     AmbiguousSpectrumError,
     DimensionMismatchError,
@@ -443,6 +446,127 @@ class TestSpectralDecompose:
         scale = max(1.0, float(np.abs(h.entries).max()))
         defect = float(np.abs(obs.operator().entries - h.entries).max())
         assert defect < TOLERANCES.reconstruction * scale + gap
+
+
+def near_pair():
+    """diag(1, 1 + 5e-9, -1): the near pair merges at the default grouping gap
+    (1e-8) and splits under a 1e-10 one."""
+    return Operator(np.diag([1.0, 1.0 + 5e-9, -1.0]).astype(complex))
+
+
+class TestSpectralMemo:
+    def test_memo_is_keyed_by_the_tolerance_bundle(self):
+        op = near_pair()
+        first = spectral_decompose(op)
+        with override(eigen_grouping=1e-10):
+            split = spectral_decompose(op)
+            assert spectral_decompose(op) is split
+        again = spectral_decompose(op)
+        assert [len(o.eigenvalues) for o in (first, split, again)] == [2, 3, 2]
+        assert again is first
+
+    def test_memo_is_not_a_dataclass_field(self):
+        op = near_pair()
+        spectral_decompose(op)
+        assert [f.name for f in dataclasses.fields(op)] == ["entries"]
+        assert dataclasses.asdict(op).keys() == {"entries"}
+        assert repr(op).startswith("Operator(entries=array(")
+        fresh = dataclasses.replace(op)
+        assert spectral_decompose(fresh) is not spectral_decompose(op)
+
+    def test_threads_under_different_bundles_get_their_own_results(self):
+        # four threads (more than the cores) miss on each fresh operator at
+        # once: two at the default bundle, one splitting the near pair and one
+        # under an algebraic override, which groups as the default does but is
+        # a bundle of its own
+        ops = [near_pair() for _ in range(30)]
+        bundles = [{}, {}, {"eigen_grouping": 1e-10}, {"algebraic": 1e-9}]
+        barrier = threading.Barrier(len(bundles), timeout=30)
+        results = [[] for _ in bundles]
+
+        def worker(fields, seen):
+            with override(**fields):
+                for op in ops:
+                    barrier.wait()
+                    seen.append(spectral_decompose(op))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=args) for args in zip(bundles, results)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        default, twin, split, algebraic = results
+        assert [len(o.eigenvalues) for o in default] == [2] * len(ops)
+        assert [len(o.eigenvalues) for o in split] == [3] * len(ops)
+        assert [len(o.eigenvalues) for o in algebraic] == [2] * len(ops)
+        for i, op in enumerate(ops):
+            # racing threads of one bundle end up with the one stored result
+            assert twin[i] is default[i] is spectral_decompose(op)
+            assert algebraic[i] is not default[i]
+            with override(eigen_grouping=1e-10):
+                assert spectral_decompose(op) is split[i]
+
+    def test_failures_raise_on_every_call(self):
+        skew = Operator(np.array([[0, 1], [0, 0]], dtype=complex))
+        for _ in range(3):
+            with pytest.raises(NotHermitianError):
+                spectral_decompose(skew)
+        # neighbours 0.6e-8 apart chain past the default gap, but split under
+        # a finer one; the finer bundle's success does not answer for the default
+        chained = hermitian_with_spectrum(np.random.default_rng(8), [0.0, 0.6e-8, 1.2e-8])
+        with pytest.raises(AmbiguousSpectrumError):
+            spectral_decompose(chained)
+        with override(eigen_grouping=1e-10):
+            assert len(spectral_decompose(chained).eigenvalues) == 3
+        with pytest.raises(AmbiguousSpectrumError):
+            spectral_decompose(chained)
+
+    def test_hit_equals_a_fresh_decomposition_bit_for_bit(self):
+        h = hermitian_with_spectrum(np.random.default_rng(19), [2.0, 2.0, 0.5, -1.0, -1.0])
+        cached = spectral_decompose(h)
+        assert spectral_decompose(h) is cached
+        fresh = spectral_decompose(Operator(h.entries.copy()))
+        assert fresh is not cached
+        assert cached.eigenvalues == fresh.eigenvalues
+        assert cached.shift == fresh.shift
+        assert cached.pdi.labels == fresh.pdi.labels
+        for p, q in zip(cached.pdi.projectors, fresh.pdi.projectors, strict=True):
+            assert p.basis.tobytes() == q.basis.tobytes()
+
+    def test_cached_observable_is_read_only(self, reachable_arrays):
+        h = hermitian_with_spectrum(np.random.default_rng(20), [1.0, 1.0, 0.0, -3.0])
+        obs = spectral_decompose(h)
+        arrays = reachable_arrays(obs)
+        assert len(arrays) == len(obs.pdi) == 3  # each Projector.basis
+        assert not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Projector.from_basis(np.eye(3, dtype=complex)[:, :2]),
+            lambda: Projector(Operator(np.diag([1.0, 0.0, 1.0]).astype(complex))),
+            lambda: Ket(np.array([0.6, 0.8j, 0.0])).projector(),
+            lambda: Ket(np.array([0.6, 0.8j, 0.0])).projector().complement(),
+            lambda: region_projector(3, Region([0, 2])),
+        ],
+        ids=["from_basis", "from_matrix", "ket", "complement", "region"],
+    )
+    def test_projector_op_decomposes_and_hits(self, build):
+        # Projector.op is the Operator built with object.__new__, bypassing __init__
+        p = build()
+        op = p.op
+        first = spectral_decompose(op)
+        assert first.eigenvalues == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert [q.rank for q in first.pdi.projectors] == [p.rank, p.dim - p.rank]
+        assert spectral_decompose(op) is first
 
 
 def isometry_blocks(seed, dim, coordinate, angle):
