@@ -26,18 +26,21 @@ Grammar sketch (one statement per line; families use a brace block):
 Limits: dimensions up to MAX_DIM, shot counts up to sampler.MAX_SHOTS.
 
 Complex literals are a, ai, a+bi, a-bi with plain decimals (no exponent
-notation); a leading minus negates the first component. A well-formed ket
-literal on one line lexes as a single token and converts in one pass; any
-other bracket is lexed piece by piece, so its first error is reported where
-it occurs. In operator expressions a scalar is a single real or
-pure-imaginary literal. A +/- chain evaluates in one loop, its terms
-c*proj(v) as one product over the stacked kets. Angles are degrees. `#`
-starts a comment; names are declared before use.
+notation); a leading minus negates the first component. A ket literal is
+lexed from its `[` to the first `]` on the line. If that text holds only
+digits, `.`, `-`, commas and blanks, it converts with one float() per
+entry; otherwise, or if a float() fails, each entry is matched against the
+entry pattern and converted with complex(). Either way the literal is one
+token carrying its amplitudes. A literal that neither path accepts leaves
+its `[` as punctuation and is walked token by token, so its first error is
+reported where it occurs. In operator expressions a scalar is a single
+real or pure-imaginary literal. A +/- chain evaluates in one loop, its
+terms c*proj(v) as one product over the stacked kets. Angles are degrees.
+`#` starts a comment; names are declared before use.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from dataclasses import dataclass, field
@@ -229,14 +232,14 @@ class ExperimentSpec:
 
 _NUM = r"(?:\d+\.\d*|\.\d+|\d+)"
 _NUMBER_RE = re.compile(_NUM)
-# One ket entry: a, ai, a+bi or a-bi, optionally negated. Every whitespace
-# run has exactly one place in a match, so a literal that falls short fails
-# in time linear in its length instead of backtracking over the splits.
-_ENTRY = rf"(?:-[ \t]*)?{_NUM}(?:i|[ \t]*[+\-][ \t]*{_NUM}i)?"
+# One ket entry: a, ai, a+bi or a-bi, optionally negated, with the blanks
+# around it. No two blank runs of the pattern can share one run of the text,
+# so an entry that falls short fails in time linear in its length instead
+# of backtracking over the ways to split a run.
+_ENTRY_RE = re.compile(rf"[ \t]*(?:-[ \t]*)?{_NUM}(?:i|[ \t]*[+\-][ \t]*{_NUM}i)?[ \t]*")
 _TOKEN_RE = re.compile(
     rf"""
       (?P<ws>[ \t]+)
-    | (?P<vector>\[[ \t]*{_ENTRY}(?:[ \t]*,[ \t]*{_ENTRY})*[ \t]*\])
     | (?P<imag>{_NUM}i\b)
     | (?P<number>{_NUM})
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
@@ -244,8 +247,28 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-# a VECTOR token's text as the complex() strings of its entries, comma-joined
-_VECTOR_TO_COMPLEX = str.maketrans("i", "j", "[] \t")
+# deletes every character a real literal may hold. On text made of these
+# alone, float() accepts exactly the entries [ \t]*-?NUM[ \t]*, a subset of
+# the entry pattern, so where it succeeds the pattern would too.
+_REAL_LITERAL = str.maketrans("", "", "0123456789.-, \t")
+# an entry's text as complex() reads it
+_ENTRY_TO_COMPLEX = str.maketrans("i", "j", " \t")
+
+
+def _literal(body: str) -> np.ndarray | None:
+    """The amplitudes of the ket literal `[body]`, or None if body is not a
+    comma-separated list of entries. A real literal converts with one float()
+    per entry; any other, such as one with a complex entry or a blank after
+    a minus, converts entry by entry."""
+    pieces = body.split(",")
+    if not body.translate(_REAL_LITERAL):
+        try:
+            return np.array(list(map(float, pieces))).astype(complex)
+        except ValueError:
+            pass  # such as "- 1", which only the entry pattern accepts
+    if all(map(_ENTRY_RE.fullmatch, pieces)):
+        return np.array([complex(p.translate(_ENTRY_TO_COMPLEX)) for p in pieces])
+    return None
 
 
 class _Token(NamedTuple):
@@ -253,6 +276,7 @@ class _Token(NamedTuple):
     text: str
     line: int
     col: int
+    value: np.ndarray | None = None  # a VECTOR's amplitudes
 
 
 def _tokenize(source: str) -> tuple[list[_Token], list[ParseError]]:
@@ -268,7 +292,23 @@ def _tokenize(source: str) -> tuple[list[_Token], list[ParseError]]:
             line = line[:hash_at]
         pos = 0
         line_start = len(tokens)
+        close = -1  # the first "]" at or after pos; len(line) if there is none
         while pos < len(line):
+            if line[pos] == "[":
+                if close < pos:
+                    close = line.find("]", pos)
+                    if close < 0:
+                        close = len(line)
+                # a literal holds no "[", so each "]" ends at most one
+                # literal that is converted: the lexer stays linear
+                if close < len(line) and line.find("[", pos + 1, close) < 0:
+                    values = _literal(line[pos + 1 : close])
+                    if values is not None:
+                        tokens.append(
+                            _Token("VECTOR", line[pos : close + 1], lineno, pos + 1, values)
+                        )
+                        pos = close + 1
+                        continue
             m = _TOKEN_RE.match(line, pos)
             if m is None:
                 errors.append(
@@ -439,8 +479,8 @@ class _Parser:
         self.expect_punct("=")
         amplitudes = self.vector()
         self.end_statement()
-        ket = self.evaluated(name, lambda: Ket(np.array(amplitudes, dtype=complex)))
-        self.bind(name, KetDecl(name.text, amplitudes), Binding("ket", ket))
+        ket = self.evaluated(name, lambda: Ket(amplitudes))
+        self.bind(name, KetDecl(name.text, tuple(amplitudes.tolist())), Binding("ket", ket))
 
     def op_decl(self):
         self.expect_keyword("op")
@@ -669,13 +709,15 @@ class _Parser:
 
     # literals and expressions
 
-    def vector(self) -> tuple[complex, ...]:
+    def vector(self) -> np.ndarray:
         tok = self.peek()
         if tok.kind == "VECTOR":
             self.advance()
-            text = tok.text.translate(_VECTOR_TO_COMPLEX)
-            entries = tuple(map(complex, text.split(",")))
-            if not all(map(cmath.isfinite, entries)):
+            entries = tok.value
+            # the token keeps its text for errors but lets go of the array,
+            # so a long spec holds no more than one literal's array at a time
+            self.tokens[self.pos - 1] = tok._replace(value=None)
+            if not np.isfinite(entries).all():
                 # fail at the first number past the float range
                 for m in _NUMBER_RE.finditer(tok.text):
                     self.number(_Token("NUMBER", m.group(), tok.line, tok.col + m.start()))
@@ -687,9 +729,10 @@ class _Parser:
                 self.advance()
                 entries.append(self.centry())
             self.expect_punct("]")
+            entries = np.array(entries)
         if len(entries) > MAX_DIM:
             self.resolve_fail(tok, f"vector longer than {MAX_DIM}")
-        return tuple(entries)
+        return entries
 
     def centry(self) -> complex:
         negate = False

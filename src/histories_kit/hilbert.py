@@ -89,11 +89,12 @@ def _check_dims(label: str, dim: int, other: int) -> None:
 
 
 def _frozen_matrix(values) -> np.ndarray:
-    mat = np.array(values, dtype=complex)
+    """A copy of a square matrix backed by immutable bytes: unlike an array
+    that owns its data, it cannot be made writeable again."""
+    mat = np.asarray(values, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    mat.setflags(write=False)
-    return mat
+    return np.ndarray(mat.shape, complex, mat.tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,10 +246,7 @@ class Projector:
 
     @property
     def op(self) -> Operator:
-        # entries is fresh, read-only and held by nothing else: wrap it uncopied
-        made = object.__new__(Operator)
-        object.__setattr__(made, "entries", self.entries)
-        return made
+        return Operator(self.entries)
 
     @property
     def rank(self) -> int:
@@ -478,7 +476,8 @@ def spectral_decompose(h: Operator) -> Observable:
     tolerance bundle in force, for as long as `h` lives: a later call under
     the same bundle returns the same immutable Observable, one under another
     bundle decomposes afresh, and a failure is never stored, so it raises
-    again. The memo relies on `h.entries` staying read-only.
+    again. The memo relies on `h.entries` never changing, which holds
+    because they are backed by immutable bytes.
     """
     tol = tolerances()
     memo = vars(h).setdefault("_spectra", {})

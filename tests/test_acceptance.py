@@ -36,7 +36,7 @@ from histories_kit.bell import (
     singlet_chsh_operators,
     singlet_state,
 )
-from histories_kit.dsl import parse_spec, render_spec
+from histories_kit.dsl import MAX_DIM, parse_spec, render_spec
 from histories_kit.errors import NonCommutingError, ParseError
 from histories_kit.hilbert import (
     PDI,
@@ -355,21 +355,29 @@ def test_criterion_10_dsl_corpus_and_fuzz():
                 pass
 
 
-def test_criterion_11_spectral_spec_parse_scales_to_d192():
-    dim = 192
-    rng = np.random.default_rng(192)
+def _check_projector_sum_parse(number: int, dim: int, label: str, seconds: float):
+    """Parse spectral(H) within the budget, H written as its spectral
+    decomposition: dim terms lambda_k*proj(v_k) over a random real orthonormal
+    basis, 15 decimals per entry (about 20 bytes of spec text per entry)."""
+    rng = np.random.default_rng(dim)
     basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0].T  # rows are orthonormal
     values = [f"{1.0 + 0.05 * i:.6f}" for i in rng.permutation(dim)]
     lines = [f"ket v{i} = [{', '.join(f'{x:.15f}' for x in row)}]" for i, row in enumerate(basis)]
     lines.append("op H = " + " + ".join(f"{lam}*proj(v{i})" for i, lam in enumerate(values)))
     lines.append("pdi P = spectral(H)")
     text = "\n".join(lines) + "\n"
-    with _Budget(11, "spectral(H) spec with d=192 distinct eigenvalues parses", 10.0):
+    with _Budget(number, label, seconds):
         spec = parse_spec(text)
     binding = spec.environment["P"]
     assert len(binding.value) == dim
     expected = sorted((float(v) for v in values), reverse=True)
     assert np.abs(np.array(binding.extra) - expected).max() < 1e-9
+
+
+def test_criterion_11_spectral_spec_parse_scales_to_d192():
+    dim = 192
+    label = f"spectral(H) spec with d={dim} distinct eigenvalues parses"
+    _check_projector_sum_parse(11, dim, label, 10.0)
 
 
 def test_criterion_12_largest_sample_query_within_budget(tmp_path):
@@ -468,23 +476,9 @@ def test_criterion_14_commutation_of_spectral_pdis_at_d256():
 
 
 def test_criterion_16_projector_sum_parse_at_d512():
-    # H is written as its spectral decomposition, 512 terms lambda_k*proj(v_k)
-    # over a random real orthonormal basis: about 5 MB of spec text
+    # about 5 MB of spec text
     dim = 512
-    rng = np.random.default_rng(512)
-    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0].T  # rows are orthonormal
-    values = [f"{1.0 + 0.05 * i:.6f}" for i in rng.permutation(dim)]
-    lines = [f"ket v{i} = [{', '.join(f'{x:.15f}' for x in row)}]" for i, row in enumerate(basis)]
-    lines.append("op H = " + " + ".join(f"{lam}*proj(v{i})" for i, lam in enumerate(values)))
-    lines.append("pdi P = spectral(H)")
-    text = "\n".join(lines) + "\n"
-    with _Budget(16, f"spectral(H) spec with a {dim}-term projector sum parses", 2.0):
-        spec = parse_spec(text)
-    binding = spec.environment["P"]
-    assert len(binding.value) == dim
-    expected = sorted((float(v) for v in values), reverse=True)
-    assert np.abs(np.array(binding.extra) - expected).max() < 1e-9
-
+    _check_projector_sum_parse(16, dim, f"spectral(H) spec with a {dim}-term projector sum parses", 2.0)
 
 
 def _blocked_max_offdiag(chains: np.ndarray, block: int = 128) -> float:
@@ -672,3 +666,10 @@ def test_criterion_19_chsh_and_lhv_of_one_setup_at_max_dim(tmp_path, monkeypatch
     assert abs(chsh["direct_expectation"] - s) < 1e-9
     assert lhv["feasible"] is False
     assert abs(lhv["max_combination"] - ROOT8) < 1e-9
+
+
+def test_criterion_20_projector_sum_parse_at_max_dim():
+    # criterion 16's form at d = MAX_DIM: 1024 ket literals of 1024 entries,
+    # about 20 MB of spec text
+    label = f"spectral(H) spec with a {MAX_DIM}-term projector sum parses"
+    _check_projector_sum_parse(20, MAX_DIM, label, 6.0)

@@ -4,12 +4,13 @@ import io
 import json
 import math
 import random
+import re
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from histories_kit import cli
@@ -20,6 +21,9 @@ from histories_kit.dsl import (
     ExperimentSpec,
     KetDecl,
     SampleQuery,
+    _Parser,
+    _Token,
+    _tokenize,
     parse_spec,
     render_spec,
 )
@@ -421,8 +425,8 @@ _DIGITS = st.text(alphabet="0123456789٣５", min_size=1, max_size=6)
 
 
 @st.composite
-def _number(draw):
-    whole, frac = draw(_DIGITS), draw(_DIGITS)
+def _number(draw, digits=_DIGITS):
+    whole, frac = draw(digits), draw(digits)
     return draw(st.sampled_from([whole, whole + ".", f"{whole}.{frac}", "." + frac]))
 
 
@@ -539,6 +543,192 @@ class TestLiterals:
         elapsed = time.perf_counter() - start
         assert (err.line, err.column, err.message) == (1, column, "expected ']'")
         assert elapsed < 1.0, f"4096-entry malformed literal took {elapsed:.3f}s >= 1.0s"
+
+    @pytest.mark.parametrize("piece, column", [("[", 10), ("[1 ", 12)], ids=["brackets", "entries"])
+    def test_many_opening_brackets_lex_in_linear_time(self, piece, column):
+        # every "[" before the one "]" could start a literal; scanning each
+        # to the "]" would take time quadratic in the line's length
+        line = "ket k = " + piece * 40_000 + "]"
+        start = time.perf_counter()
+        err = first_error(line + "\n")
+        elapsed = time.perf_counter() - start
+        assert (err.line, err.column) == (1, column)
+        assert elapsed < 1.0, f"{len(line)}-character line took {elapsed:.3f}s >= 1.0s"
+
+
+# The lexer before ket literals were converted by dsl._literal, kept as the
+# oracle for it: one regex whose `vector` alternative matches a whole
+# well-formed literal on one line, whose entries complex() then converts.
+_ORACLE_NUM = r"(?:\d+\.\d*|\.\d+|\d+)"
+_ORACLE_ENTRY = rf"(?:-[ \t]*)?{_ORACLE_NUM}(?:i|[ \t]*[+\-][ \t]*{_ORACLE_NUM}i)?"
+_ORACLE_TOKEN_RE = re.compile(
+    rf"""
+      (?P<ws>[ \t]+)
+    | (?P<vector>\[[ \t]*{_ORACLE_ENTRY}(?:[ \t]*,[ \t]*{_ORACLE_ENTRY})*[ \t]*\])
+    | (?P<imag>{_ORACLE_NUM}i\b)
+    | (?P<number>{_ORACLE_NUM})
+    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<punct>[={{}}\[\](),;:|+\-*])
+    """,
+    re.VERBOSE,
+)
+_ORACLE_TO_COMPLEX = str.maketrans("i", "j", "[] \t")
+
+
+def _oracle_amplitudes(vector_text: str) -> tuple[complex, ...]:
+    return tuple(map(complex, vector_text.translate(_ORACLE_TO_COMPLEX).split(",")))
+
+
+def _oracle_tokenize(source: str) -> tuple[list[_Token], list[ParseError]]:
+    tokens, errors = [], []
+    lines = source.split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r").split("#", 1)[0]
+        pos, line_start = 0, len(tokens)
+        while pos < len(line):
+            m = _ORACLE_TOKEN_RE.match(line, pos)
+            if m is None:
+                errors.append(
+                    ParseError(lineno, pos + 1, f"unexpected character {line[pos]!r}", line[pos])
+                )
+                del tokens[line_start:]
+                break
+            kind, text = m.lastgroup.upper(), m.group()
+            if kind == "VECTOR":
+                value = np.array(_oracle_amplitudes(text), dtype=complex)
+                tokens.append(_Token(kind, text, lineno, pos + 1, value))
+            elif kind != "WS":
+                tokens.append(_Token(kind, text, lineno, pos + 1))
+            pos = m.end()
+        tokens.append(_Token("NEWLINE", "", lineno, len(raw) + 1))
+    tokens.append(_Token("EOF", "", len(lines), len(lines[-1]) + 1))
+    return tokens, errors
+
+
+def _where(err: ParseError) -> tuple[int, int, str]:
+    return err.line, err.column, err.message
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+_ASCII_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=20)
+
+
+@st.composite
+def _real_entry(draw):
+    return draw(st.sampled_from(["", "-"])) + draw(_number(_ASCII_DIGITS))
+
+
+# entries just outside the grammar, or inside it but off the real-only path
+_NEAR_MISSES = [
+    "1e5", "inf", "nan", "1_0", "+1", "- 1", "-\t1", "1 2", "1..2", ".", "-", "",
+    "1+i", "i", "1+2i", "-2.5i", "1 - 2", "--1", "2i + 3i", "1ia", "$", "[", "9" * 400,
+]
+
+
+@st.composite
+def _literal_text(draw):
+    """A ket literal mixing real entries, entries of the whole grammar and
+    near misses; it may lack its ']' or have text after it."""
+    entry = st.one_of(
+        _real_entry(), _real_entry(), _entry().map(lambda e: e[0]), st.sampled_from(_NEAR_MISSES)
+    )
+    body = ",".join(draw(_WS) + e + draw(_WS) for e in draw(st.lists(entry, max_size=8)))
+    return "[" + body + draw(st.sampled_from(["]", "]", "]", "", "] x", "]]", " [1]"]))
+
+
+class TestLexerAgainstOracle:
+    """The literal converter against the whole-literal regex it replaced:
+    the same tokens, bit-equal amplitudes, and the same errors."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_literal_text())
+    @example("[1e5]")
+    @example("[inf]")
+    @example("[nan]")
+    @example("[1_0]")
+    @example("[+1]")
+    @example("[- 1]")
+    @example("[-\t1]")
+    @example("[1 2]")
+    @example("[1..2]")
+    @example("[.]")
+    @example("[-]")
+    @example("[]")
+    @example("[1,]")
+    @example("[,1]")
+    @example("[1+i]")
+    @example("[i]")
+    @example("[1+2i]")
+    @example("[-2.5i]")
+    @example("[" + "9" * 400 + ", 1]")
+    @example("[\t-0.5\t,\t1 ,  .25\t]")
+    @example("[1, 0")
+    def test_matches_the_whole_literal_regex(self, literal):
+        source = f"ket j = [1, 0]\nket k = {literal}\n"
+        tokens, errors = _tokenize(source)
+        want_tokens, want_errors = _oracle_tokenize(source)
+        assert [t[:4] for t in tokens] == [t[:4] for t in want_tokens]
+        assert list(map(_where, errors)) == list(map(_where, want_errors))
+        for got, want in zip(tokens, want_tokens):
+            if got.kind == "VECTOR":
+                assert _bits(got.value) == _bits(want.value), got.text
+        # the parser run on the oracle's tokens (their amplitudes from complex())
+        # stands for the old parse
+        try:
+            _Parser(want_tokens, want_errors).parse()
+        except ParseError as want_err:
+            err = first_error(source)
+            assert list(map(_where, err.all_errors)) == list(map(_where, want_err.all_errors))
+            return
+        spec = parse_spec(source)
+        vectors = [t.text for t in want_tokens if t.kind == "VECTOR"]
+        for decl, text in zip(spec.declarations, vectors, strict=True):
+            want = _oracle_amplitudes(text)
+            assert repr(decl.amplitudes) == repr(want)
+            ket = spec.environment[decl.name].value
+            assert _bits(ket.amplitudes) == _bits(Ket(np.array(want, dtype=complex)).amplitudes)
+
+
+def _spectral_spec(dim: int, seed: int) -> str:
+    """spec text of spectral(H), H written as the projector sum over a random
+    real orthonormal basis, entries as signed 17-digit decimals"""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0].T  # rows are orthonormal
+    lines = [f"ket v{i} = [{', '.join(f'{x: .17f}' for x in row)}]" for i, row in enumerate(basis)]
+    lines.append("op H = " + " + ".join(f"{1.0 + 0.05 * i:.6f}*proj(v{i})" for i in range(dim)))
+    lines.append("pdi P = spectral(H)")
+    return "\n".join(lines) + "\n"
+
+
+_KET_STATEMENT = re.compile(r"\s*ket\s+(\w+)\s*=\s*(\[[^\]]*\])\s*")
+
+
+class TestKetLiteralValues:
+    SOURCES = {p.stem: p.read_text() for p in CORPUS} | {"d96": _spectral_spec(96, 96)}
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_amplitudes_kets_and_rendering(self, name):
+        source = self.SOURCES[name]
+        spec = parse_spec(source)
+        literals = {}
+        for line in source.split("\n"):
+            m = _KET_STATEMENT.fullmatch(line.split("#", 1)[0])
+            if m:
+                literals[m[1]] = m[2]
+        decls = [d for d in spec.declarations if isinstance(d, KetDecl)]
+        assert [d.name for d in decls] == list(literals)
+        for decl in decls:
+            want = _oracle_amplitudes(literals[decl.name])
+            assert all(type(z) is complex for z in decl.amplitudes)
+            assert list(map(repr, decl.amplitudes)) == list(map(repr, want))
+            # the ket as built from the complex() tuple, bit for bit
+            ket = spec.environment[decl.name].value
+            assert _bits(ket.amplitudes) == _bits(Ket(np.array(want, dtype=complex)).amplitudes)
+        rendered = render_spec(spec)
+        assert render_spec(parse_spec(rendered)) == rendered
 
 
 def _projector(amplitudes) -> np.ndarray:

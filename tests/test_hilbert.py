@@ -560,13 +560,32 @@ class TestSpectralMemo:
         ids=["from_basis", "from_matrix", "ket", "complement", "region"],
     )
     def test_projector_op_decomposes_and_hits(self, build):
-        # Projector.op is the Operator built with object.__new__, bypassing __init__
         p = build()
         op = p.op
         first = spectral_decompose(op)
         assert first.eigenvalues == pytest.approx((1.0, 0.0), abs=1e-12)
         assert [q.rank for q in first.pdi.projectors] == [p.rank, p.dim - p.rank]
         assert spectral_decompose(op) is first
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Operator(np.diag([1.0, -1.0])),
+            lambda: Ket(np.array([1.0, 0.0])).projector().op,
+        ],
+        ids=["operator", "projector-op"],
+    )
+    def test_entries_cannot_be_made_writeable(self, build):
+        # an array that owns its data can be made writeable again, and then
+        # the memo would answer for a matrix that has since changed
+        op = build()
+        before = spectral_decompose(op)
+        with pytest.raises(ValueError):
+            op.entries.setflags(write=True)
+        with pytest.raises(ValueError):
+            op.entries[0, 0] = 3.0
+        assert spectral_decompose(op) is before
+        assert op.entries[0, 0] == 1.0
 
 
 def isometry_blocks(seed, dim, coordinate, angle):
