@@ -37,6 +37,7 @@ from .hilbert import (
     Operator,
     Projector,
     _check_dims,
+    _frozen,
     builtin_operator,
     commutator_defect,
     partial_trace,
@@ -141,14 +142,13 @@ class CorrelationData:
     chsh: float = 0.0
 
     def __post_init__(self):
-        table = np.array(self.e, dtype=float)
+        table = _frozen(self.e, float)
         if table.shape != (2, 2):
             raise ValueError("correlator table must be 2x2")
         if not np.isfinite(table).all():
             raise ValueError(f"correlator entries must be finite: {table.tolist()}")
         if float(np.abs(table).max()) > 1 + tolerances().probability:
             raise ValueError(f"correlator magnitude exceeds 1: {table.tolist()}")
-        table.setflags(write=False)
         object.__setattr__(self, "e", table)
         object.__setattr__(self, "chsh", float(_chsh(*table.flat)))
 
@@ -190,7 +190,7 @@ class LHVModel:
 
     def __post_init__(self):
         lambdas = tuple(str(l) for l in self.lambdas)
-        prior = np.array(self.prior, dtype=float).reshape(-1)
+        prior = np.asarray(self.prior, dtype=float).reshape(-1)
         if prior.shape[0] != len(lambdas):
             raise ValueError("one prior entry per lambda required")
         if not np.isfinite(prior).all():
@@ -200,22 +200,19 @@ class LHVModel:
             raise ValueError("negative prior probability")
         if abs(float(prior.sum()) - 1.0) > tol:
             raise ValueError(f"prior sums to {float(prior.sum())!r}, not 1")
-        prior = np.clip(prior, 0.0, None)
-        prior.setflags(write=False)
+        prior = _frozen(np.clip(prior, 0.0, None))
 
         def _clean(table: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
             out = {}
             for setting, resp in table.items():
-                vec = np.array(resp, dtype=float).reshape(-1)
+                vec = np.asarray(resp, dtype=float).reshape(-1)
                 if vec.shape[0] != len(lambdas):
                     raise ValueError("one response entry per lambda required")
                 if not np.isfinite(vec).all():
                     raise ValueError("response probabilities must be finite")
                 if float(vec.min()) < -tol or float(vec.max()) > 1 + tol:
                     raise ValueError("response probabilities must lie in [0, 1]")
-                vec = np.clip(vec, 0.0, 1.0)
-                vec.setflags(write=False)
-                out[int(setting)] = vec
+                out[int(setting)] = _frozen(np.clip(vec, 0.0, 1.0))
             return out
 
         object.__setattr__(self, "lambdas", lambdas)
@@ -479,8 +476,7 @@ def joint_probabilities(state: Ket, alice_basis: PDI, bob_basis: PDI) -> np.ndar
     total = float(table.sum())
     message = f"joint table sums to {total!r}"
     check(abs(total - 1.0), tolerances().probability, VerificationFailedError, message)
-    table.setflags(write=False)
-    return table
+    return _frozen(table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -564,11 +560,7 @@ def no_signaling_check(
             check(defect, tol.algebraic, MalformedLocalPDIError, message)
 
     def _marginals(psi: np.ndarray) -> tuple[tuple[np.ndarray, ...], float]:
-        per_choice = []
-        for pdi in alice_pdis:
-            marginal = _joint_table(psi, pdi, bob_pdi).sum(axis=0)
-            marginal.setflags(write=False)
-            per_choice.append(marginal)
+        per_choice = [_frozen(_joint_table(psi, pdi, bob_pdi).sum(axis=0)) for pdi in alice_pdis]
         deviation = 0.0
         for m1, m2 in combinations(per_choice, 2):
             deviation = max(deviation, float(np.abs(m1 - m2).max()))

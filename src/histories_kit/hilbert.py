@@ -15,6 +15,12 @@ overlap matrix of their stacked bases, which also yields their common
 refinement. Degenerate eigenspaces are kept whole: spectral decomposition
 yields one rank-k projector per distinct eigenvalue, and all equality
 reasoning is done on subspaces, never on individual eigenvectors.
+
+One freeze rule holds across the package: every array a result holds, or a
+property such as `Projector.entries` returns, goes through `_frozen` and is
+backed by immutable bytes, so no caller can make it writeable again and
+change an answer that a cache shares with other callers. `np.array(x)`
+gives an editable copy.
 """
 
 from __future__ import annotations
@@ -66,18 +72,26 @@ __all__ = [
 ZERO_NORM_CUTOFF = 1e-12
 
 
+def _frozen(values, dtype=None) -> np.ndarray:
+    """values as an array backed by immutable bytes: unlike an array that owns
+    its data, it cannot be made writeable again. An array already so backed is
+    returned as it is; any other, a view of a frozen array included, is copied."""
+    arr = np.asarray(values, dtype=dtype)
+    if isinstance(arr.base, bytes):
+        return arr
+    return np.ndarray(arr.shape, arr.dtype, arr.tobytes())
+
+
 def _normalized_vector(values) -> np.ndarray:
-    """Read-only unit vector along values; NaN, infinite and (effectively)
+    """Immutable unit vector along values; NaN, infinite and (effectively)
     zero vectors are rejected, as is one whose norm overflows."""
-    vec = np.array(values, dtype=complex).reshape(-1)
+    vec = np.asarray(values, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(vec))
     if not math.isfinite(norm):
         raise ValueError(f"amplitudes must be finite with a finite norm, got norm {norm!r}")
     if norm < ZERO_NORM_CUTOFF:
         raise ValueError("cannot normalize an (effectively) zero vector into a state")
-    vec = vec / norm
-    vec.setflags(write=False)
-    return vec
+    return _frozen(vec / norm)
 
 
 def _check_dims(label: str, dim: int, other: int) -> None:
@@ -86,15 +100,6 @@ def _check_dims(label: str, dim: int, other: int) -> None:
     passes d_A * d_B as one of them)."""
     if dim != other:
         raise DimensionMismatchError(f"{label} dims differ: {dim} vs {other}")
-
-
-def _frozen_matrix(values) -> np.ndarray:
-    """A copy of a square matrix backed by immutable bytes: unlike an array
-    that owns its data, it cannot be made writeable again."""
-    mat = np.asarray(values, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return np.ndarray(mat.shape, complex, mat.tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +133,10 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen_matrix(self.entries))
+        mat = _frozen(self.entries, complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        object.__setattr__(self, "entries", mat)
 
     @property
     def dim(self) -> int:
@@ -195,7 +203,7 @@ class Projector:
     `basis` is the (d, r) isometry V whose columns span the subspace (r = 0
     for the zero projector). `from_basis` takes V as given; `Projector(op)`
     factors a matrix once with `eigh`, V being the eigenvectors whose
-    eigenvalues exceed 1/2. `entries` (the symmetrised V V-dagger, read-only)
+    eigenvalues exceed 1/2. `entries` (the symmetrised V V-dagger, immutable)
     and `op` are built afresh on every read, for callers that need them.
     """
 
@@ -208,9 +216,7 @@ class Projector:
         # the largest distance of an eigenvalue from {0, 1} is ||P - V V-dagger||_2
         defect = float(np.minimum(np.abs(evals), np.abs(1.0 - evals)).max())
         check(defect, tol, ValueError, "not a projector: idempotency")
-        vecs = evecs[:, evals > 0.5]
-        vecs.setflags(write=False)
-        object.__setattr__(self, "basis", vecs)
+        object.__setattr__(self, "basis", _frozen(evecs[:, evals > 0.5]))
 
     @classmethod
     def from_basis(cls, basis) -> "Projector":
@@ -219,7 +225,7 @@ class Projector:
         The columns are certified by max|V-dagger V - I| < tolerance, which
         costs O(d r^2) instead of the O(d^3) idempotency product.
         """
-        vecs = np.array(basis, dtype=complex)
+        vecs = _frozen(basis, complex)
         if vecs.ndim != 2:
             raise ValueError(f"expected a (d, r) basis, got shape {vecs.shape}")
         gram = vecs.conj().T @ vecs
@@ -227,7 +233,6 @@ class Projector:
         diagonal -= 1.0
         defect = float(np.abs(gram).max(initial=0.0))
         check(defect, tolerances().algebraic, ValueError, "basis columns are not orthonormal")
-        vecs.setflags(write=False)
         made = object.__new__(cls)
         object.__setattr__(made, "basis", vecs)
         return made
@@ -241,8 +246,7 @@ class Projector:
         proj = self.basis @ self.basis.conj().T
         proj = proj + proj.conj().T  # (P + P-dagger) / 2 scrubs rounding asymmetry
         proj *= 0.5
-        proj.setflags(write=False)
-        return proj
+        return _frozen(proj)
 
     @property
     def op(self) -> Operator:

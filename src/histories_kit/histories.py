@@ -51,6 +51,7 @@ from .hilbert import (
     Operator,
     Projector,
     _check_dims,
+    _frozen,
     tensor_state,
 )
 
@@ -151,7 +152,7 @@ class HistoryFamily:
         """(H, n) event indices of every history, rows in all_histories()
         order (itertools.product order for an exhaustive family), in the
         smallest unsigned type that holds them; built on first use and kept
-        read-only."""
+        immutable."""
         sizes = [len(pdi.labels) for pdi in self.event_pdis]
         dtype = np.min_scalar_type(max(sizes) - 1)
         if self.histories is None:
@@ -161,18 +162,15 @@ class HistoryFamily:
             index = np.array(
                 [[at[l] for at, l in zip(positions, h)] for h in self.histories], dtype=dtype
             )
-        index.setflags(write=False)
-        return index
+        return _frozen(index)
 
     @cached_property
     def _scan(self) -> tuple[tuple[tuple[str, ...], ...], np.ndarray, np.ndarray, float]:
         """(histories, chains, weights, max_offdiag), free of any tolerance; built
-        on first use and kept, as the family is frozen and the arrays read-only."""
+        on first use and kept, as the family is frozen and the arrays immutable."""
         chains = _chain_matrix(self, self.histories)
         weights, max_offdiag = _gram_scan(chains)
-        chains.setflags(write=False)
-        weights.setflags(write=False)
-        return self.all_histories(), chains, weights, max_offdiag
+        return self.all_histories(), _frozen(chains), _frozen(weights), max_offdiag
 
 
 def _checked_history(history, pdis: tuple[PDI, ...]) -> tuple[str, ...]:
@@ -214,9 +212,7 @@ class ConsistencyReport:
 
     @property
     def gram(self) -> np.ndarray:
-        gram = self.chains.conj() @ self.chains.T
-        gram.setflags(write=False)
-        return gram
+        return _frozen(self.chains.conj() @ self.chains.T)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import check
 from .errors import ProbabilityNormalizationError
-from .hilbert import PDI, Ket, _check_dims, spectral_decompose
+from .hilbert import PDI, Ket, _check_dims, _frozen, spectral_decompose
 from .bell import CHSHOperators, SettingPair, _chsh
 
 __all__ = [
@@ -50,8 +50,8 @@ _CHUNK = 1 << 15
 _COMPARE_MAX = 7
 # _STEPS[i] = (i + 1) * gamma mod 2^64, the counter offsets within one chunk
 _STEPS = np.arange(1, _CHUNK + 1, dtype=np.uint64)
-_STEPS *= np.uint64(_GAMMA)
-_STEPS.setflags(write=False)
+_STEPS *= np.uint64(_GAMMA)  # in place: import holds two 256 KiB buffers at most, not three
+_STEPS = _frozen(_STEPS)
 
 # renormalization window for Born weights before sampling; anything worse is
 # a modeling error, not float dust
@@ -246,9 +246,8 @@ def empirical_chsh(state: Ket, ops: CHSHOperators, config: RunConfig) -> Empiric
             e_hat[a, b] = result.empirical_mean
             variance_sum += result.std_error**2
     s_hat = float(_chsh(*e_hat.flat))
-    e_hat.setflags(write=False)
     return EmpiricalCHSH(
-        e_hat=e_hat,
+        e_hat=_frozen(e_hat),
         s_hat=s_hat,
         std_error=math.sqrt(variance_sum),
         per_setting=per_setting,

@@ -26,3 +26,22 @@ def _arrays(value):
 def reachable_arrays():
     """The arrays a shared result exposes, as a list."""
     return lambda value: list(_arrays(value))
+
+
+def _assert_frozen(value):
+    """Every array reachable from value refuses both an item write and being
+    made writeable again; a bare `flags.writeable` check misses the second,
+    which an array that owns its data allows."""
+    arrays = list(_arrays(value))
+    assert arrays, "nothing to check"
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+
+
+@pytest.fixture(scope="session")
+def assert_frozen():
+    """Assert that a shared result exposes no array a caller could change."""
+    return _assert_frozen

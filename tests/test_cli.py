@@ -394,7 +394,7 @@ class TestDecompositionCounts:
         return calls
 
     def test_bell_spec_decomposes_four_operators_and_evaluates_once(
-        self, tmp_path, counted, reachable_arrays
+        self, tmp_path, counted, reachable_arrays, assert_frozen
     ):
         spec = tmp_path / "bell.spec"
         spec.write_text(BELL_SPEC)
@@ -409,7 +409,7 @@ class TestDecompositionCounts:
         arrays = reachable_arrays(value)
         assert len(arrays) == 1 + 8  # the correlator table and 4 x 2 eigenspace bases
         assert arrays[0] is value.correlations.e
-        assert not any(a.flags.writeable for a in arrays)
+        assert_frozen(arrays)
 
     def test_distinct_setups_are_evaluated_apart(self, tmp_path, counted):
         spec = tmp_path / "setups.spec"

@@ -116,10 +116,11 @@ class TestKet:
         assert np.allclose(p.entries @ k.amplitudes, k.amplitudes)
         assert p.rank == 1
 
-    def test_amplitudes_read_only(self):
-        k = basis_ket(2, 0)
-        with pytest.raises(ValueError):
-            k.amplitudes[0] = 5.0
+    def test_amplitudes_read_only(self, assert_frozen):
+        # an array that owns its data could be made writeable and the ket unnormalized
+        k = Ket([0.6, 0.8])
+        assert_frozen(k)
+        assert k.amplitudes.tolist() == [0.6, 0.8]
 
 
 class TestOperator:
@@ -143,6 +144,21 @@ class TestOperator:
         buf.setflags(write=True)
         buf[0, 0] = 5.0
         assert op.entries[0, 0] == 1.0 and not op.entries.flags.writeable
+
+    def test_frozen_entries_pass_through(self, monkeypatch):
+        p = Ket([0.6, 0.8j]).projector()
+        entries = p.entries
+        assert np.shares_memory(Operator(entries).entries, entries)
+        # Projector.op wraps the matrix that Projector.entries built, without a copy
+        monkeypatch.setattr(Projector, "entries", property(lambda self: entries))
+        assert np.shares_memory(p.op.entries, entries)
+
+    def test_view_of_frozen_array_is_copied(self, assert_frozen):
+        frozen = Operator(np.array([[1.0, 2.0], [3.0, 4.0]])).entries
+        op = Operator(frozen.T)
+        assert not np.shares_memory(op.entries, frozen)
+        assert op.entries.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+        assert_frozen(op)
 
     def test_hermitian_unitary_flags(self):
         assert Z.is_hermitian() and Z.is_unitary()
@@ -217,14 +233,14 @@ class TestProjector:
         q = basis_ket(4, 2).projector()
         assert np.abs(p.entries @ q.entries).max() == 0.0
 
-    def test_from_basis(self):
+    def test_from_basis(self, assert_frozen):
         rng = np.random.default_rng(5)
         vecs = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0][:, :2]
         p = Projector.from_basis(vecs)
         outer = vecs @ vecs.conj().T
         assert np.array_equal(p.entries, (outer + outer.conj().T) / 2.0)
         assert p.rank == 2
-        assert not p.basis.flags.writeable and not p.entries.flags.writeable
+        assert_frozen((p.basis, p.entries))
         made = Projector(Operator(p.entries))
         assert made.rank == 2 and made.basis.shape == (5, 2)
         assert np.abs(made.entries - p.entries).max() < 1e-14
@@ -233,7 +249,7 @@ class TestProjector:
         with pytest.raises(ValueError):
             Projector.from_basis(vecs[:, 0])  # not a (d, r) array
 
-    def test_basis_is_the_only_stored_field(self):
+    def test_basis_is_the_only_stored_field(self, assert_frozen):
         # no dense matrix is kept: entries and op are built afresh on every read
         rng = np.random.default_rng(6)
         vecs = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0][:, :3]
@@ -243,7 +259,7 @@ class TestProjector:
             first = p.entries
             assert first is not p.entries
             assert np.array_equal(first, (outer + outer.conj().T) / 2.0)
-            assert not first.flags.writeable
+            assert_frozen(first)
             assert np.array_equal(p.op.entries, first)
 
     @settings(max_examples=60, deadline=None)
@@ -465,6 +481,15 @@ class TestSpectralMemo:
         assert [len(o.eigenvalues) for o in (first, split, again)] == [2, 3, 2]
         assert again is first
 
+    def test_basis_cannot_be_overwritten(self, assert_frozen):
+        # the memo hands this one PDI to every later decomposition of h
+        h = Operator(np.diag([1.0, -1.0]))
+        obs = spectral_decompose(h)
+        assert_frozen(obs.pdi.projectors[0].basis)
+        again = spectral_decompose(h)
+        assert again is obs
+        assert np.array_equal(again.pdi.projectors[0].basis, [[1.0], [0.0]])
+
     def test_memo_is_not_a_dataclass_field(self):
         op = near_pair()
         spectral_decompose(op)
@@ -541,12 +566,12 @@ class TestSpectralMemo:
         for p, q in zip(cached.pdi.projectors, fresh.pdi.projectors, strict=True):
             assert p.basis.tobytes() == q.basis.tobytes()
 
-    def test_cached_observable_is_read_only(self, reachable_arrays):
+    def test_cached_observable_is_read_only(self, reachable_arrays, assert_frozen):
         h = hermitian_with_spectrum(np.random.default_rng(20), [1.0, 1.0, 0.0, -3.0])
         obs = spectral_decompose(h)
         arrays = reachable_arrays(obs)
         assert len(arrays) == len(obs.pdi) == 3  # each Projector.basis
-        assert not any(a.flags.writeable for a in arrays)
+        assert_frozen(arrays)
 
     @pytest.mark.parametrize(
         "build",

@@ -176,6 +176,20 @@ class TestConsistency:
                 conditional_probability(fam, given=cond, target=event)
         assert scan.call_count == 1
 
+    @pytest.mark.parametrize("field", ["weights", "chains"])
+    def test_shared_scan_cannot_be_overwritten(self, assert_frozen, field):
+        # the report's arrays are the family's cached scan, which every later
+        # probs and conditional query reads
+        fam = HistoryFamily(
+            grid=TimeGrid(("t0", "t1"), (EYE2,)),
+            initial=ket(0.6, 0.8),
+            event_pdis=(spectral_decompose(Z).pdi,),
+        )
+        assert_frozen(getattr(consistency_check(fam), field))
+        table = family_probabilities(fam).probabilities
+        assert table == {("0",): pytest.approx(0.36), ("1",): pytest.approx(0.64)}
+        assert np.array_equal(consistency_check(fam).chains, [[0.6, 0.0], [0.0, 0.8]])
+
     def test_cached_verdict_follows_override(self):
         fam = interference_family()
         assert not consistency_check(fam).consistent
@@ -424,11 +438,11 @@ class TestConditional:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans())
-    def test_label_index_decodes_to_histories(self, seed, subset):
+    def test_label_index_decodes_to_histories(self, assert_frozen, seed, subset):
         fam = random_family(seed, subset)
         index = fam._label_index
         assert index.shape == (len(fam.all_histories()), fam.n_times)
-        assert not index.flags.writeable
+        assert_frozen(index)
         decoded = [
             tuple(pdi.labels[i] for pdi, i in zip(fam.event_pdis, row)) for row in index.tolist()
         ]
