@@ -37,6 +37,7 @@ from .hilbert import (
     Operator,
     Projector,
     _check_dims,
+    _FrozenMap,
     _frozen,
     builtin_operator,
     commutator_defect,
@@ -213,7 +214,7 @@ class LHVModel:
                 if float(vec.min()) < -tol or float(vec.max()) > 1 + tol:
                     raise ValueError("response probabilities must lie in [0, 1]")
                 out[int(setting)] = _frozen(np.clip(vec, 0.0, 1.0))
-            return out
+            return _FrozenMap(out)
 
         object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "prior", prior)

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands run spec files and four built-in demonstrations. Each command
-builds one payload; `execute` prints it as the JSON report or renders the
-human text from that same rounded payload, so the two formats cannot
-disagree. Every report carries the tool version and the tolerance bundle in
-force so numbers are auditable. json output is stable-keyed, 12 significant
+builds one payload, which `_json_text` writes as the JSON report in one
+walk; `execute` prints that text, or renders the human text from the report
+`json.loads` reads back from it, so the two formats cannot disagree. Every
+report carries the tool version and the tolerance bundle in force so
+numbers are auditable. json output is stable-keyed, 12 significant
 digits, newline terminated; human output prints 6 significant digits.
 
 Exit codes: 0 success, 1 unreadable spec file or parse/resolution failure,
@@ -91,21 +92,6 @@ def _rounded(value: float) -> float:
     return float(f"{value:.12g}") + 0.0
 
 
-def _jsonable(value):
-    """Payload as plain JSON types, every float rounded to 12 significant digits."""
-    if isinstance(value, float):
-        return _rounded(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return _jsonable(value.item())
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _json_float(value: float) -> str:
     """The rounded value as json.dumps writes a float."""
     x = _rounded(value)
@@ -126,7 +112,7 @@ def _json_text(value, newline: str) -> str:
         if not value:
             return "{}"
         if not all(type(k) is str for k in value):
-            value = {str(k): v for k, v in value.items()}  # as _jsonable keys them
+            value = {str(k): v for k, v in value.items()}  # str(), not json.dumps's key rule
         inner = newline + "  "
         items = [
             f"{_json_str(k)}: {_json_float(v) if type(v) is float else _json_text(v, inner)}"
@@ -143,9 +129,9 @@ def _json_text(value, newline: str) -> str:
 
 
 def _emit_json(payload, out):
-    """Write the report as `json.dumps(_jsonable(payload), indent=2)` does, byte
-    for byte, rounding each float and writing it in one walk (with `indent`,
-    json.dumps would run its pure-Python encoder over a second copy)."""
+    """Write the report as `json.dumps(payload, indent=2)` would with every float
+    rounded to 12 significant digits and every key made a str, byte for byte,
+    in one walk (with `indent`, json.dumps runs its pure-Python encoder)."""
     out.write(_json_text(payload, "\n") + "\n")
 
 
@@ -525,7 +511,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# command name -> (payload builder, human renderer of the jsonable report)
+# command name -> (payload builder, human renderer of the parsed JSON report)
 _COMMANDS = {
     "run": (_cmd_run, _human_run),
     "neon": (_cmd_neon, _human_neon),
@@ -577,7 +563,7 @@ def execute(argv: list[str] | None = None, out=None) -> int:
     if args.format == "json":
         _emit_json(report, out)
     else:
-        render(_jsonable(report), out)
+        render(json.loads(_json_text(report, "\n")), out)
     return 0
 
 

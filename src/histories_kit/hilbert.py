@@ -20,7 +20,7 @@ One freeze rule holds across the package: every array a result holds, or a
 property such as `Projector.entries` returns, goes through `_frozen` and is
 backed by immutable bytes, so no caller can make it writeable again and
 change an answer that a cache shares with other callers. `np.array(x)`
-gives an editable copy.
+gives an editable copy. A mapping a result holds is its own `_FrozenMap`.
 """
 
 from __future__ import annotations
@@ -80,6 +80,19 @@ def _frozen(values, dtype=None) -> np.ndarray:
     if isinstance(arr.base, bytes):
         return arr
     return np.ndarray(arr.shape, arr.dtype, arr.tobytes())
+
+
+class _FrozenMap(dict):
+    """A dict copy that refuses every change with TypeError, yet reads, pickles
+    and deep-copies as a dict (so a walk over dict values reaches it too)."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 def _normalized_vector(values) -> np.ndarray:
@@ -338,7 +351,8 @@ def pdi_validate(projectors: "PDI | Sequence[Projector]") -> PDIValidation:
 
 @dataclass(frozen=True, eq=False)
 class PDI:
-    """Ordered list of mutually orthogonal projectors summing to the identity."""
+    """Ordered list of mutually orthogonal projectors summing to the identity;
+    `_positions` maps each label to its position, for every lookup by label."""
 
     projectors: tuple[Projector, ...]
     labels: tuple[str, ...] | None = None
@@ -349,7 +363,8 @@ class PDI:
         labels = tuple(str(l) for l in labels)
         if len(labels) != len(projs):
             raise ValueError(f"{len(projs)} projectors but {len(labels)} labels")
-        if len(set(labels)) != len(labels):
+        positions = _FrozenMap((label, i) for i, label in enumerate(labels))
+        if len(positions) != len(labels):
             raise ValueError("duplicate outcome labels")
         report = pdi_validate(projs)
         if not report.passes:
@@ -362,6 +377,7 @@ class PDI:
             )
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def dim(self) -> int:
@@ -374,10 +390,7 @@ class PDI:
         return zip(self.labels, self.projectors)
 
     def by_label(self, label: str) -> Projector:
-        try:
-            return self.projectors[self.labels.index(label)]
-        except ValueError:
-            raise KeyError(label) from None
+        return self.projectors[self._positions[label]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,6 +441,7 @@ class GridWavefunction:
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _normalized_vector(self.amplitudes))
+        object.__setattr__(self, "regions", _FrozenMap(self.regions))
         for name, region in self.regions.items():
             if max(region.indices, default=0) >= self.points:
                 raise IndexOutOfRangeError(f"region {name!r} exceeds grid of {self.points} points")

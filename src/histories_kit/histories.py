@@ -1,31 +1,33 @@
 """History families over a time grid and the projective measurement model.
 
 A family fixes an initial state, unitary propagators between successive
-times, and one PDI per later time; a history picks one event label per time.
-Chain vectors K(Y)|psi0> are built by alternately applying propagators and
-event projectors (the initial event is [psi0], which acts trivially on
-psi0). They are built level by level over the prefix tree of the
-histories, one (prefixes, d) array per time, so each shared prefix is
-propagated once. Off-diagonal chain-vector inner products are the
-decoherence functional; the family is consistent when every off-diagonal
-modulus falls below the algebraic tolerance, and only then are squared chain
-norms handed out as probabilities. The largest off-diagonal modulus is
-found by scanning the nonzero chains in decreasing norm order, one block of
-Gram rows at a time, and stopping where Cauchy-Schwarz (|<y|z>| <= |y||z|)
-shows that no entry not yet formed can exceed the maximum so far. The check
-holds O(H*d) memory plus one row block for H histories. When the maximum
-lies among the largest chains, as it does for two-qubit families with
-kron(sigma, sigma) propagators and Z events, the scan forms one 256 x 256
-block (65,536 entries) where a full scan forms 8.4 M at H = 4096 and 134 M
-at H = 16,384; mutually orthogonal chains are still scanned in full. The
-dense H x H Gram matrix is assembled, at O(H^2), only when
-`ConsistencyReport.gram` is read.
+times, and one PDI per later time; a history picks one event label per time,
+and a history set is held as one (H, n) array of event positions. Chain
+vectors K(Y)|psi0> are built by alternately applying propagators and event
+projectors (the initial event is [psi0], which acts trivially on psi0),
+level by level over the prefix tree of the histories, one (nodes, d) array
+per time. A node is numbered parent * n_t + event, n_t being the number of
+events at time t; an exhaustive family takes every code and a subset the
+distinct codes of its rows, so each shared prefix is propagated once.
+Off-diagonal chain-vector inner products are the decoherence functional;
+the family is consistent when every off-diagonal modulus falls below the
+algebraic tolerance, and only then are squared chain norms handed out as
+probabilities. The largest off-diagonal modulus is found by scanning the
+nonzero chains in decreasing norm order, one block of Gram rows at a time,
+and stopping where Cauchy-Schwarz (|<y|z>| <= |y||z|) shows that no entry
+not yet formed can exceed the maximum so far. The check holds O(H*d) memory
+plus one row block for H histories. When the maximum lies among the largest
+chains, as it does for two-qubit families with kron(sigma, sigma)
+propagators and Z events, the scan forms one 256 x 256 block (65,536
+entries) where a full scan forms 8.4 M at H = 4096 and 134 M at H = 16,384;
+mutually orthogonal chains are still scanned in full. The dense H x H Gram
+matrix is assembled, at O(H^2), only when `ConsistencyReport.gram` is read.
 
-A family caches its scan and an (H, n) array of event indices, one row per
-history in history order. Probabilities and conditional probabilities read
-the scan's weights: a conditional sums them under boolean masks over the
-index array, with the built-in `sum` in history order, so it equals the sum
-over the probability table bit for bit without building that table.
+A family caches its scan and its position array. Probabilities and
+conditional probabilities read the scan's weights: a conditional sums them
+under boolean masks over the position array, with the built-in `sum` in
+history order, so it equals the sum over the probability table bit for bit
+without building that table.
 """
 
 from __future__ import annotations
@@ -149,26 +151,24 @@ class HistoryFamily:
 
     @cached_property
     def _label_index(self) -> np.ndarray:
-        """(H, n) event indices of every history, rows in all_histories()
+        """(H, n) event positions of every history, rows in all_histories()
         order (itertools.product order for an exhaustive family), in the
         smallest unsigned type that holds them; built on first use and kept
         immutable."""
-        sizes = [len(pdi.labels) for pdi in self.event_pdis]
+        sizes = [len(pdi) for pdi in self.event_pdis]
         dtype = np.min_scalar_type(max(sizes) - 1)
         if self.histories is None:
             index = np.indices(sizes, dtype=dtype).reshape(len(sizes), -1).T
         else:
-            positions = [{l: i for i, l in enumerate(pdi.labels)} for pdi in self.event_pdis]
-            index = np.array(
-                [[at[l] for at, l in zip(positions, h)] for h in self.histories], dtype=dtype
-            )
+            at = [pdi._positions for pdi in self.event_pdis]
+            index = np.array([[p[l] for p, l in zip(at, h)] for h in self.histories], dtype)
         return _frozen(index)
 
     @cached_property
     def _scan(self) -> tuple[tuple[tuple[str, ...], ...], np.ndarray, np.ndarray, float]:
         """(histories, chains, weights, max_offdiag), free of any tolerance; built
         on first use and kept, as the family is frozen and the arrays immutable."""
-        chains = _chain_matrix(self, self.histories)
+        chains = _chain_matrix(self, None if self.histories is None else self._label_index)
         weights, max_offdiag = _gram_scan(chains)
         return self.all_histories(), _frozen(chains), _frozen(weights), max_offdiag
 
@@ -182,7 +182,7 @@ def _checked_history(history, pdis: tuple[PDI, ...]) -> tuple[str, ...]:
             f"history {labels} picks {len(labels)} events but the family has {len(pdis)} times"
         )
     for label, pdi in zip(labels, pdis):
-        if label not in pdi.labels:
+        if label not in pdi._positions:
             raise UnknownLabelError(f"no event labeled {label!r} at that time")
     return labels
 
@@ -225,34 +225,31 @@ class ProbabilityTable:
     exhaustive: bool
 
 
-def _chain_matrix(fam: HistoryFamily, histories=None) -> np.ndarray:
+def _chain_matrix(fam: HistoryFamily, index: np.ndarray | None = None) -> np.ndarray:
     """Chain vectors as rows, propagating each prefix-tree node once.
 
-    `histories` None stands for every history, with rows in all_histories()
-    order; otherwise it is a sequence of valid label tuples, rows come out in
-    that order, and only the prefixes they contain are built. Level t holds
-    one row per distinct length-t prefix: its parent's row moved by
-    propagator t, then projected by its own event at time t through the
-    event's basis V, as (rows V-conj) V-transpose.
+    Level t holds one row per node, coded parent * n_t + event: its parent's
+    row moved by propagator t, then projected by the event's basis V, as
+    (rows V-conj) V-transpose. With `index` None every code is taken, in
+    all_histories() order; given (H, n) event positions, each level keeps the
+    distinct codes of those rows, and the last np.unique inverse puts the
+    chains back in row order.
     """
     rows = fam.initial.amplitudes[None, :]
-    prefixes: list[tuple[str, ...]] = [()]
+    inverse = np.zeros(1, dtype=np.intp)  # every history starts at the root, node 0
     for t, (pdi, prop) in enumerate(zip(fam.event_pdis, fam.grid.propagators)):
         moved = rows @ prop.entries.T
-        if histories is None:
-            n_events = len(pdi.projectors)
-            parents = np.repeat(np.arange(len(rows)), n_events)
-            events = np.tile(np.arange(n_events), len(rows))
+        n_events = len(pdi)
+        if index is None:
+            parents, events = np.divmod(np.arange(len(rows) * n_events), n_events)
         else:
-            parent_index = {prefix: i for i, prefix in enumerate(prefixes)}
-            prefixes = list(dict.fromkeys(h[: t + 1] for h in histories))
-            parents = np.array([parent_index[p[:-1]] for p in prefixes], dtype=np.intp)
-            events = np.array([pdi.labels.index(p[-1]) for p in prefixes], dtype=np.intp)
+            nodes, inverse = np.unique(inverse * n_events + index[:, t], return_inverse=True)
+            parents, events = np.divmod(nodes, n_events)
         rows = np.empty((len(parents), fam.grid.dim), dtype=complex)
         for j, proj in enumerate(pdi.projectors):
             chosen = events == j
             rows[chosen] = (moved[parents[chosen]] @ proj.basis.conj()) @ proj.basis.T
-    return rows
+    return rows if index is None else rows[inverse]
 
 
 def _gram_scan(chains: np.ndarray) -> tuple[np.ndarray, float]:
@@ -308,7 +305,8 @@ def _gram_scan(chains: np.ndarray) -> tuple[np.ndarray, float]:
 
 def chain_vector(fam: HistoryFamily, history) -> np.ndarray:
     """Unnormalized chain vector; its squared norm is the history weight."""
-    return _chain_matrix(fam, [_checked_history(history, fam.event_pdis)])[0]
+    one = HistoryFamily(fam.grid, fam.initial, fam.event_pdis, histories=[history])
+    return _chain_matrix(fam, one._label_index)[0]
 
 
 def consistency_check(fam: HistoryFamily) -> ConsistencyReport:
@@ -366,12 +364,15 @@ def family_probabilities(fam: HistoryFamily) -> ProbabilityTable:
     )
 
 
-def _check_event(fam: HistoryFamily, time_index: int, label) -> None:
-    """UnknownLabelError unless the family has an event `label` at the 1-based time."""
+def _check_event(fam: HistoryFamily, time_index: int, label) -> int:
+    """The position of event `label` at the 1-based time; UnknownLabelError
+    unless the family has that event."""
     if not 1 <= time_index <= fam.n_times:
         raise UnknownLabelError(f"time index {time_index} outside 1..{fam.n_times}")
-    if str(label) not in fam.event_pdis[time_index - 1].labels:
+    position = fam.event_pdis[time_index - 1]._positions.get(str(label))
+    if position is None:
         raise UnknownLabelError(f"no event labeled {label!r} at time {time_index}")
+    return position
 
 
 def conditional_probability(fam: HistoryFamily, given, target) -> float:
@@ -381,21 +382,18 @@ def conditional_probability(fam: HistoryFamily, given, target) -> float:
     conditioning on a zero-probability event is an error, not a NaN. Both
     events are validated before any probability is computed.
     """
-    for event in (given, target):
-        _check_event(fam, *event)
+    given_at, target_at = [_check_event(fam, *event) for event in (given, target)]
     weights = _consistent_report(fam).weights
-    index = fam._label_index
-    gi, gl = given[0] - 1, str(given[1])
-    ti, tl = target[0] - 1, str(target[1])
-    in_given = index[:, gi] == fam.event_pdis[gi].labels.index(gl)
+    in_given = fam._label_index[:, given[0] - 1] == given_at
     # the built-in sum in history order, as over the ProbabilityTable, so the
     # result is the table's bit for bit (np.sum would pair the terms)
     pr_given = sum(weights[in_given].tolist())
     if pr_given <= tolerances().probability:
         raise ZeroProbabilityConditionError(
-            f"conditioning event {gl!r} at time {given[0]} has probability {pr_given:.3g}"
+            f"conditioning event {str(given[1])!r} at time {given[0]} has probability "
+            f"{pr_given:.3g}"
         )
-    in_target = index[:, ti] == fam.event_pdis[ti].labels.index(tl)
+    in_target = fam._label_index[:, target[0] - 1] == target_at
     pr_joint = sum(weights[in_given & in_target].tolist())
     return pr_joint / pr_given
 

@@ -569,8 +569,24 @@ _PAYLOADS = st.recursive(
 )
 
 
+def jsonable(value):
+    """The payload as plain JSON types, each float rounded to 12 significant
+    digits and each key made a str: the writer's contract, kept apart from it."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}") + 0.0
+    if isinstance(value, (np.floating, np.integer)):
+        return jsonable(value.item())
+    if isinstance(value, np.ndarray):
+        return [jsonable(v) for v in value.tolist()]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return value
+
+
 def reference_json(payload) -> str:
-    return json.dumps(cli._jsonable(payload), indent=2) + "\n"
+    return json.dumps(jsonable(payload), indent=2) + "\n"
 
 
 class TestJsonWriter:

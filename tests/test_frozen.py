@@ -1,6 +1,10 @@
-"""The one freeze rule: every array a result holds is backed by immutable bytes."""
+"""The one freeze rule: every array a result holds is backed by immutable bytes,
+and every mapping it holds is a copy that refuses changes."""
 
+import ast
+import copy
 import inspect
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +15,7 @@ from histories_kit import hilbert
 from histories_kit.bell import (
     CorrelationData,
     LHVModel,
+    SettingPair,
     chsh_value,
     joint_probabilities,
     neon_setup,
@@ -58,15 +63,23 @@ def no_signaling_report():
     return no_signaling_check(singlet_state(), alice, bob, (2, 2))
 
 
+def lhv_model():
+    return LHVModel(("l0", "l1"), [0.5, 0.5], {0: [1, 0]}, {0: [0.25, 1]})
+
+
+def grid_wavefunction():
+    return GridWavefunction(np.array([1.0, 2.0, 2.0]), {"L": Region([0])})
+
+
 RESULTS = {
     "Ket": lambda: Ket([0.6, 0.8]),
-    "GridWavefunction": lambda: GridWavefunction(np.array([1.0, 2.0, 2.0]), {"L": Region([0])}),
+    "GridWavefunction": grid_wavefunction,
     "Projector": projector,
     "Observable": lambda: spectral_decompose(Operator(np.diag([1.0, 1.0, -2.0]))),
     "ConsistencyReport": consistency_report,
     "CorrelationData": lambda: CorrelationData(np.full((2, 2), 0.5)),
     "CHSHValue": lambda: chsh_value(NEON.top_eigenstate, NEON.ops),
-    "LHVModel": lambda: LHVModel(("l0", "l1"), [0.5, 0.5], {0: [1, 0]}, {0: [0.25, 1]}),
+    "LHVModel": lhv_model,
     "joint_probabilities": lambda: joint_probabilities(
         singlet_state(), spectral_decompose(Z).pdi, spectral_decompose(X).pdi
     ),
@@ -91,3 +104,66 @@ def test_one_freeze_site():
         if path.name == "hilbert.py":
             text = text.replace(helper, "", 1)
         assert ".tobytes()" not in text, path.name
+
+
+def _is_labels(node):
+    return isinstance(node, ast.Attribute) and node.attr == "labels"
+
+
+def test_label_lookups_read_the_label_map():
+    # an event is found by its label through PDI._positions alone, never by a
+    # search of a labels tuple with .index() or `in` (a for loop over it is fine)
+    for path in sorted(Path(histories_kit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                searched = node.func.attr == "index" and _is_labels(node.func.value)
+            elif isinstance(node, ast.Compare):
+                searched = any(
+                    isinstance(op, (ast.In, ast.NotIn)) and _is_labels(right)
+                    for op, right in zip(node.ops, node.comparators)
+                )
+            else:
+                continue
+            assert not searched, f"{path.name}:{node.lineno}"
+
+
+class TestFrozenMappings:
+    def test_response_table_refuses_writes(self):
+        m = lhv_model()
+        with pytest.raises(TypeError):
+            m.resp_a[0] = np.array([3.0, 3.0])
+        with pytest.raises(TypeError):
+            del m.resp_b[0]
+        with pytest.raises(TypeError):
+            m.resp_a.update({1: np.array([1.0, 1.0])})
+        assert -1.0 <= m.correlator(SettingPair(0, 0)) <= 1.0
+
+    def test_regions_refuse_writes(self):
+        g = grid_wavefunction()
+        with pytest.raises(TypeError):
+            g.regions["far"] = Region([10])
+        with pytest.raises(TypeError):
+            g.regions.setdefault("far", Region([10]))
+        assert all(max(r.indices) < g.points for r in g.regions.values())
+
+    def test_caller_mapping_is_copied(self):
+        regions = {"L": Region([0])}
+        g = GridWavefunction(np.array([1.0, 2.0, 2.0]), regions)
+        regions["far"] = Region([10])
+        assert list(g.regions) == ["L"]
+
+    def test_response_arrays_stay_reachable(self, reachable_arrays):
+        # the prior and one response array per party
+        assert len(reachable_arrays(lhv_model())) == 3
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["deepcopy", "pickle"]
+    )
+    def test_results_still_copy_and_pickle(self, clone):
+        m, g, pdi = clone(lhv_model()), clone(grid_wavefunction()), clone(spectral_decompose(Z).pdi)
+        assert m.correlator(SettingPair(0, 0)) == lhv_model().correlator(SettingPair(0, 0))
+        assert list(g.regions) == ["L"] and g.regions["L"] == Region([0])
+        assert pdi.by_label(pdi.labels[1]).rank == 1
+        for mapping in (m.resp_a, g.regions, pdi._positions):
+            with pytest.raises(TypeError):
+                mapping.clear()

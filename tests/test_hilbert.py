@@ -287,6 +287,8 @@ class TestPDI:
         assert pdi.by_label("1").rank == 1
         with pytest.raises(KeyError):
             pdi.by_label("nope")
+        with pytest.raises(KeyError):
+            pdi.by_label(0)  # labels are strings: "0" exists, 0 does not
 
     def test_duplicate_labels_rejected(self):
         projs = [basis_ket(2, 0).projector(), basis_ket(2, 1).projector()]

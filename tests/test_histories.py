@@ -134,6 +134,19 @@ class TestChainVector:
         with pytest.raises(UnknownLabelError):
             chain_vector(fam, ("plus",))
 
+    def test_256_events_at_the_first_time(self):
+        # positions of 256 events need a uint8 index, while a node code at the
+        # first time is a position too: the code must not take the index's type
+        d = 256
+        coordinates = PDI([Projector.from_basis(np.eye(d)[:, [i]]) for i in range(d)])
+        grid = TimeGrid(("t0", "t1"), (Operator(np.eye(d, dtype=complex)),))
+        amplitudes = np.zeros(d)
+        amplitudes[[0, d - 1]] = 0.6, 0.8
+        fam = HistoryFamily(grid, Ket(amplitudes), (coordinates,), histories=[("255",), ("0",)])
+        assert fam._label_index.dtype == np.uint8
+        assert consistency_check(fam).weights.tolist() == pytest.approx([0.64, 0.36])
+        assert np.linalg.norm(chain_vector(fam, ("255",))) ** 2 == pytest.approx(0.64)
+
 
 class TestConsistency:
     def test_interference_family_is_inconsistent(self):
@@ -293,6 +306,29 @@ class TestConsistencyDifferential:
         np.testing.assert_allclose(report.gram, gram, rtol=0, atol=1e-12)
         for history, vec in zip(fam.all_histories(), chains):
             np.testing.assert_allclose(chain_vector(fam, history), vec, rtol=0, atol=1e-12)
+        if subset:
+            self.check_subset_chains(fam, report.chains)
+
+    @staticmethod
+    def check_subset_chains(fam, chains):
+        # Given every history as a shuffled subset, each level takes every node
+        # code, as the exhaustive family does, so the chains are its rows byte for
+        # byte, in the subset's order.
+        full = HistoryFamily(fam.grid, fam.initial, fam.event_pdis)
+        full_chains = consistency_check(full).chains
+        every = full.all_histories()
+        order = np.random.default_rng(len(every)).permutation(len(every))
+        shuffled = HistoryFamily(full.grid, full.initial, full.event_pdis, [every[i] for i in order])
+        assert consistency_check(shuffled).chains.tobytes() == full_chains[order].tobytes()
+        # A proper subset builds fewer rows per level, and a BLAS product over one
+        # row can round apart from one over many, so its chains and chain_vector
+        # (one row per level) match the exhaustive rows to rounding only.
+        rows = dict(zip(every, full_chains))
+        for history, vec in zip(fam.all_histories(), chains):
+            np.testing.assert_allclose(vec, rows[history], rtol=0, atol=64 * np.finfo(float).eps)
+            np.testing.assert_allclose(
+                chain_vector(fam, history), rows[history], rtol=0, atol=64 * np.finfo(float).eps
+            )
 
 
 def scan_rows(seed, kind):
