@@ -40,7 +40,6 @@ from .hilbert import (
     _FrozenMap,
     _frozen,
     builtin_operator,
-    commutator_defect,
     partial_trace,
     spectral_decompose,
     tensor_product,
@@ -91,7 +90,8 @@ def _chsh(e00, e01, e10, e11):
 
 @dataclass(frozen=True, eq=False)
 class CHSHOperators:
-    """Two settings per party; each party's operators commute with the other's."""
+    """Two +-1-valued settings per party, each product A_aB_b Hermitian (for
+    Hermitian A, B that is [A, B] = 0); the products are formed once, A-major."""
 
     a0: Operator
     a1: Operator
@@ -100,19 +100,24 @@ class CHSHOperators:
 
     def __post_init__(self):
         ops = {"A0": self.a0, "A1": self.a1, "B0": self.b0, "B1": self.b1}
-        dim = self.a0.dim
-        eye = np.eye(dim)
         tol = tolerances().algebraic
         for name, op in ops.items():
-            _check_dims(f"A0 and {name}", dim, op.dim)
+            _check_dims(f"A0 and {name}", self.a0.dim, op.dim)
             check(op.hermiticity_defect(), tol, ValueError, f"{name} is not Hermitian")
-            square = float(np.abs(op.entries @ op.entries - eye).max())
+            # a Hermitian A squares to I exactly when it is unitary
             message = f"{name} does not square to identity; eigenvalues must lie in {{+1,-1}}"
-            check(square, SQUARE_IDENTITY_TOL, ValueError, message)
-        for an, a in (("A0", self.a0), ("A1", self.a1)):
-            for bn, b in (("B0", self.b0), ("B1", self.b1)):
-                message = f"[{an}, {bn}] does not vanish"
-                check(commutator_defect(a, b), tol, NonCommutingABError, message)
+            check(op.unitarity_defect(), SQUARE_IDENTITY_TOL, ValueError, message)
+        # With D = A - A-dagger, A-dagger A - I = A^2 - I - DA and AB - (AB)-dagger =
+        # [A, B] + B D_A + D_B A-dagger, so with s = max|D| the checked defects lie within
+        # d s_A max|A| of max|A^2 - I| and d (s_A max|B| + s_B max|A|) of max|[A, B]|;
+        # no slack is added, as products carry s near 1e-13 at d = 1024 (a 2e-10 slack)
+        products = []
+        for an, bn in product(("A0", "A1"), ("B0", "B1")):
+            m = ops[an] @ ops[bn]
+            message = f"{an}{bn} is not Hermitian; Alice's operators must commute with Bob's"
+            check(m.hermiticity_defect(), tol, NonCommutingABError, message)
+            products.append(m)
+        object.__setattr__(self, "_products", tuple(products))
 
     @property
     def dim(self) -> int:
@@ -246,9 +251,9 @@ class LHVModel:
 
 
 def chsh_operator(ops: CHSHOperators) -> Operator:
-    """S = A0 B0 + A0 B1 + A1 B0 - A1 B1 (cross-party commutation is
-    enforced when `ops` is built)."""
-    return _chsh(*(a @ b for a, b in product((ops.a0, ops.a1), (ops.b0, ops.b1))))
+    """S = A0 B0 + A0 B1 + A1 B0 - A1 B1, summed from the four products that
+    `ops` formed and checked Hermitian when it was built."""
+    return _chsh(*ops._products)
 
 
 def _joint_table(psi: np.ndarray, p: PDI, q: PDI) -> np.ndarray:
@@ -610,10 +615,7 @@ def neon_setup() -> NeonSetup:
         b0=tensor_product(eye2, x),
         b1=tensor_product(eye2, z),
     )
-    m = (
-        (ops.a0 @ ops.b0, ops.a0 @ ops.b1),
-        (ops.a1 @ ops.b0, ops.a1 @ ops.b1),
-    )
+    m = (ops._products[:2], ops._products[2:])
     s = chsh_operator(ops)
     obs = spectral_decompose(s)
     top_proj = obs.pdi.projectors[0]  # eigenvalues sorted descending

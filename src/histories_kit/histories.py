@@ -304,7 +304,10 @@ def _gram_scan(chains: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def chain_vector(fam: HistoryFamily, history) -> np.ndarray:
-    """Unnormalized chain vector; its squared norm is the history weight."""
+    """Unnormalized chain vector of one history. It equals the history's row of
+    `consistency_check(fam).chains`, the rows every reported number comes from,
+    to within rounding: a one-row product may take another BLAS kernel than the
+    scan's batched one, so its squared norm can miss the reported weight in the last bit."""
     one = HistoryFamily(fam.grid, fam.initial, fam.event_pdis, histories=[history])
     return _chain_matrix(fam, one._label_index)[0]
 

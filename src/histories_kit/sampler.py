@@ -23,7 +23,7 @@ import numpy as np
 from .config import check
 from .errors import ProbabilityNormalizationError
 from .hilbert import PDI, Ket, _check_dims, _frozen, spectral_decompose
-from .bell import CHSHOperators, SettingPair, _chsh
+from .bell import CHSHOperators, _chsh
 
 __all__ = [
     "MAX_SHOTS",
@@ -221,35 +221,26 @@ def sample_pdi(
 def empirical_chsh(state: Ket, ops: CHSHOperators, config: RunConfig) -> EmpiricalCHSH:
     """Estimate S by sampling each setting pair's product observable.
 
-    Setting (a, b) samples the spectral decomposition of A_a B_b with the
-    seed given by raw splitmix64 output 2a+b of stream `seed`, so the four
-    sub-experiments, and runs with different seeds, draw independent streams.
+    Setting (a, b) samples the decomposition of the product A_a B_b held by
+    `ops` with the seed given by raw splitmix64 output 2a+b of stream `seed`, so
+    the four sub-experiments, and runs with different seeds, draw independent streams.
     """
     derived = np.empty(4, dtype=np.uint64)
     _splitmix64(config.seed, 0, derived, np.empty_like(derived))
+    seeds = {divmod(i, 2): int(seed) for i, seed in enumerate(derived)}
     per_setting: dict[tuple[int, int], SampleResult] = {}
-    seeds: dict[tuple[int, int], int] = {}
     e_hat = np.zeros((2, 2))
-    variance_sum = 0.0
-    for a in (0, 1):
-        for b in (0, 1):
-            pair = SettingPair(a, b)
-            product_obs = spectral_decompose(ops.alice(pair.a) @ ops.bob(pair.b))
-            values = {
-                label: float(ev)
-                for label, ev in zip(product_obs.pdi.labels, product_obs.eigenvalues)
-            }
-            seed = int(derived[2 * a + b])
-            seeds[(a, b)] = seed
-            result = sample_pdi(state, product_obs.pdi, RunConfig(config.shots, seed), values)
-            per_setting[(a, b)] = result
-            e_hat[a, b] = result.empirical_mean
-            variance_sum += result.std_error**2
+    for (a, b), m in zip(seeds, ops._products):  # both A-major: setting (a, b) is 2a + b
+        obs = spectral_decompose(m)
+        values = dict(zip(obs.pdi.labels, obs.eigenvalues))
+        result = sample_pdi(state, obs.pdi, RunConfig(config.shots, seeds[(a, b)]), values)
+        per_setting[(a, b)] = result
+        e_hat[a, b] = result.empirical_mean
     s_hat = float(_chsh(*e_hat.flat))
     return EmpiricalCHSH(
         e_hat=_frozen(e_hat),
         s_hat=s_hat,
-        std_error=math.sqrt(variance_sum),
+        std_error=math.sqrt(sum(r.std_error**2 for r in per_setting.values())),
         per_setting=per_setting,
         seeds=seeds,
     )

@@ -29,6 +29,7 @@ from histories_kit.bell import (
     singlet_chsh_operators,
     singlet_state,
 )
+from histories_kit.config import TOLERANCES
 from histories_kit.errors import (
     MalformedLocalPDIError,
     NonCommutingABError,
@@ -49,6 +50,7 @@ ROOT8 = 2 * math.sqrt(2)
 Z = builtin_operator("Z")
 X = builtin_operator("X")
 I2 = builtin_operator("I", 2)
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
 # <S> eigenstate for eigenvalue +2*sqrt(2): (cos pi/8, sin pi/8, -sin pi/8, cos pi/8)/sqrt(2)
 TOP_STATE = (0.6532814824381883, 0.2705980500730985, -0.2705980500730985, 0.6532814824381883)
@@ -92,12 +94,124 @@ class TestCHSHOperators:
                 b1=tensor_product(I2, Z),
             )
 
+    def test_rejects_product_that_is_not_hermitian(self):
+        # A0 is Hermitian within 9.9e-11 and commutes with B0 exactly, yet A0B0's
+        # skew is 2.8e-10; the setup was once accepted, and then sampling A0B0
+        # raised NotHermitianError
+        k = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        h8 = np.kron(np.kron(HADAMARD, HADAMARD), HADAMARD)
+        a0 = Operator(np.kron(Z.entries, np.eye(8)) + 1.4e-10 * np.kron(k, h8))
+        b = Operator(np.kron(np.eye(2), h8))
+        assert a0.hermiticity_defect() == pytest.approx(9.9e-11, rel=1e-3)
+        assert np.abs(a0.entries @ b.entries - b.entries @ a0.entries).max() == 0.0
+        assert (a0 @ b).hermiticity_defect() == pytest.approx(2.8e-10, rel=1e-3)
+        with pytest.raises(NonCommutingABError, match="^A0B0 is not Hermitian"):
+            CHSHOperators(a0, Operator(np.kron(X.entries, np.eye(8))), b, b)
+
     def test_setting_accessors(self):
         ops = neon_setup().ops
         assert ops.alice(0) is ops.a0
         assert ops.bob(1) is ops.b1
         with pytest.raises(ValueError):
             SettingPair(2, 0)
+
+
+def random_involution(rng, dim):
+    """V diag(+-1) V-dagger for a random unitary V, made exactly Hermitian."""
+    v, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    u = (v * rng.choice([-1.0, 1.0], dim)) @ v.conj().T
+    return (u + u.conj().T) / 2
+
+
+def reference_premise_failure(ops):
+    """The premises as checked by squaring each operator and forming both
+    products of each commutator: (error class, name) of the first failure."""
+    named = dict(zip(("A0", "A1", "B0", "B1"), (op.entries for op in ops)))
+    eye = np.eye(ops[0].dim)
+    for name, x in named.items():
+        if not np.abs(x - x.conj().T).max() < TOLERANCES.algebraic:
+            return ValueError, name
+        if not np.abs(x @ x - eye).max() < bell.SQUARE_IDENTITY_TOL:
+            return ValueError, name
+    for an, bn in itertools.product(("A0", "A1"), ("B0", "B1")):
+        x, y = named[an], named[bn]
+        if not np.abs(x @ y - y @ x).max() < TOLERANCES.algebraic:
+            return NonCommutingABError, an + bn
+    return None, None
+
+
+class TestPremiseDifferential:
+    """CHSHOperators reads its premises from `unitarity_defect` and from the
+    skew of each product A_aB_b. On exactly Hermitian operands these are the
+    square and commutator defects up to rounding, so the verdicts agree."""
+
+    @staticmethod
+    def operators(seed, da, db, moved, scale):
+        # Alice acts on the first factor and Bob on the second, except that each
+        # operator named in `moved` sits on the other party's factor; A1 is scaled
+        rng = np.random.default_rng(seed)
+        ops = []
+        for name in ("A0", "A1", "B0", "B1"):
+            if name.startswith("A") != (name in moved):
+                ops.append(np.kron(random_involution(rng, da), np.eye(db)))
+            else:
+                ops.append(np.kron(np.eye(da), random_involution(rng, db)))
+        ops[1] = scale * ops[1]
+        return [Operator(x) for x in ops]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([2, 3, 4]),
+        # with A1 and B1 moved, A0B1 and A1B0 fail and A-major order meets A0B1 first
+        st.sampled_from([(), ("B0",), ("B1",), ("A1", "B1")]),
+        st.sampled_from([1.0, 1 + 3e-10, 1 + 6e-10, 1.5]),
+    )
+    def test_verdicts_match_reference(self, seed, da, db, moved, scale):
+        ops = self.operators(seed, da, db, moved, scale)
+        error, name = reference_premise_failure(ops)
+        if error is None:
+            CHSHOperators(*ops)
+            return
+        with pytest.raises(Exception) as info:
+            CHSHOperators(*ops)
+        assert type(info.value) is error
+        assert str(info.value).startswith(f"{name} ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([2, 3, 4]),
+        st.lists(st.floats(0.0, 1e-12), min_size=4, max_size=4),
+    )
+    def test_skewed_defects_stay_within_bound(self, seed, da, db, skews):
+        # D = A - A-dagger moves A-dagger A - I from A^2 - I by DA, and the product's
+        # skew from [A, B] by B D_A + D_B A-dagger; each max entry grows at most d-fold
+        rng = np.random.default_rng([seed, 1])
+        ops = []
+        for op, s in zip(self.operators(seed, da, db, (), 1.0), skews):
+            k = rng.standard_normal(op.entries.shape) + 1j * rng.standard_normal(op.entries.shape)
+            k = k - k.conj().T
+            ops.append(Operator(op.entries + s * k / np.abs(k).max()))
+        d = ops[0].dim
+        skew = [op.hermiticity_defect() for op in ops]
+        peak = [float(np.abs(op.entries).max()) for op in ops]
+        eps = np.finfo(float).eps
+        for x, s_x, m_x in zip(ops, skew, peak):
+            square = float(np.abs(x.entries @ x.entries - np.eye(d)).max())
+            rounding = 4 * d * d * eps * m_x * m_x
+            assert abs(x.unitarity_defect() - square) <= d * s_x * m_x + rounding
+        for (a, s_a, m_a), (b, s_b, m_b) in itertools.product(
+            zip(ops[:2], skew[:2], peak[:2]), zip(ops[2:], skew[2:], peak[2:])
+        ):
+            commutator = float(np.abs(a.entries @ b.entries - b.entries @ a.entries).max())
+            rounding = 4 * d * d * eps * m_a * m_b
+            bound = d * (s_a * m_b + s_b * m_a) + rounding
+            assert abs((a @ b).hermiticity_defect() - commutator) <= bound
+        assert reference_premise_failure(ops) == (None, None)
+        CHSHOperators(*ops)
 
 
 class TestNeonSpectrum:
@@ -137,6 +251,12 @@ class TestNeonSpectrum:
             assert comm(flat[(j1, k1)], flat[(j2, k2)]) > 1.9
         assert comm(flat[(0, 0)], flat[(1, 1)]) < 1e-12
         assert comm(flat[(0, 1)], flat[(1, 0)]) < 1e-12
+
+    def test_m_holds_the_products_a_major(self):
+        setup = neon_setup()
+        for j, k in itertools.product((0, 1), repeat=2):
+            product = setup.ops.alice(j).entries @ setup.ops.bob(k).entries
+            assert np.array_equal(setup.m[j][k].entries, product)
 
     def test_s_commutes_with_no_product_observable(self):
         setup = neon_setup()

@@ -445,6 +445,20 @@ class TestDecompositionCounts:
         (setup,) = setups
         assert sum(a is setup.s.entries for a in factored) == 1
 
+    def test_neon_forms_each_product_once(self, monkeypatch):
+        # CHSHOperators forms A_aB_b once; S, the M_jk and the sampled CHSH share them
+        products = []
+        matmul = hilbert.Operator.__matmul__
+
+        def counting_matmul(a, b):
+            products.append((a, b))
+            return matmul(a, b)
+
+        monkeypatch.setattr(hilbert.Operator, "__matmul__", counting_matmul)
+        code, _ = run_cli(["neon", "--shots", "1000", "--format", "json"])
+        assert code == 0
+        assert len(products) == 4
+
 
 class TestHumanOutput:
     def test_neon_prints_tsirelson_eigenvalue(self):

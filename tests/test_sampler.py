@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from histories_kit.bell import neon_setup, singlet_state
+from histories_kit import hilbert
+from histories_kit.bell import chsh_value, neon_setup, singlet_chsh_operators, singlet_state
 from histories_kit.config import override
 from histories_kit.errors import ProbabilityNormalizationError
 from histories_kit.hilbert import (
@@ -370,6 +371,32 @@ class TestEmpiricalCHSH:
         assert all(
             ra.counts == rb.counts for ra, rb in zip(a.per_setting.values(), b.per_setting.values())
         )
+
+    def test_repeated_calls_decompose_each_product_once(self, monkeypatch):
+        # the products live on the setup, so the spectral memo serves the second call
+        setup = neon_setup()
+        validated = []
+        validate = hilbert.pdi_validate
+
+        def counting(projectors):
+            validated.append(len(projectors))
+            return validate(projectors)
+
+        monkeypatch.setattr(hilbert, "pdi_validate", counting)
+        cfg = RunConfig(shots=100, seed=3)
+        first, second = (empirical_chsh(setup.top_eigenstate, setup.ops, cfg) for _ in range(2))
+        assert len(validated) == 4
+        assert first.s_hat == second.s_hat
+
+    def test_each_setting_samples_its_own_product(self):
+        # E01 = cos 30 deg and E10 = -cos 60 deg here, so a transposed product order shows
+        ops = singlet_chsh_operators((0.0, 90.0), (30.0, 150.0))
+        e = chsh_value(singlet_state(), ops).correlations.e
+        est = empirical_chsh(singlet_state(), ops, RunConfig(shots=10, seed=5))
+        for (a, b), result in est.per_setting.items():
+            obs = spectral_decompose(ops.alice(a) @ ops.bob(b))
+            born = sum(result.probabilities[l] * v for l, v in zip(obs.pdi.labels, obs.eigenvalues))
+            assert born == pytest.approx(e[a, b], abs=1e-12)
 
     def test_per_setting_seeds_distinct(self):
         setup = neon_setup()
