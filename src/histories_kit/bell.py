@@ -101,9 +101,11 @@ class CHSHOperators:
     def __post_init__(self):
         ops = {"A0": self.a0, "A1": self.a1, "B0": self.b0, "B1": self.b1}
         tol = tolerances().algebraic
+        skews = []  # max|A - A-dagger| of A0, A1, B0, B1, which chsh_value's limit reads
         for name, op in ops.items():
             _check_dims(f"A0 and {name}", self.a0.dim, op.dim)
-            check(op.hermiticity_defect(), tol, ValueError, f"{name} is not Hermitian")
+            skews.append(op.hermiticity_defect())
+            check(skews[-1], tol, ValueError, f"{name} is not Hermitian")
             # a Hermitian A squares to I exactly when it is unitary
             message = f"{name} does not square to identity; eigenvalues must lie in {{+1,-1}}"
             check(op.unitarity_defect(), SQUARE_IDENTITY_TOL, ValueError, message)
@@ -118,6 +120,7 @@ class CHSHOperators:
             check(m.hermiticity_defect(), tol, NonCommutingABError, message)
             products.append(m)
         object.__setattr__(self, "_products", tuple(products))
+        object.__setattr__(self, "_skews", tuple(skews))
 
     @property
     def dim(self) -> int:
@@ -288,11 +291,16 @@ def chsh_value(state: Ket, ops: CHSHOperators) -> CHSHValue:
         e[a, b] = np.sum(np.outer(obs_a[a].eigenvalues, obs_b[b].eigenvalues) * table)
     corr = CorrelationData(e)
     direct = float(chsh_operator(ops).expectation(state).real)
-    # E(a,b) is <A'B'>, with A' the decomposed A (within s_a of it, ||A'|| = m_a the
-    # largest |eigenvalue|), so |<A'B'> - <AB>| <= ||A' - A|| ||B|| + ||A'|| ||B' - B||
-    # <= s_a (m_b + s_b) + m_a s_b; S adds four such terms to the rounding
+    # E(a,b) is <A'B'>, with A' the decomposed A and m_a = ||A'|| its largest
+    # |eigenvalue|. eigh reads one triangle of A, so the Hermitian matrix it
+    # decomposes differs from A by up to k = max|A - A-dagger| per entry, so by up
+    # to d k in the spectral norm, and merging moves A' up to `shift` from that
+    # matrix. So ||A' - A|| <= s_a = shift + d k, and |<A'B'> - <AB>| <=
+    # ||A' - A|| ||B|| + ||A'|| ||B' - B|| <= s_a (m_b + s_b) + m_a s_b; S adds
+    # four such terms to the rounding
     a_side, b_side = (
-        [(o.shift, max(map(abs, o.eigenvalues))) for o in side] for side in (obs_a, obs_b)
+        [(o.shift + ops.dim * k, max(map(abs, o.eigenvalues))) for o, k in zip(side, skews)]
+        for side, skews in ((obs_a, ops._skews[:2]), (obs_b, ops._skews[2:]))
     )
     limit = tolerances().algebraic + sum(
         s_a * (m_b + s_b) + m_a * s_b for (s_a, m_a), (s_b, m_b) in product(a_side, b_side)

@@ -7,6 +7,8 @@ walk; `execute` prints that text, or renders the human text from the report
 report carries the tool version and the tolerance bundle in force so
 numbers are auditable. json output is stable-keyed, 12 significant
 digits, newline terminated; human output prints 6 significant digits.
+A `probs` table is written from the family's arrays, keyed from the escaped
+event labels level by level, with each distinct weight formatted once.
 
 Exit codes: 0 success, 1 unreadable spec file or parse/resolution failure,
 2 numeric contract violation (inconsistent family queried for
@@ -57,11 +59,7 @@ from .dsl import (
     render_query,
 )
 from .hilbert import spectral_decompose
-from .histories import (
-    conditional_probability,
-    consistency_check,
-    family_probabilities,
-)
+from .histories import _probabilities, conditional_probability, consistency_check
 from .sampler import MAX_SHOTS, RunConfig, empirical_chsh, sample_pdi
 
 __all__ = ["execute", "main", "TOOL_VERSION"]
@@ -100,6 +98,28 @@ def _json_float(value: float) -> str:
     return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
+class _Table:
+    """A family's probs table for `_json_text`: the JSON-quoted "label,...,label"
+    key of each history and the weights, in history order. Escaping maps each
+    character alone, so an exhaustive family's keys join its escaped labels,
+    built level by level in all_histories() order."""
+
+    # a plain class: a dataclass would add about 0.8 ms to every cold import
+    __slots__ = ("keys", "weights")
+
+    def __init__(self, family, weights: np.ndarray):
+        self.weights = weights
+        if not family.exhaustive:
+            self.keys = [_json_str(",".join(h)) for h in family.histories]
+            return
+        keys, last = [""], family.n_times - 1
+        for t, pdi in enumerate(family.event_pdis):
+            head, tail = "," if t else '"', '"' if t == last else ""
+            parts = [head + _json_str(label)[1:-1] + tail for label in pdi.labels]
+            keys = [k + x for k in keys for x in parts]
+        self.keys = keys
+
+
 def _json_text(value, newline: str) -> str:
     """The JSON text of one payload value, nested lines starting `newline`."""
     if isinstance(value, float):
@@ -108,6 +128,12 @@ def _json_text(value, newline: str) -> str:
         return _json_text(value.item(), newline)
     if isinstance(value, np.ndarray):
         return _json_text(value.tolist(), newline)
+    if isinstance(value, _Table):  # each distinct weight is formatted once
+        values, inverse = np.unique(value.weights, return_inverse=True)
+        texts = [": " + _json_float(v) for v in values.tolist()]
+        inner = newline + "  "
+        lines = map(str.__add__, value.keys, map(texts.__getitem__, inverse.tolist()))
+        return "{" + inner + ("," + inner).join(lines) + newline + "}"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -295,19 +321,19 @@ def _run_query(query, env, chsh_values: dict) -> dict:
     if isinstance(query, FamilyQuery):
         family = env[query.family].value
         if query.kind == "probs":
-            table = family_probabilities(family)
+            weights, total, omitted = _probabilities(family)
             return {
-                "probabilities": {",".join(h): p for h, p in table.probabilities.items()},
-                "total": table.total,
-                "omitted": table.omitted,
-                "exhaustive": table.exhaustive,
+                "probabilities": _Table(family, weights),
+                "total": total,
+                "omitted": omitted,
+                "exhaustive": family.exhaustive,
             }
         report = consistency_check(family)
         return {
             "consistent": report.consistent,
             "max_offdiag": report.max_offdiag,
             "tolerance": report.tolerance,
-            "n_histories": len(report.histories),
+            "n_histories": len(report.weights),
         }
     if isinstance(query, ConditionalQuery):
         probability = conditional_probability(

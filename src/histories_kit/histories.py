@@ -7,8 +7,9 @@ vectors K(Y)|psi0> are built by alternately applying propagators and event
 projectors (the initial event is [psi0], which acts trivially on psi0),
 level by level over the prefix tree of the histories, one (nodes, d) array
 per time. A node is numbered parent * n_t + event, n_t being the number of
-events at time t; an exhaustive family takes every code and a subset the
-distinct codes of its rows, so each shared prefix is propagated once.
+events at time t; an exhaustive family takes every code, stacking each
+event's projection of every moved row, and a subset the distinct codes of
+its rows, so each shared prefix is propagated once.
 Off-diagonal chain-vector inner products are the decoherence functional;
 the family is consistent when every off-diagonal modulus falls below the
 algebraic tolerance, and only then are squared chain norms handed out as
@@ -27,7 +28,8 @@ A family caches its scan and its position array. Probabilities and
 conditional probabilities read the scan's weights: a conditional sums them
 under boolean masks over the position array, with the built-in `sum` in
 history order, so it equals the sum over the probability table bit for bit
-without building that table.
+without building that table. The scan holds no label tuples: a report's
+`histories` and a probability table's keys are built when they are read.
 """
 
 from __future__ import annotations
@@ -165,12 +167,12 @@ class HistoryFamily:
         return _frozen(index)
 
     @cached_property
-    def _scan(self) -> tuple[tuple[tuple[str, ...], ...], np.ndarray, np.ndarray, float]:
-        """(histories, chains, weights, max_offdiag), free of any tolerance; built
-        on first use and kept, as the family is frozen and the arrays immutable."""
+    def _scan(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(chains, weights, max_offdiag), free of any tolerance; built on first
+        use and kept, as the family is frozen and the arrays immutable."""
         chains = _chain_matrix(self, None if self.histories is None else self._label_index)
         weights, max_offdiag = _gram_scan(chains)
-        return self.all_histories(), _frozen(chains), _frozen(weights), max_offdiag
+        return _frozen(chains), _frozen(weights), max_offdiag
 
 
 def _checked_history(history, pdis: tuple[PDI, ...]) -> tuple[str, ...]:
@@ -198,17 +200,21 @@ class ConsistencyReport:
     """Consistency verdict plus the chain vectors it was computed from.
 
     `chains` holds one chain vector per history, as rows in `histories`
-    order, and `weights` their squared norms (the Gram diagonal). The dense
-    Gram matrix is assembled only on access to `gram`, at O(H^2) time and
-    memory.
+    order, and `weights` their squared norms (the Gram diagonal). The label
+    tuples of `histories` are built on first read, and the dense Gram matrix
+    on each access to `gram`, at O(H^2) time and memory.
     """
 
-    histories: tuple[tuple[str, ...], ...]
+    _family: HistoryFamily
     chains: np.ndarray
     weights: np.ndarray
     max_offdiag: float
     consistent: bool
     tolerance: float
+
+    @cached_property
+    def histories(self) -> tuple[tuple[str, ...], ...]:
+        return self._family.all_histories()
 
     @property
     def gram(self) -> np.ndarray:
@@ -231,24 +237,27 @@ def _chain_matrix(fam: HistoryFamily, index: np.ndarray | None = None) -> np.nda
     Level t holds one row per node, coded parent * n_t + event: its parent's
     row moved by propagator t, then projected by the event's basis V, as
     (rows V-conj) V-transpose. With `index` None every code is taken, in
-    all_histories() order; given (H, n) event positions, each level keeps the
-    distinct codes of those rows, and the last np.unique inverse puts the
-    chains back in row order.
+    all_histories() order, by stacking each event's projection of every moved
+    row; given (H, n) event positions, each level keeps the distinct codes of
+    those rows, and the last np.unique inverse puts the chains back in row
+    order.
     """
     rows = fam.initial.amplitudes[None, :]
     inverse = np.zeros(1, dtype=np.intp)  # every history starts at the root, node 0
     for t, (pdi, prop) in enumerate(zip(fam.event_pdis, fam.grid.propagators)):
         moved = rows @ prop.entries.T
-        n_events = len(pdi)
         if index is None:
-            parents, events = np.divmod(np.arange(len(rows) * n_events), n_events)
+            rows = np.stack(
+                [(moved @ proj.basis.conj()) @ proj.basis.T for proj in pdi.projectors], axis=1
+            ).reshape(-1, fam.grid.dim)
         else:
+            n_events = len(pdi)
             nodes, inverse = np.unique(inverse * n_events + index[:, t], return_inverse=True)
             parents, events = np.divmod(nodes, n_events)
-        rows = np.empty((len(parents), fam.grid.dim), dtype=complex)
-        for j, proj in enumerate(pdi.projectors):
-            chosen = events == j
-            rows[chosen] = (moved[parents[chosen]] @ proj.basis.conj()) @ proj.basis.T
+            rows = np.empty((len(parents), fam.grid.dim), dtype=complex)
+            for j, proj in enumerate(pdi.projectors):
+                chosen = events == j
+                rows[chosen] = (moved[parents[chosen]] @ proj.basis.conj()) @ proj.basis.T
     return rows if index is None else rows[inverse]
 
 
@@ -320,7 +329,7 @@ def consistency_check(fam: HistoryFamily) -> ConsistencyReport:
     The Gram matrix itself is never held; see `_gram_scan`. The family scans
     once; the tolerances in force are applied to that scan on every call.
     """
-    histories, chains, weights, max_offdiag = fam._scan
+    chains, weights, max_offdiag = fam._scan
     tol = tolerances()
     if fam.exhaustive:
         # The weights of an exhaustive family sum to 1, consistent or not: each
@@ -334,7 +343,7 @@ def consistency_check(fam: HistoryFamily) -> ConsistencyReport:
         message = f"exhaustive family weights sum to {total!r}, not 1"
         check(abs(total - 1.0), limit, VerificationFailedError, message)
     return ConsistencyReport(
-        histories=histories,
+        _family=fam,
         chains=chains,
         weights=weights,
         max_offdiag=max_offdiag,
@@ -356,15 +365,19 @@ def _consistent_report(fam: HistoryFamily) -> ConsistencyReport:
     return report
 
 
+def _probabilities(fam: HistoryFamily) -> tuple[np.ndarray, float, float]:
+    """(weights, total, omitted) of a consistent family, in history order; the
+    total is their built-in `sum` in that order."""
+    weights = _consistent_report(fam).weights
+    total = float(sum(weights.tolist()))
+    return weights, total, 0.0 if fam.exhaustive else max(0.0, 1.0 - total)
+
+
 def family_probabilities(fam: HistoryFamily) -> ProbabilityTable:
     """Squared chain norms of a consistent family, with omitted mass reported."""
-    report = _consistent_report(fam)
-    probs = dict(zip(report.histories, report.weights.tolist()))
-    total = float(sum(probs.values()))
-    omitted = 0.0 if fam.exhaustive else max(0.0, 1.0 - total)
-    return ProbabilityTable(
-        probabilities=probs, total=total, omitted=omitted, exhaustive=fam.exhaustive
-    )
+    weights, total, omitted = _probabilities(fam)
+    probs = dict(zip(fam.all_histories(), weights.tolist()))
+    return ProbabilityTable(probs, total, omitted, fam.exhaustive)
 
 
 def _check_event(fam: HistoryFamily, time_index: int, label) -> int:

@@ -549,12 +549,12 @@ def test_criterion_17_consistency_of_a_16384_history_family(tmp_path):
     assert result["consistent"] is False
 
 
-def test_criterion_18_probs_and_conditionals_of_a_65536_history_family(tmp_path):
-    # a two-qubit family with 16 two-outcome times, X-flip propagators and Z
-    # events on either qubit: each basis state follows one history, so the
-    # family is consistent and its weights have a closed form
-    times = 16
-    rng = np.random.default_rng(18)
+def _flip_family(rng, times: int):
+    """A two-qubit family C with `times` two-outcome times, X-flip propagators and
+    Z events on either qubit: each basis state follows one history, so the
+    family is consistent and its weights have a closed form. Returns the spec
+    lines through C, the events, each basis state's (labels, weight) and the
+    weight of each history key."""
     events = [str(e) for e in rng.choice(["ZA", "ZB"], size=times)]
     props = [str(p) for p in rng.choice(["XA", "XB", "XX"], size=times)]
     amps = rng.uniform(0.3, 0.7, size=4) * rng.choice([-1.0, 1.0], size=4)
@@ -571,19 +571,6 @@ def test_criterion_18_probs_and_conditionals_of_a_65536_history_family(tmp_path)
     for labels, w in trajectories:
         key = ",".join(labels)
         weights[key] = weights.get(key, 0.0) + w
-    conditionals = []
-    for _ in range(3):
-        given_t, target_t = (int(t) for t in rng.choice(times, size=2, replace=False) + 1)
-        given_label = trajectories[int(rng.integers(4))][0][given_t - 1]
-        target_label = f"{events[target_t - 1]}{int(rng.integers(2))}"
-        given_w = [w for labels, w in trajectories if labels[given_t - 1] == given_label]
-        joint_w = [
-            w for labels, w in trajectories
-            if labels[given_t - 1] == given_label and labels[target_t - 1] == target_label
-        ]
-        pr = sum(joint_w) / sum(given_w)
-        conditionals.append((target_t, target_label, given_t, given_label, pr))
-
     lines = [
         "ket k0 = [1, 0]",
         "ket k1 = [0, 1]",
@@ -602,7 +589,48 @@ def test_criterion_18_probs_and_conditionals_of_a_65536_history_family(tmp_path)
     ]
     lines += [f"  prop {t} = {p};" for t, p in enumerate(props, start=1)]
     lines += [f"  events {t} = {e};" for t, e in enumerate(events, start=1)]
-    lines += ["}", "query probs C"]
+    return lines + ["}"], events, trajectories, weights
+
+
+def _flip_conditional(rng, times: int, events, trajectories):
+    """(target time, target label, given time, given label, Pr(target | given))
+    for one random pair of times of a `_flip_family`."""
+    given_t, target_t = (int(t) for t in rng.choice(times, size=2, replace=False) + 1)
+    given_label = trajectories[int(rng.integers(4))][0][given_t - 1]
+    target_label = f"{events[target_t - 1]}{int(rng.integers(2))}"
+    given_w = [w for labels, w in trajectories if labels[given_t - 1] == given_label]
+    joint_w = [
+        w for labels, w in trajectories
+        if labels[given_t - 1] == given_label and labels[target_t - 1] == target_label
+    ]
+    return target_t, target_label, given_t, given_label, sum(joint_w) / sum(given_w)
+
+
+def _check_probs(table: dict, times: int, weights: dict[str, float]):
+    probs = table["probabilities"]
+    assert len(probs) == 2**times
+    assert sum(1 for p in probs.values() if p != 0.0) == len(weights)
+    for key, w in weights.items():
+        assert abs(probs[key] - w) < 1e-11
+    assert abs(table["total"] - 1.0) < 1e-11
+    assert table["exhaustive"] is True
+
+
+def _check_conditionals(results: list[dict], conditionals):
+    for got, (t, tl, g, gl, want) in zip(results, conditionals, strict=True):
+        assert (got["target"], got["given"]) == (f"{t}:{tl}", f"{g}:{gl}")
+        assert abs(got["probability"] - want) < 1e-10
+
+
+def test_criterion_18_probs_and_conditionals_of_a_65536_history_family(tmp_path):
+    # a two-qubit family with 16 two-outcome times, X-flip propagators and Z
+    # events on either qubit: each basis state follows one history, so the
+    # family is consistent and its weights have a closed form
+    times = 16
+    rng = np.random.default_rng(18)
+    lines, events, trajectories, weights = _flip_family(rng, times)
+    conditionals = [_flip_conditional(rng, times, events, trajectories) for _ in range(3)]
+    lines += ["query probs C"]
     lines += [f"query conditional C {t}:{tl} | {g}:{gl}" for t, tl, g, gl, _ in conditionals]
     spec = tmp_path / "h65536.spec"
     spec.write_text("\n".join(lines) + "\n")
@@ -611,16 +639,31 @@ def test_criterion_18_probs_and_conditionals_of_a_65536_history_family(tmp_path)
         code = cli.execute(["run", str(spec), "--format", "json"], out=out)
     assert code == 0
     table, *conds = json.loads(out.getvalue())["results"]
-    probs = table["probabilities"]
-    assert len(probs) == 2**times
-    assert sum(1 for p in probs.values() if p != 0.0) == len(weights)
-    for key, w in weights.items():
-        assert abs(probs[key] - w) < 1e-11
-    assert abs(table["total"] - 1.0) < 1e-11
-    assert table["exhaustive"] is True
-    for got, (t, tl, g, gl, want) in zip(conds, conditionals):
-        assert (got["target"], got["given"]) == (f"{t}:{tl}", f"{g}:{gl}")
-        assert abs(got["probability"] - want) < 1e-10
+    _check_probs(table, times, weights)
+    _check_conditionals(conds, conditionals)
+
+
+def test_criterion_21_consistency_probs_and_a_conditional_of_a_262144_history_family(tmp_path):
+    # criterion 18's family at 18 times: the probs table is written from the
+    # scan's arrays, with no per-history tuple, dict or float call
+    times = 18
+    rng = np.random.default_rng(21)
+    lines, events, trajectories, weights = _flip_family(rng, times)
+    conditional = _flip_conditional(rng, times, events, trajectories)
+    t, tl, g, gl, _ = conditional
+    lines += ["query consistency C", "query probs C", f"query conditional C {t}:{tl} | {g}:{gl}"]
+    spec = tmp_path / "h262144.spec"
+    spec.write_text("\n".join(lines) + "\n")
+    out = io.StringIO()
+    label = f"consistency, probs and a conditional of a {2**times}-history family"
+    with _Budget(21, label, 0.9):
+        code = cli.execute(["run", str(spec), "--format", "json"], out=out)
+    assert code == 0
+    verdict, table, *conds = json.loads(out.getvalue())["results"]
+    assert verdict["consistent"] is True
+    assert verdict["n_histories"] == 2**times
+    _check_probs(table, times, weights)
+    _check_conditionals(conds, [conditional])
 
 
 def test_criterion_19_chsh_and_lhv_of_one_setup_at_max_dim(tmp_path, monkeypatch):

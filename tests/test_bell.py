@@ -316,6 +316,44 @@ class TestCHSHValue:
         with pytest.raises(VerificationFailedError, match="per-setting sum"):
             chsh_value(Ket(np.array([0.1, 0.7, 0.7, 0.1])), self.merged_alice_ops())
 
+    @staticmethod
+    def skewed_alice_ops():
+        # A0 is Hermitian within k = 9.8e-11, and eigh reads one triangle of it, so
+        # the decomposed A0' lies up to d k from A0; P swaps neighbours and R
+        # reverses, and both commute with the all-ones J8, so every premise holds
+        k = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        swaps = np.kron(np.eye(4), X.entries)
+        a0 = Operator(np.kron(Z.entries, np.eye(8)) + 4.9e-11 * np.kron(k, np.ones((8, 8))))
+        a1 = tensor_product(X, Operator(np.eye(8)))
+        b0, b1 = (Operator(np.kron(np.eye(2), m)) for m in (swaps, np.eye(8)[::-1]))
+        return CHSHOperators(a0, a1, b0, b1)
+
+    def test_operand_skew_widens_the_check(self):
+        # the per-setting sum misses the direct <S> by 7.84e-10, beyond `algebraic`
+        # and every merge shift (at most 1e-15 here), but within the one-triangle
+        # distance
+        ops = self.skewed_alice_ops()
+        assert ops.a0.hermiticity_defect() == pytest.approx(9.8e-11, rel=1e-3)
+        value = chsh_value(Ket(np.ones(16)), ops)
+        assert max(o.shift for side in value.observables for o in side) < 1e-15
+        defect = abs(value.correlations.chsh - value.direct_expectation)
+        assert defect == pytest.approx(7.84e-10, rel=1e-2)
+
+    def test_dropped_term_still_raises_on_skewed_operands(self, monkeypatch):
+        joint_table = bell._joint_table
+        calls = []
+
+        def dropped(*args):
+            table = joint_table(*args)
+            if not calls:  # the (0, 0) setting loses one joint outcome
+                table[np.unravel_index(np.argmax(table), table.shape)] = 0.0
+            calls.append(args)
+            return table
+
+        monkeypatch.setattr(bell, "_joint_table", dropped)
+        with pytest.raises(VerificationFailedError, match="per-setting sum"):
+            chsh_value(Ket(np.ones(16)), self.skewed_alice_ops())
+
     def test_chsh_operator_matches_manual_combination(self):
         ops = neon_setup().ops
         s = chsh_operator(ops)

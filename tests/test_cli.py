@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from histories_kit import cli, hilbert
 from histories_kit.config import TOLERANCES, tolerances
-from histories_kit.hilbert import builtin_operator, commutes
+from histories_kit.hilbert import PDI, Ket, Operator, Projector, builtin_operator, commutes
+from histories_kit.histories import HistoryFamily, TimeGrid
 from histories_kit.sampler import MAX_SHOTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -590,6 +591,8 @@ def jsonable(value):
         return float(f"{value:.12g}") + 0.0
     if isinstance(value, (np.floating, np.integer)):
         return jsonable(value.item())
+    if isinstance(value, cli._Table):  # a probs table: quoted keys and a weights array
+        return {json.loads(k): jsonable(w) for k, w in zip(value.keys, value.weights.tolist())}
     if isinstance(value, np.ndarray):
         return [jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
@@ -636,5 +639,75 @@ class TestJsonWriter:
         code, out = run_cli(["run", str(spec), "--format", "json"], monkeypatch)
         assert code == 0
         (report,) = reports
-        assert len(report["results"][0]["probabilities"]) == 2**times
+        assert len(jsonable(report)["results"][0]["probabilities"]) == 2**times
         assert out == reference_json(report)
+
+
+def labelled_family(labels: list[list[str]], subset=None) -> HistoryFamily:
+    """A family on C^3 with identity propagators and one coordinate PDI per
+    list of labels (1 to 3 members, the last taking the rest of the basis)."""
+    pdis = [
+        PDI(
+            [Projector.from_basis(b) for b in np.split(np.eye(3), range(1, len(names)), axis=1)],
+            labels=names,
+        )
+        for names in labels
+    ]
+    identity = Operator(np.eye(3, dtype=complex))
+    grid = TimeGrid(tuple(f"t{i}" for i in range(len(labels) + 1)), (identity,) * len(labels))
+    return HistoryFamily(grid, Ket([0.6, 0.0, 0.8]), tuple(pdis), histories=subset)
+
+
+# weights the table must write as json.dumps does: signed zeros, subnormals,
+# large and small magnitudes, and repeats of each
+_WEIGHTS = st.one_of(
+    _FLOATS, st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e16, 1e-5, 0.36, 0.64, 1 / 3])
+)
+
+
+@st.composite
+def probs_tables(draw):
+    """A library family with labels that need escaping, an optional subset of its
+    histories, and one drawn weight per history."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    labels = [draw(st.lists(_TEXT, min_size=n, max_size=n, unique=True)) for n in sizes]
+    fam = labelled_family(labels)
+    every = fam.all_histories()
+    if draw(st.booleans()):
+        picked = draw(st.lists(st.sampled_from(every), min_size=1, unique=True))
+        fam = labelled_family(labels, subset=picked)
+    n = len(fam.all_histories())
+    weights = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+    return fam, np.array(weights, dtype=float)
+
+
+class TestProbsTable:
+    @settings(max_examples=300, deadline=None)
+    @given(probs_tables())
+    def test_matches_json_dumps_of_rounded_dict(self, drawn):
+        fam, weights = drawn
+        keys = [",".join(h) for h in fam.all_histories()]
+        assume(len(set(keys)) == len(keys))  # labels with commas can join alike
+        expected = {k: float(f"{w:.12g}") + 0.0 for k, w in zip(keys, weights.tolist())}
+        table = cli._Table(fam, weights)
+        out = io.StringIO()
+        cli._emit_json({"results": [{"probabilities": table, "total": 1.0}]}, out)
+        reference = {"results": [{"probabilities": expected, "total": 1.0}]}
+        assert out.getvalue() == json.dumps(reference, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [["a"]],
+            [["0", "1"], ["x"]],
+            [['q"', "b\\"], ["\u00e9", "\t", "\U0001f600"], ["\x00", "z"]],
+        ],
+    )
+    def test_keys_of_exhaustive_and_subset_families(self, labels):
+        fam = labelled_family(labels)
+        every = fam.all_histories()
+        keys = cli._Table(fam, np.zeros(len(every))).keys
+        assert keys == [json.dumps(",".join(h)) for h in every]
+        subset = labelled_family(labels, subset=every[::-2])
+        keys = cli._Table(subset, np.zeros(len(every[::-2]))).keys
+        assert keys == [json.dumps(",".join(h)) for h in every[::-2]]

@@ -106,6 +106,21 @@ def test_one_freeze_site():
         assert ".tobytes()" not in text, path.name
 
 
+def test_cli_builds_no_history_tuples():
+    # cli writes probs and consistency from the scan's arrays: it never calls
+    # all_histories or family_probabilities, and reads `.histories` only of a
+    # family, for the label tuples of an explicit subset, never of a report
+    tree = ast.parse(Path(histories_kit.__file__).with_name("cli.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            assert name not in ("all_histories", "family_probabilities"), f"cli.py:{node.lineno}"
+        elif isinstance(node, ast.Attribute) and node.attr == "histories":
+            assert isinstance(node.value, ast.Name) and node.value.id == "family", (
+                f"cli.py:{node.lineno}"
+            )
+
+
 def _is_labels(node):
     return isinstance(node, ast.Attribute) and node.attr == "labels"
 

@@ -331,6 +331,40 @@ class TestConsistencyDifferential:
             )
 
 
+def divmod_chains(fam):
+    """Exhaustive chains as the builder made them before each level was stacked:
+    node codes split by divmod, and each event's rows gathered from the moved
+    parents and scattered under a boolean mask."""
+    rows = fam.initial.amplitudes[None, :]
+    for pdi, prop in zip(fam.event_pdis, fam.grid.propagators):
+        moved = rows @ prop.entries.T
+        n_events = len(pdi)
+        parents, events = np.divmod(np.arange(len(rows) * n_events), n_events)
+        rows = np.empty((len(parents), fam.grid.dim), dtype=complex)
+        for j, proj in enumerate(pdi.projectors):
+            chosen = events == j
+            rows[chosen] = (moved[parents[chosen]] @ proj.basis.conj()) @ proj.basis.T
+    return rows
+
+
+class TestStackedChains:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(0)  # 12 of its 24 chains are exactly zero
+    def test_equal_divmod_builder_byte_for_byte(self, seed):
+        fam = random_family(seed, subset=False)
+        assert consistency_check(fam).chains.tobytes() == divmod_chains(fam).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_report_histories_are_the_family_histories(self, seed, subset):
+        fam = random_family(seed, subset)
+        report = consistency_check(fam)
+        assert report.histories == fam.all_histories()
+        assert type(report.histories) is tuple and type(report.histories[0]) is tuple
+        assert len(report.histories) == len(report.weights)
+
+
 def scan_rows(seed, kind):
     """Up to 400 chain-like rows of length 1..8 for the pruned Gram scan.
 
