@@ -1,91 +1,20 @@
 """Consistent-histories toolkit: projective decompositions, history families,
-CHSH machinery, hidden-variable feasibility, and reproducible sampling."""
+CHSH machinery, hidden-variable feasibility, and reproducible sampling.
+
+The package re-exports every name its layers list in their `__all__`."""
 
 from __future__ import annotations
 
-from .config import TOLERANCES, Tolerances, override, tolerances
-from .errors import (
-    AmbiguousSpectrumError,
-    DimensionMismatchError,
-    InconsistentFamilyError,
-    InvalidPDIError,
-    MalformedLocalPDIError,
-    NonCommutingABError,
-    NonCommutingError,
-    ParseError,
-    PointerTooSmallError,
-    ProbabilityNormalizationError,
-    ResolutionError,
-    ToolkitError,
-    VerificationFailedError,
-    ZeroProbabilityConditionError,
-    ZeroProbabilityOutcomeError,
-)
-from .hilbert import (
-    PDI,
-    GridWavefunction,
-    Ket,
-    Observable,
-    Operator,
-    Projector,
-    Region,
-    builtin_operator,
-    common_refinement,
-    commutes,
-    partial_trace,
-    pdi_compatible,
-    pdi_validate,
-    possesses,
-    region_projector,
-    spectral_decompose,
-    tensor_product,
-    tensor_state,
-)
-from .histories import (
-    ConsistencyReport,
-    HistoryFamily,
-    MeasurementModel,
-    ProbabilityTable,
-    StandardFamilies,
-    TimeGrid,
-    build_measurement_model,
-    chain_vector,
-    conditional_probability,
-    consistency_check,
-    family_probabilities,
-    standard_families,
-)
-from .bell import (
-    SINGLET_OPTIMAL_ANGLES_DEG,
-    CHSHOperators,
-    CHSHValue,
-    CollapseResult,
-    CorrelationData,
-    DeterministicStrategy,
-    FeasibilityReport,
-    LHVModel,
-    NeonSetup,
-    SettingPair,
-    chsh_operator,
-    chsh_value,
-    collapse_conditional,
-    joint_probabilities,
-    lambda_model_fixed_settings,
-    lhv_deterministic_bound,
-    lhv_feasibility,
-    neon_setup,
-    no_signaling_check,
-    sigma_zx,
-    singlet_chsh_operators,
-    singlet_state,
-)
-from .sampler import (
-    EmpiricalCHSH,
-    RunConfig,
-    SampleResult,
-    empirical_chsh,
-    sample_pdi,
-    uniform_stream,
-)
+from . import config, errors, hilbert, histories, bell, sampler
+from .config import *
+from .errors import *
+from .hilbert import *
+from .histories import *
+from .bell import *
+from .sampler import *
+
+__all__ = [
+    name for layer in (config, errors, hilbert, histories, bell, sampler) for name in layer.__all__
+]
 
 __version__ = "0.1.0"

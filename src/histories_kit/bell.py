@@ -39,6 +39,7 @@ from .hilbert import (
     _check_dims,
     _FrozenMap,
     _frozen,
+    _kron,
     builtin_operator,
     partial_trace,
     spectral_decompose,
@@ -485,7 +486,7 @@ def joint_probabilities(state: Ket, alice_basis: PDI, bob_basis: PDI) -> np.ndar
     table = np.zeros((len(alice_basis), len(bob_basis)))
     for j, pj in enumerate(alice_basis.projectors):
         for k, qk in enumerate(bob_basis.projectors):
-            amps = np.kron(pj.basis, qk.basis).conj().T @ psi
+            amps = _kron(pj.basis, qk.basis).conj().T @ psi
             table[j, k] = float(np.vdot(amps, amps).real)
     total = float(table.sum())
     message = f"joint table sums to {total!r}"
@@ -510,7 +511,7 @@ def collapse_conditional(state: Ket, alice_outcome: Projector, bob_event: Projec
     da, db = alice_outcome.dim, bob_event.dim
     _check_dims("state and factor product", state.dim, da * db)
     psi = state.amplitudes
-    lifted_a = np.kron(alice_outcome.basis, np.eye(db))
+    lifted_a = _kron(alice_outcome.basis, np.eye(db))
     projected = lifted_a @ (lifted_a.conj().T @ psi)
     pr_a = float(np.vdot(psi, projected).real)
     if pr_a <= tolerances().probability:
@@ -518,7 +519,7 @@ def collapse_conditional(state: Ket, alice_outcome: Projector, bob_event: Projec
             f"Alice outcome has probability {pr_a:.3g}; collapse undefined"
         )
     collapsed = Ket(projected / math.sqrt(pr_a))
-    lifted_b = np.kron(np.eye(da), bob_event.basis)
+    lifted_b = _kron(np.eye(da), bob_event.basis)
     kept = lifted_b @ (lifted_b.conj().T @ collapsed.amplitudes)
     cond = float(np.vdot(collapsed.amplitudes, kept).real)
     return CollapseResult(
@@ -543,7 +544,7 @@ def _local_form_defect(proj: Projector, dims: tuple[int, int], side: int) -> flo
     traced = dims[1 - side]
     local = partial_trace(full, dims, keep=side).entries / traced
     eye = np.eye(traced)
-    rebuilt = np.kron(local, eye) if side == 0 else np.kron(eye, local)
+    rebuilt = _kron(local, eye) if side == 0 else _kron(eye, local)
     return float(np.abs(rebuilt - full.entries).max())
 
 
@@ -588,7 +589,7 @@ def no_signaling_check(
         _check_dims("T_b and Bob factor", tb.dim, db)
         for name, u in (("T_a", ta), ("T_b", tb)):
             check(u.unitarity_defect(), tol.algebraic, ValueError, f"{name} is not unitary")
-        evolved = np.kron(ta.entries, tb.entries) @ state.amplitudes
+        evolved = _kron(ta.entries, tb.entries) @ state.amplitudes
         _, dyn_deviation = _marginals(evolved)
     limit = tol.probability
     passes = deviation <= limit and (dyn_deviation is None or dyn_deviation <= limit)

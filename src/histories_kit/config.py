@@ -17,6 +17,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
+__all__ = ["TOLERANCES", "Tolerances", "override", "tolerances"]
+
 
 @dataclass(frozen=True)
 class Tolerances:

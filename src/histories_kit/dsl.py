@@ -59,6 +59,7 @@ from .hilbert import (
     _check_dims,
     builtin_operator,
     spectral_decompose,
+    tensor_product,
 )
 from .histories import HistoryFamily, TimeGrid, _check_event
 from .sampler import MAX_SHOTS
@@ -879,7 +880,7 @@ class _Parser:
                 self.resolve_fail(at, "kron needs two operators")
             if left.dim * right.dim > MAX_DIM:
                 self.resolve_fail(at, f"kron result exceeds dimension {MAX_DIM}")
-            return Operator(np.kron(left.entries, right.entries))
+            return tensor_product(left, right)
         if isinstance(node, Product):
             # fold left to right: operators compose, a scalar scales
             value = self._eval(node.factors[0], at)

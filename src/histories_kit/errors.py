@@ -99,3 +99,10 @@ class ParseError(ToolkitError):
 
 class ResolutionError(ParseError):
     """A parsed declaration or query references something unusable."""
+
+
+# every exception class defined above is public
+__all__ = [
+    name for name, value in list(globals().items())
+    if isinstance(value, type) and issubclass(value, ToolkitError)
+]

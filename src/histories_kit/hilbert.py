@@ -7,11 +7,13 @@ stored as an orthonormal basis V of its subspace alone and acts on vectors as
 V(V-dagger v); its dense matrix VV-dagger is built only for a caller that
 reads it. Given columns are certified by V-dagger V = I, and a matrix is
 factored once with `eigh` and certified by the distance of its eigenvalues
-from {0, 1}. A PDI is certified from one Gram matrix of the stacked bases:
-its block Frobenius norms bound the max-entry defects of the projector
-products, and the completeness defect follows from it in closed form.
-Commutation of two PDIs is read pair by pair, in Frobenius norm, from one
-overlap matrix of their stacked bases, which also yields their common
+from {0, 1}. A PDI is one isometry W whose column blocks are its members:
+it stacks their bases once and certifies W once, from one Gram matrix whose
+block Frobenius norms bound the max-entry defects of the projector products
+and yield the completeness defect in closed form. Members that a PDI is
+built from inside this module (eigenspaces, refinements) are certified by
+that Gram alone. Commutation of two PDIs is read pair by pair, in Frobenius
+norm, from one overlap matrix of their W, which also yields their common
 refinement. Degenerate eigenspaces are kept whole: spectral decomposition
 yields one rank-k projector per distinct eigenvalue, and all equality
 reasoning is done on subspaces, never on individual eigenvectors.
@@ -20,7 +22,8 @@ One freeze rule holds across the package: every array a result holds, or a
 property such as `Projector.entries` returns, goes through `_frozen` and is
 backed by immutable bytes, so no caller can make it writeable again and
 change an answer that a cache shares with other callers. `np.array(x)`
-gives an editable copy. A mapping a result holds is its own `_FrozenMap`.
+gives an editable copy. A PDI member's basis is a read-only view of the
+PDI's W. A mapping a result holds is its own `_FrozenMap`.
 """
 
 from __future__ import annotations
@@ -246,8 +249,13 @@ class Projector:
         diagonal -= 1.0
         defect = float(np.abs(gram).max(initial=0.0))
         check(defect, tolerances().algebraic, ValueError, "basis columns are not orthonormal")
+        return cls._of(vecs)
+
+    @classmethod
+    def _of(cls, basis: np.ndarray) -> "Projector":
+        """Projector on basis as it is: the caller certifies its columns."""
         made = object.__new__(cls)
-        object.__setattr__(made, "basis", vecs)
+        object.__setattr__(made, "basis", basis)
         return made
 
     @property
@@ -296,16 +304,29 @@ class PDIValidation:
     passes: bool
 
 
-def _cuts(members: Sequence[Projector]) -> list[int]:
-    """Column offsets between the members' bases when stacked."""
-    return list(accumulate(m.rank for m in members))[:-1]
+def _stacked(members: Sequence[Projector]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The members' bases side by side as one W, and the column at which each
+    member's block ends."""
+    if not members:
+        raise ValueError("empty projector list")
+    dim = members[0].dim
+    for p in members:
+        _check_dims("projector", dim, p.dim)
+    ends = tuple(accumulate(p.rank for p in members))
+    return np.concatenate([p.basis for p in members], axis=1), ends
 
 
-def _block_sums(sq: np.ndarray, ranks: list[int]) -> np.ndarray:
-    """The blocks of sq, its rows and columns cut by the nonzero ranks, each summed."""
-    if len(ranks) == sq.shape[0]:
+def _blocks(ends: tuple[int, ...]):
+    """The (start, end) columns of each block of a W whose blocks end at ends."""
+    return zip((0, *ends), ends)
+
+
+def _block_sums(sq: np.ndarray, ends: tuple[int, ...]) -> np.ndarray:
+    """The blocks of sq, its rows and columns cut at the block ends, each
+    summed; empty blocks are left out."""
+    starts = [lo for lo, hi in _blocks(ends) if hi > lo]
+    if len(starts) == sq.shape[0]:
         return sq
-    starts = list(accumulate(ranks[:-1], initial=0))
     return np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
 
 
@@ -317,25 +338,22 @@ def pdi_validate(projectors: "PDI | Sequence[Projector]") -> PDIValidation:
     norm at most 1, so every entry of either is at most the spectral norm of
     the block, which is at most its Frobenius norm. Completeness needs no sum
     of d x d matrices: ||W W-dagger - I||_F^2 = ||G - I||_F^2 + d - sum(rank).
-    Rank-0 members are exactly zero and add nothing to any defect. Costs
-    O(d r^2) for r = sum(rank), at most O(d^3).
+    Rank-0 members are exactly zero and add nothing to any defect. A PDI's
+    own W is read; a list of projectors is stacked. Costs O(d r^2) for
+    r = sum(rank), at most O(d^3).
     """
-    projs = projectors.projectors if isinstance(projectors, PDI) else tuple(projectors)
-    if not projs:
-        raise ValueError("empty projector list")
-    dim = projs[0].dim
-    for p in projs:
-        _check_dims("projector", dim, p.dim)
-    ranks = [p.rank for p in projs if p.rank]
-    stacked = np.concatenate([p.basis for p in projs], axis=1)
-    size = stacked.shape[1]
+    if isinstance(projectors, PDI):
+        stacked, ends = projectors._basis, projectors._ends
+    else:
+        stacked, ends = _stacked(tuple(projectors))
+    dim, size = stacked.shape
     gram = stacked.conj().T @ stacked
     diagonal = gram.reshape(-1)[:: size + 1]
     diagonal -= 1.0
     sq = np.square(np.abs(gram))
     complete = math.sqrt(max(0.0, float(sq.sum()) + (dim - size)))
-    sq = _block_sums(sq, ranks)
-    diagonal = sq.reshape(-1)[:: len(ranks) + 1]
+    sq = _block_sums(sq, ends)
+    diagonal = sq.reshape(-1)[:: sq.shape[0] + 1]
     idem = math.sqrt(float(diagonal.max(initial=0.0)))
     diagonal[:] = 0.0
     ortho = math.sqrt(float(sq.max(initial=0.0)))
@@ -351,8 +369,12 @@ def pdi_validate(projectors: "PDI | Sequence[Projector]") -> PDIValidation:
 
 @dataclass(frozen=True, eq=False)
 class PDI:
-    """Ordered list of mutually orthogonal projectors summing to the identity;
-    `_positions` maps each label to its position, for every lookup by label."""
+    """Ordered list of mutually orthogonal projectors summing to the identity.
+
+    The members' bases are stacked once into one isometry W, `_basis`, whose
+    column blocks end at `_ends`; `pdi_validate` certifies W, and each member
+    is rebound to a read-only view of its block. `_positions` maps each label
+    to its position, for every lookup by label."""
 
     projectors: tuple[Projector, ...]
     labels: tuple[str, ...] | None = None
@@ -366,7 +388,13 @@ class PDI:
         positions = _FrozenMap((label, i) for i, label in enumerate(labels))
         if len(positions) != len(labels):
             raise ValueError("duplicate outcome labels")
-        report = pdi_validate(projs)
+        basis, ends = _stacked(projs)
+        basis = _frozen(basis)
+        object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "_ends", ends)
+        projs = tuple(Projector._of(basis[:, lo:hi]) for lo, hi in _blocks(ends))
+        object.__setattr__(self, "projectors", projs)
+        report = pdi_validate(self)
         if not report.passes:
             raise InvalidPDIError(
                 "not a decomposition of the identity: "
@@ -375,7 +403,6 @@ class PDI:
                 f"completeness {report.completeness_defect:.3g} "
                 f"(tolerance {report.tolerance:g})"
             )
-        object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_positions", positions)
 
@@ -425,10 +452,9 @@ class Observable:
         return self.pdi.dim
 
     def operator(self) -> Operator:
-        """W diag(f) W-dagger, with W the stacked eigenspace bases."""
-        projs = self.pdi.projectors
-        stacked = np.concatenate([p.basis for p in projs], axis=1)
-        weights = np.repeat(self.eigenvalues, [p.rank for p in projs])
+        """W diag(f) W-dagger, with W the PDI's stacked eigenspace bases."""
+        stacked = self.pdi._basis
+        weights = np.repeat(self.eigenvalues, [p.rank for p in self.pdi.projectors])
         return Operator((stacked * weights) @ stacked.conj().T)
 
 
@@ -469,13 +495,24 @@ class Region:
         object.__setattr__(self, "indices", frozenset(seq))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two kets or of two matrices, formed by one broadcast product.
+    Both operands spell out every axis, as np.kron's do: for an operand that is
+    broadcast implicitly, numpy can pick a complex multiply loop that rounds
+    differently."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+
+
 def tensor_product(a: Operator, b: Operator) -> Operator:
     """Kronecker product, left factor outermost."""
-    return Operator(np.kron(a.entries, b.entries))
+    return Operator(_kron(a.entries, b.entries))
 
 
 def tensor_state(a: Ket, b: Ket) -> Ket:
-    return Ket(np.kron(a.amplitudes, b.amplitudes))
+    return Ket(_kron(a.amplitudes, b.amplitudes))
 
 
 def spectral_decompose(h: Operator) -> Observable:
@@ -520,7 +557,7 @@ def spectral_decompose(h: Operator) -> Observable:
         value = ascending[lo] if hi - lo == 1 else float(np.mean(evals[lo:hi]))
         shift = max(shift, value - ascending[lo], ascending[hi - 1] - value)
         values.append(value)
-        projectors.append(Projector.from_basis(evecs[:, lo:hi]))
+        projectors.append(Projector._of(evecs[:, lo:hi]))  # certified by the PDI's Gram
     obs = Observable(tuple(values), PDI(tuple(projectors)), shift)
     # rounding in eigh and in the rebuilt sum scales with the largest entry; moving
     # eigenvalues onto their group's mean moves each entry by at most `shift` more
@@ -550,14 +587,16 @@ def common_refinement(p: PDI, q: PDI) -> PDI:
         )
     projectors = []
     labels = []
-    for lj, pj, row in zip(p.labels, p.projectors, np.split(overlaps, _cuts(p.projectors))):
-        for lk, middle in zip(q.labels, np.split(row, _cuts(q.projectors), axis=1)):
+    for lj, pj, (top, bottom) in zip(p.labels, p.projectors, _blocks(p._ends)):
+        for lk, (lo, hi) in zip(q.labels, _blocks(q._ends)):
             # P Q = V_p M V_q-dagger for this block M of the overlaps: its rank is
-            # tr(P Q) = ||M||_F^2, and V_p times M's leading left singular vectors spans it
+            # tr(P Q) = ||M||_F^2, and V_p times M's leading left singular vectors
+            # spans it; the refinement's Gram certifies those columns
+            middle = overlaps[top:bottom, lo:hi]
             rank = round(float(np.vdot(middle, middle).real))
             if rank:
                 u = np.linalg.svd(middle, full_matrices=False)[0]
-                projectors.append(Projector.from_basis(pj.basis @ u[:, :rank]))
+                projectors.append(Projector._of(pj.basis @ u[:, :rank]))
                 labels.append(f"{lj}&{lk}")
     return PDI(tuple(projectors), tuple(labels))
 
@@ -616,14 +655,15 @@ def _commutator_defects(p: PDI | Projector, q: PDI | Projector) -> tuple[np.ndar
     twice the sum of row j's off-diagonal blocks of C_k, summed directly: the
     row total minus its diagonal block would cancel catastrophically."""
     _check_dims("PDI", p.dim, q.dim)
-    ps, qs = (x.projectors if isinstance(x, PDI) else (x, x.complement()) for x in (p, q))
-    overlaps = np.concatenate([pj.basis for pj in ps], axis=1).conj().T
-    overlaps = overlaps @ np.concatenate([qk.basis for qk in qs], axis=1)
-    live = [j for j, pj in enumerate(ps) if pj.rank]  # rank-0 members commute with all
-    ranks = [ps[j].rank for j in live]
-    defects = np.zeros((len(ps), len(qs)))
-    for k, cols in enumerate(np.split(overlaps, _cuts(qs), axis=1)):
-        blocks = _block_sums(np.square(np.abs(cols @ cols.conj().T)), ranks)
+    (wp, ends_p), (wq, ends_q) = (
+        (x._basis, x._ends) if isinstance(x, PDI) else _stacked((x, x.complement())) for x in (p, q)
+    )
+    overlaps = wp.conj().T @ wq
+    live = [j for j, (lo, hi) in enumerate(_blocks(ends_p)) if hi > lo]  # rank 0 commutes with all
+    defects = np.zeros((len(ends_p), len(ends_q)))
+    for k, (lo, hi) in enumerate(_blocks(ends_q)):
+        cols = overlaps[:, lo:hi]
+        blocks = _block_sums(np.square(np.abs(cols @ cols.conj().T)), ends_p)
         np.fill_diagonal(blocks, 0.0)
         defects[live, k] = np.sqrt(2.0 * blocks.sum(axis=1))
     return overlaps, defects

@@ -56,6 +56,7 @@ from .hilbert import (
     Projector,
     _check_dims,
     _frozen,
+    _kron,
     tensor_state,
 )
 
@@ -450,7 +451,7 @@ def build_measurement_model(f: Observable, pointer_dim: int) -> MeasurementModel
         shift[(m + 1) % dm, m] = 1.0
     t_full = np.zeros((ds * dm, ds * dm), dtype=complex)
     for j, proj in enumerate(f.pdi.projectors):
-        t_full += np.kron(proj.entries, np.linalg.matrix_power(shift, j + 1))
+        t_full += _kron(proj.entries, np.linalg.matrix_power(shift, j + 1))
     t_op = Operator(t_full)
     tol = tolerances().algebraic
     message = "constructed interaction operator is not unitary"
@@ -462,14 +463,14 @@ def build_measurement_model(f: Observable, pointer_dim: int) -> MeasurementModel
     # pointer position k + 1 records outcome k; "rest" spans the ready position
     # and every position beyond the last outcome
     positions = [[k + 1] for k in range(n_outcomes)] + [[0, *range(n_outcomes + 1, dm)]]
-    pointer_projs = [Projector.from_basis(np.kron(eye_s, eye_m[:, cols])) for cols in positions]
+    pointer_projs = [Projector.from_basis(_kron(eye_s, eye_m[:, cols])) for cols in positions]
     labels = [str(k) for k in range(n_outcomes)] + ["rest"]
     pointer_pdi = PDI(tuple(pointer_projs), tuple(labels))
 
     # the defining property: pointer position k fires iff the system entered
     # through eigenspace k
     for j, proj in enumerate(f.pdi.projectors):
-        reached = t_full @ np.kron(proj.basis, eye_m[:, :1])
+        reached = t_full @ _kron(proj.basis, eye_m[:, :1])
         for k, mk in enumerate(pointer_projs[:-1]):
             expected = reached if j == k else 0.0
             defect = float(np.abs(mk.apply(reached) - expected).max())
@@ -527,7 +528,7 @@ def standard_families(model: MeasurementModel, psi0: Ket) -> StandardFamilies:
         ),
     )
 
-    p_psi0 = Projector.from_basis(np.kron(psi0.amplitudes[:, None], eye_m))
+    p_psi0 = Projector.from_basis(_kron(psi0.amplitudes[:, None], eye_m))
     f1_t1 = PDI((p_psi0, p_psi0.complement()), ("psi0", "rest"))
     f1 = HistoryFamily(
         grid,
@@ -538,7 +539,7 @@ def standard_families(model: MeasurementModel, psi0: Ket) -> StandardFamilies:
 
     f2_t1 = PDI(
         tuple(
-            Projector.from_basis(np.kron(proj.basis, eye_m))
+            Projector.from_basis(_kron(proj.basis, eye_m))
             for proj in model.observable.pdi.projectors
         ),
         model.observable.pdi.labels,

@@ -1,6 +1,7 @@
 """State, operator, and decomposition layer."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histories_kit import bell, histories, sampler
+from histories_kit import bell, hilbert, histories, sampler
 from histories_kit.config import TOLERANCES, override
 from histories_kit.errors import (
     AmbiguousSpectrumError,
@@ -897,6 +898,140 @@ class TestCommutationScan:
             assert sum(m.rank for m in common_refinement(p, q).projectors) == dim
 
 
+# What pdi_validate, Observable.operator and _commutator_defects computed when
+# each stacked the member bases anew with np.concatenate; a PDI now reads its
+# one stacked basis instead, and must give the same bytes.
+
+
+def _concat_block_sums(sq, ranks):
+    if len(ranks) == sq.shape[0]:
+        return sq
+    starts = list(itertools.accumulate(ranks[:-1], initial=0))
+    return np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
+
+
+def _concat_cuts(members):
+    return list(itertools.accumulate(m.rank for m in members))[:-1]
+
+
+def concat_validate(projs):
+    dim = projs[0].dim
+    ranks = [p.rank for p in projs if p.rank]
+    stacked = np.concatenate([p.basis for p in projs], axis=1)
+    size = stacked.shape[1]
+    gram = stacked.conj().T @ stacked
+    diagonal = gram.reshape(-1)[:: size + 1]
+    diagonal -= 1.0
+    sq = np.square(np.abs(gram))
+    complete = math.sqrt(max(0.0, float(sq.sum()) + (dim - size)))
+    sq = _concat_block_sums(sq, ranks)
+    diagonal = sq.reshape(-1)[:: len(ranks) + 1]
+    idem = math.sqrt(float(diagonal.max(initial=0.0)))
+    diagonal[:] = 0.0
+    ortho = math.sqrt(float(sq.max(initial=0.0)))
+    return ortho, idem, complete
+
+
+def concat_operator(obs):
+    projs = obs.pdi.projectors
+    stacked = np.concatenate([p.basis for p in projs], axis=1)
+    weights = np.repeat(obs.eigenvalues, [p.rank for p in projs])
+    return (stacked * weights) @ stacked.conj().T
+
+
+def concat_commutator_defects(p, q):
+    ps, qs = (x.projectors if isinstance(x, PDI) else (x, x.complement()) for x in (p, q))
+    overlaps = np.concatenate([pj.basis for pj in ps], axis=1).conj().T
+    overlaps = overlaps @ np.concatenate([qk.basis for qk in qs], axis=1)
+    live = [j for j, pj in enumerate(ps) if pj.rank]
+    ranks = [ps[j].rank for j in live]
+    defects = np.zeros((len(ps), len(qs)))
+    for k, cols in enumerate(np.split(overlaps, _concat_cuts(qs), axis=1)):
+        blocks = _concat_block_sums(np.square(np.abs(cols @ cols.conj().T)), ranks)
+        np.fill_diagonal(blocks, 0.0)
+        defects[live, k] = np.sqrt(2.0 * blocks.sum(axis=1))
+    return overlaps, defects
+
+
+def random_unitary(rng, dim):
+    return np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+
+
+def degenerate_hermitian(u, spectrum):
+    h = (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
+    return Operator((h + h.conj().T) / 2)  # Hermitian to the last bit
+
+
+class TestStackedBasis:
+    """A PDI holds one stacked basis W; what reads it matches restacking the
+    member bases, byte for byte, on explicit, spectral and refined PDIs."""
+
+    @staticmethod
+    def build(kind, seed, dim):
+        """An Observable on a PDI of that kind: the spectral one itself, else
+        one with eigenvalues n, n - 1, ..., 1 on the n members."""
+        rng = np.random.default_rng(seed)
+        if kind == "explicit":
+            members = [Projector.from_basis(b) for b in isometry_blocks(seed, dim, False, 0.0)]
+            for _ in range(int(rng.integers(1, 3))):
+                empty = Projector.from_basis(np.zeros((dim, 0)))
+                members.insert(int(rng.integers(len(members) + 1)), empty)
+            pdi = PDI(members)
+            for given, held in zip(members, pdi.projectors):
+                assert held.basis.tobytes() == given.basis.tobytes()
+        else:
+            u = random_unitary(rng, dim)
+            obs = spectral_decompose(degenerate_hermitian(u, rng.integers(-2, 3, size=dim)))
+            if kind == "spectral":
+                return obs
+            q = spectral_decompose(degenerate_hermitian(u, rng.integers(-1, 2, size=dim))).pdi
+            pdi = common_refinement(obs.pdi, q)
+        return Observable(tuple(range(len(pdi), 0, -1)), pdi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["explicit", "spectral", "refinement"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 10),
+    )
+    def test_reads_match_restacking(self, kind, seed, dim):
+        obs = self.build(kind, seed, dim)
+        pdi = obs.pdi
+        w = pdi._basis
+        assert isinstance(w.base, bytes)
+        for member, (lo, hi) in zip(pdi.projectors, zip((0, *pdi._ends), pdi._ends)):
+            assert member.basis.base is w
+            assert member.basis.shape == (dim, hi - lo)
+            assert np.shares_memory(member.basis, w) or hi == lo
+            assert not member.basis.flags.writeable
+            with pytest.raises(ValueError):
+                member.basis.setflags(write=True)
+
+        report = pdi_validate(pdi)
+        expected = concat_validate(pdi.projectors)
+        got = (report.orthogonality_defect, report.idempotency_defect, report.completeness_defect)
+        assert got == expected
+        assert pdi_validate(list(pdi.projectors)) == report
+
+        assert obs.operator().entries.tobytes() == concat_operator(obs).tobytes()
+
+        lone = next(m for m in pdi.projectors if m.rank)
+        other = self.build("spectral", seed + 1, dim).pdi
+        for pair in ((pdi, pdi), (pdi, other), (other, pdi), (pdi, lone), (lone, pdi)):
+            for got, expected in zip(_commutator_defects(*pair), concat_commutator_defects(*pair)):
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+    def test_tiny_override_is_reported_by_the_pdi(self):
+        # the eigenvectors' own Gram misses I by rounding, which only the PDI's
+        # certificate checks: a tolerance below rounding fails there
+        h = degenerate_hermitian(random_unitary(np.random.default_rng(5), 6), [2, 2, 1, 0, 0, 0])
+        with override(algebraic=1e-300):
+            with pytest.raises(InvalidPDIError, match="not a decomposition of the identity"):
+                spectral_decompose(h)
+        assert len(spectral_decompose(h).eigenvalues) == 3
+
+
 class TestPropertyAlgebra:
     def test_possession_is_not_distributive_over_sums(self):
         # chi = (|0> + |1>)/sqrt(2) possesses the span projector [0]+[1]
@@ -957,6 +1092,35 @@ class TestBuiltinsAndTensors:
     def test_unknown_name(self):
         with pytest.raises(UnknownNameError):
             builtin_operator("Q")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 8), st.integers(0, 8)),
+        st.tuples(st.integers(1, 8), st.integers(0, 8)),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from(["matrices", "kets", "views"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_kron_matches_numpy(self, shape_a, shape_b, complex_a, complex_b, form, seed):
+        # a zero second entry makes a (d, 0) basis; "kets" draws 1-D operands, and
+        # "views" takes the left matrix as a column block of a wider one, as a
+        # PDI member's basis is
+        rng = np.random.default_rng(seed)
+
+        def draw(shape, is_complex):
+            real = rng.standard_normal(shape)
+            return real + 1j * rng.standard_normal(shape) if is_complex else real
+
+        a, b = draw(shape_a, complex_a), draw(shape_b, complex_b)
+        if form == "kets":
+            a, b = draw(shape_a[0], complex_a), draw(shape_b[0], complex_b)
+        elif form == "views":
+            a = draw((shape_a[0], shape_a[1] + 2), complex_a)[:, 1 : shape_a[1] + 1]
+        got, expected = hilbert._kron(a, b), np.kron(a, b)
+        assert got.shape == expected.shape
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
     def test_tensor_product_and_state(self):
         assert np.allclose(
