@@ -18,7 +18,7 @@ model's prior is T, and Bob's marginal is T summed over Alice's outcomes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 import numpy as np
@@ -149,7 +149,7 @@ class CorrelationData:
     """2x2 correlator table E(a,b) plus the canonical CHSH combination."""
 
     e: np.ndarray
-    chsh: float = 0.0
+    chsh: float = field(init=False)  # computed from e, never passed
 
     def __post_init__(self):
         table = _frozen(self.e, float)

@@ -2,7 +2,8 @@
 
 Subcommands run spec files and four built-in demonstrations. Each command
 builds one payload, which `_json_text` writes as the JSON report in one
-walk; `execute` prints that text, or renders the human text from the report
+walk that appends every piece of text to one list and joins it once;
+`execute` prints that text, or renders the human text from the report
 `json.loads` reads back from it, so the two formats cannot disagree. Every
 report carries the tool version and the tolerance bundle in force so
 numbers are auditable. json output is stable-keyed, 12 significant
@@ -49,15 +50,7 @@ from .bell import (
     singlet_state,
     sigma_zx,
 )
-from .dsl import (
-    BellQuery,
-    ConditionalQuery,
-    FamilyQuery,
-    NoSignalQuery,
-    SampleQuery,
-    parse_spec,
-    render_query,
-)
+from .dsl import parse_spec, render_query
 from .hilbert import spectral_decompose
 from .histories import _probabilities, conditional_probability, consistency_check
 from .sampler import MAX_SHOTS, RunConfig, empirical_chsh, sample_pdi
@@ -85,24 +78,19 @@ class _UnreadableSpec(Exception):
     """The spec file of `run` cannot be read; exits 1 like a load failure."""
 
 
-def _rounded(value: float) -> float:
-    """The value rounded to 12 significant digits, -0.0 folded into 0.0."""
-    return float(f"{value:.12g}") + 0.0
-
-
 def _json_float(value: float) -> str:
-    """The rounded value as json.dumps writes a float."""
-    x = _rounded(value)
+    """json.dumps's text of the value rounded to 12 significant digits, -0.0 as 0.0."""
+    x = float(f"{value:.12g}") + 0.0
     if x - x == 0.0:  # finite
         return repr(x)
     return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
 class _Table:
-    """A family's probs table for `_json_text`: the JSON-quoted "label,...,label"
+    """A family's probs table for `_json_text`, which formats each distinct weight
+    once and adds the table's lines as one piece: the JSON-quoted "label,...,label"
     key of each history and the weights, in history order. Escaping maps each
-    character alone, so an exhaustive family's keys join its escaped labels,
-    built level by level in all_histories() order."""
+    character alone, so an exhaustive family's keys join its escaped labels."""
 
     # a plain class: a dataclass would add about 0.8 ms to every cold import
     __slots__ = ("keys", "weights")
@@ -121,44 +109,52 @@ class _Table:
 
 
 def _json_text(value, newline: str) -> str:
-    """The JSON text of one payload value, nested lines starting `newline`."""
-    if isinstance(value, float):
-        return _json_float(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return _json_text(value.item(), newline)
-    if isinstance(value, np.ndarray):
-        return _json_text(value.tolist(), newline)
-    if isinstance(value, _Table):  # each distinct weight is formatted once
-        values, inverse = np.unique(value.weights, return_inverse=True)
-        texts = [": " + _json_float(v) for v in values.tolist()]
-        inner = newline + "  "
-        lines = map(str.__add__, value.keys, map(texts.__getitem__, inverse.tolist()))
-        return "{" + inner + ("," + inner).join(lines) + newline + "}"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        if not all(type(k) is str for k in value):
-            value = {str(k): v for k, v in value.items()}  # str(), not json.dumps's key rule
-        inner = newline + "  "
-        items = [
-            f"{_json_str(k)}: {_json_float(v) if type(v) is float else _json_text(v, inner)}"
-            for k, v in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        items = [_json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return json.dumps(value)  # str, int, bool or None; anything else raises TypeError
+    """The JSON text of one payload value, nested lines starting `newline`: the
+    walk appends every piece of text to one list, which is joined once."""
+    parts = []
+    put = parts.append
+
+    def walk(value, newline):
+        if isinstance(value, float):
+            put(_json_float(value))
+        elif isinstance(value, (np.floating, np.integer, np.ndarray)):
+            walk(value.tolist(), newline)
+        elif isinstance(value, _Table):
+            values, inverse = np.unique(value.weights, return_inverse=True)
+            texts = [": " + _json_float(v) for v in values.tolist()]
+            inner = newline + "  "
+            lines = map(str.__add__, value.keys, map(texts.__getitem__, inverse.tolist()))
+            parts.extend(("{" + inner, ("," + inner).join(lines), newline + "}"))
+        elif isinstance(value, dict) and value:
+            if not all(type(k) is str for k in value):
+                value = {str(k): v for k, v in value.items()}  # str(), not json.dumps's key rule
+            inner = newline + "  "
+            for i, (k, v) in enumerate(value.items()):
+                put(("," if i else "{") + inner + _json_str(k) + ": ")
+                if type(v) is float:
+                    put(_json_float(v))
+                else:
+                    walk(v, inner)
+            put(newline + "}")
+        elif isinstance(value, (list, tuple)) and value:
+            inner = newline + "  "
+            for i, v in enumerate(value):
+                put(("," if i else "[") + inner)
+                walk(v, inner)
+            put(newline + "]")
+        else:  # str, int, bool, None, {}, [] or (); anything else raises TypeError
+            put(json.dumps(value))
+
+    walk(value, newline)
+    return "".join(parts)
 
 
 def _emit_json(payload, out):
     """Write the report as `json.dumps(payload, indent=2)` would with every float
     rounded to 12 significant digits and every key made a str, byte for byte,
     in one walk (with `indent`, json.dumps runs its pure-Python encoder)."""
-    out.write(_json_text(payload, "\n") + "\n")
+    out.write(_json_text(payload, "\n"))
+    out.write("\n")
 
 
 def _g(x: float) -> str:
@@ -309,33 +305,34 @@ def _human_lhv_bound(report: dict, out):
 def _run_query(query, env, chsh_values: dict) -> dict:
     """Execute one query against resolved bindings; chsh_values maps each Bell
     setup's (state, A0, A1, B0, B1) names, fixed for the run, to its CHSHValue."""
-    if isinstance(query, BellQuery):
+    kind = query.kind
+    if kind in ("chsh", "lhv"):
         setup = (query.state, query.a0, query.a1, query.b0, query.b1)
         value = chsh_values.get(setup)
         if value is None:
             ops = CHSHOperators(*(env[name].value for name in setup[1:]))
             value = chsh_values[setup] = chsh_value(env[query.state].value, ops)
-        if query.kind == "chsh":
+        if kind == "chsh":
             return _chsh_payload(value)
         return _lhv_payload(value.correlations)
-    if isinstance(query, FamilyQuery):
+    if kind == "probs":
         family = env[query.family].value
-        if query.kind == "probs":
-            weights, total, omitted = _probabilities(family)
-            return {
-                "probabilities": _Table(family, weights),
-                "total": total,
-                "omitted": omitted,
-                "exhaustive": family.exhaustive,
-            }
-        report = consistency_check(family)
+        weights, total, omitted = _probabilities(family)
+        return {
+            "probabilities": _Table(family, weights),
+            "total": total,
+            "omitted": omitted,
+            "exhaustive": family.exhaustive,
+        }
+    if kind == "consistency":
+        report = consistency_check(env[query.family].value)
         return {
             "consistent": report.consistent,
             "max_offdiag": report.max_offdiag,
             "tolerance": report.tolerance,
             "n_histories": len(report.weights),
         }
-    if isinstance(query, ConditionalQuery):
+    if kind == "conditional":
         probability = conditional_probability(
             env[query.family].value, given=query.given, target=query.target
         )
@@ -344,7 +341,7 @@ def _run_query(query, env, chsh_values: dict) -> dict:
             "given": f"{query.given[0]}:{query.given[1]}",
             "probability": probability,
         }
-    if isinstance(query, SampleQuery):
+    if kind == "sample":
         binding = env[query.pdi]
         # spectral PDIs sample their eigenvalues; other PDIs fall back to their labels
         values = None if binding.extra is None else dict(zip(binding.value.labels, binding.extra))
@@ -362,7 +359,7 @@ def _run_query(query, env, chsh_values: dict) -> dict:
             "empirical_mean": result.empirical_mean,
             "std_error": result.std_error,
         }
-    if isinstance(query, NoSignalQuery):
+    if kind == "nosignal":
         report = no_signaling_check(
             env[query.state].value,
             [env[name].value for name in query.alice],

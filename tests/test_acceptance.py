@@ -401,6 +401,18 @@ def _capped_child(limit_bytes: int):
     return lambda: resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
 
+def _capped_run(spec: Path) -> subprocess.CompletedProcess:
+    """`histkit run spec --format json` as a fresh process with BLAS on one
+    thread and its address space capped at 1 GiB."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    argv = [sys.executable, "-m", "histories_kit.cli", "run", str(spec), "--format", "json"]
+    return subprocess.run(
+        argv, env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_capped_child(1 << 30),
+    )
+
+
 def test_criterion_13_spectral_spec_at_max_dim(tmp_path):
     # H = sum_k 2^k/1024 kron(I(2^k), kron(sigma(theta_k), I(2^(9-k)))) has the
     # 1024 distinct eigenvalues sum_k 2^k s_k / 1024 (s_k = +-1), each with a
@@ -418,14 +430,8 @@ def test_criterion_13_spectral_spec_at_max_dim(tmp_path):
         f"op H = {' + '.join(terms)}\npdi P = spectral(H)\n"
         f"ket psi = [{', '.join(amps)}]\nquery sample psi P shots {shots} seed {seed}\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    argv = [sys.executable, "-m", "histories_kit.cli", "run", str(spec), "--format", "json"]
     with _Budget(13, f"spectral(H) spec at d={dim} samples within 1 GiB", 15.0):
-        child = subprocess.run(
-            argv, env=env, capture_output=True, text=True, timeout=60,
-            preexec_fn=_capped_child(1 << 30),
-        )
+        child = _capped_run(spec)
     assert child.returncode == 0, child.stderr[-2000:]
     (result,) = json.loads(child.stdout)["results"]
     assert sum(result["counts"].values()) == shots
@@ -660,6 +666,28 @@ def test_criterion_21_consistency_probs_and_a_conditional_of_a_262144_history_fa
         code = cli.execute(["run", str(spec), "--format", "json"], out=out)
     assert code == 0
     verdict, table, *conds = json.loads(out.getvalue())["results"]
+    assert verdict["consistent"] is True
+    assert verdict["n_histories"] == 2**times
+    _check_probs(table, times, weights)
+    _check_conditionals(conds, [conditional])
+
+
+def test_criterion_22_consistency_probs_and_a_conditional_of_a_1048576_history_family(tmp_path):
+    # criterion 21's queries at 20 times, as a fresh process within 1 GiB: the
+    # report, about 100 MB of JSON, is built as one list of pieces joined once
+    times = 20
+    rng = np.random.default_rng(22)
+    lines, events, trajectories, weights = _flip_family(rng, times)
+    conditional = _flip_conditional(rng, times, events, trajectories)
+    t, tl, g, gl, _ = conditional
+    lines += ["query consistency C", "query probs C", f"query conditional C {t}:{tl} | {g}:{gl}"]
+    spec = tmp_path / "h1048576.spec"
+    spec.write_text("\n".join(lines) + "\n")
+    label = f"consistency, probs and a conditional of a {2**times}-history family within 1 GiB"
+    with _Budget(22, label, 3.7):
+        child = _capped_run(spec)
+    assert child.returncode == 0, child.stderr[-2000:]
+    verdict, table, *conds = json.loads(child.stdout)["results"]
     assert verdict["consistent"] is True
     assert verdict["n_histories"] == 2**times
     _check_probs(table, times, weights)

@@ -384,6 +384,15 @@ class TestCorrelationData:
         with pytest.raises(ValueError, match="finite"):
             CorrelationData(np.array([[bad, 0.0], [0.0, 0.0]]))
 
+    def test_chsh_is_not_an_argument(self):
+        # the combination is always computed from e, so passing one is refused
+        # rather than silently overwritten
+        table = np.array([[1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(TypeError):
+            CorrelationData(table, 5.0)
+        with pytest.raises(TypeError):
+            CorrelationData(table, chsh=5.0)
+
 
 class TestDeterministicBound:
     def test_sixteen_strategies_max_two(self):

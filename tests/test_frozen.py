@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import histories_kit
-from histories_kit import hilbert
+from histories_kit import dsl, hilbert
 from histories_kit.bell import (
     CorrelationData,
     LHVModel,
@@ -119,6 +119,23 @@ def test_cli_builds_no_history_tuples():
             assert isinstance(node.value, ast.Name) and node.value.id == "family", (
                 f"cli.py:{node.lineno}"
             )
+
+
+def test_cli_reads_queries_by_kind():
+    # cli takes only the parser and the query renderer from dsl, and runs each
+    # query by its `kind`, never by testing it against a dsl query class
+    queries = {name for name, v in vars(dsl).items() if isinstance(v, type) and "Query" in name}
+    assert queries, "dsl defines no query classes to lint against"
+    tree = ast.parse(Path(histories_kit.__file__).with_name("cli.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dsl":
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            tested = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:2]
+            names = {getattr(t, "id", getattr(t, "attr", None)) for t in tested}
+            assert not names & queries, f"cli.py:{node.lineno}"
+    assert sorted(imported) == ["parse_spec", "render_query"]
 
 
 def _is_labels(node):
