@@ -489,9 +489,14 @@ class _Parser:
         self.expect_punct("=")
         expr = self.expr(0)
         self.end_statement()
-        value = self._eval(expr, name)
+        # in-range literals can still overflow in a sum or product; that is
+        # reported at the name below, not warned about here
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = self._eval(expr, name)
         if not isinstance(value, Operator):
             self.resolve_fail(name, "operator expression evaluates to a bare scalar")
+        if not np.isfinite(value.entries).all():
+            self.resolve_fail(name, "operator entries overflow the float range")
         self.bind(name, OpDecl(name.text, expr), Binding("op", value))
 
     def pdi_decl(self):

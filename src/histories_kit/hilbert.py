@@ -549,10 +549,11 @@ def spectral_decompose(h: Operator) -> Observable:
     projectors = []
     shift = 0.0  # farthest any eigenvalue moves onto its group's mean
     for lo, hi in reversed(bounds):  # descending eigenvalue order
-        if ascending[hi - 1] - ascending[lo] > gap:
+        span = ascending[hi - 1] - ascending[lo]
+        if span > gap:
             raise AmbiguousSpectrumError(
-                f"eigenvalues {ascending[lo]:.6g}..{ascending[hi - 1]:.6g} chain within the "
-                f"grouping gap {gap:.3g} but span more than it"
+                f"eigenvalues {ascending[lo]!r}..{ascending[hi - 1]!r} chain within the "
+                f"grouping gap {gap:.3g} but span {span:.3g}, more than it"
             )
         value = ascending[lo] if hi - lo == 1 else float(np.mean(evals[lo:hi]))
         shift = max(shift, value - ascending[lo], ascending[hi - 1] - value)

@@ -6,10 +6,10 @@ and a history set is held as one (H, n) array of event positions. Chain
 vectors K(Y)|psi0> are built by alternately applying propagators and event
 projectors (the initial event is [psi0], which acts trivially on psi0),
 level by level over the prefix tree of the histories, one (nodes, d) array
-per time. A node is numbered parent * n_t + event, n_t being the number of
-events at time t; an exhaustive family takes every code, stacking each
-event's projection of every moved row, and a subset the distinct codes of
-its rows, so each shared prefix is propagated once.
+per time. Each level stacks every event's projection of each moved row, so
+row parent * n_t + event is that child's node, n_t being the number of
+events at time t; an exhaustive family keeps every row, and a subset the
+distinct nodes its histories reach, so each shared prefix is propagated once.
 Off-diagonal chain-vector inner products are the decoherence functional;
 the family is consistent when every off-diagonal modulus falls below the
 algebraic tolerance, and only then are squared chain norms handed out as
@@ -171,7 +171,7 @@ class HistoryFamily:
     def _scan(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(chains, weights, max_offdiag), free of any tolerance; built on first
         use and kept, as the family is frozen and the arrays immutable."""
-        chains = _chain_matrix(self, None if self.histories is None else self._label_index)
+        chains = _chain_matrix(self)
         weights, max_offdiag = _gram_scan(chains)
         return _frozen(chains), _frozen(weights), max_offdiag
 
@@ -232,34 +232,29 @@ class ProbabilityTable:
     exhaustive: bool
 
 
-def _chain_matrix(fam: HistoryFamily, index: np.ndarray | None = None) -> np.ndarray:
-    """Chain vectors as rows, propagating each prefix-tree node once.
+def _chain_matrix(fam: HistoryFamily) -> np.ndarray:
+    """Chain vectors as rows, propagating each kept prefix-tree node once.
 
-    Level t holds one row per node, coded parent * n_t + event: its parent's
-    row moved by propagator t, then projected by the event's basis V, as
-    (rows V-conj) V-transpose. With `index` None every code is taken, in
-    all_histories() order, by stacking each event's projection of every moved
-    row; given (H, n) event positions, each level keeps the distinct codes of
-    those rows, and the last np.unique inverse puts the chains back in row
-    order.
+    Each level moves the rows kept at the last one by propagator t and stacks
+    every event's projection (rows V-conj) V-transpose of each moved row, so
+    row parent * n_t + event is that child's node code. An exhaustive family
+    keeps every row, in all_histories() order; a subset keeps the distinct
+    codes its histories reach, and the last np.unique inverse puts the chains
+    back in its history order.
     """
+    subset = not fam.exhaustive
     rows = fam.initial.amplitudes[None, :]
     inverse = np.zeros(1, dtype=np.intp)  # every history starts at the root, node 0
     for t, (pdi, prop) in enumerate(zip(fam.event_pdis, fam.grid.propagators)):
         moved = rows @ prop.entries.T
-        if index is None:
-            rows = np.stack(
-                [(moved @ proj.basis.conj()) @ proj.basis.T for proj in pdi.projectors], axis=1
-            ).reshape(-1, fam.grid.dim)
-        else:
-            n_events = len(pdi)
-            nodes, inverse = np.unique(inverse * n_events + index[:, t], return_inverse=True)
-            parents, events = np.divmod(nodes, n_events)
-            rows = np.empty((len(parents), fam.grid.dim), dtype=complex)
-            for j, proj in enumerate(pdi.projectors):
-                chosen = events == j
-                rows[chosen] = (moved[parents[chosen]] @ proj.basis.conj()) @ proj.basis.T
-    return rows if index is None else rows[inverse]
+        rows = np.stack(
+            [(moved @ proj.basis.conj()) @ proj.basis.T for proj in pdi.projectors], axis=1
+        ).reshape(-1, fam.grid.dim)
+        if subset:
+            codes = inverse * len(pdi) + fam._label_index[:, t]
+            nodes, inverse = np.unique(codes, return_inverse=True)
+            rows = rows[nodes]
+    return rows[inverse] if subset else rows
 
 
 def _gram_scan(chains: np.ndarray) -> tuple[np.ndarray, float]:
@@ -319,7 +314,7 @@ def chain_vector(fam: HistoryFamily, history) -> np.ndarray:
     to within rounding: a one-row product may take another BLAS kernel than the
     scan's batched one, so its squared norm can miss the reported weight in the last bit."""
     one = HistoryFamily(fam.grid, fam.initial, fam.event_pdis, histories=[history])
-    return _chain_matrix(fam, one._label_index)[0]
+    return _chain_matrix(one)[0]
 
 
 def consistency_check(fam: HistoryFamily) -> ConsistencyReport:

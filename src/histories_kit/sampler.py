@@ -206,9 +206,15 @@ def sample_pdi(
         if missing:
             raise ValueError(f"values missing for labels {missing!r}")
         vals = np.array([_finite_value(label, float(values[label])) for label in pdi.labels])
+        # in units of the largest power of two at or below max |value|: the
+        # scaling is exact, and with every scaled value in (-2, 2) the sums and
+        # squares stay finite near the float range (2^1024 itself overflows)
+        unit = math.ldexp(1.0, math.frexp(float(np.abs(vals).max()))[1] - 1)
+        vals = vals / unit
         mean = float(np.dot(tallies, vals) / config.shots)
         variance = float(np.dot(tallies, (vals - mean) ** 2) / config.shots)
-        stderr = math.sqrt(variance / config.shots)
+        stderr = math.sqrt(variance / config.shots) * unit
+        mean *= unit
     return SampleResult(
         counts=counts,
         shots=config.shots,

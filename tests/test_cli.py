@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 
 from histories_kit import cli, hilbert
 from histories_kit.config import TOLERANCES, tolerances
+from histories_kit.dsl import parse_spec
 from histories_kit.hilbert import PDI, Ket, Operator, Projector, builtin_operator, commutes
 from histories_kit.histories import HistoryFamily, TimeGrid
-from histories_kit.sampler import MAX_SHOTS
+from histories_kit.sampler import MAX_SHOTS, RunConfig, sample_pdi
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_DIR = ROOT / "specs"
@@ -711,3 +713,51 @@ class TestProbsTable:
         subset = labelled_family(labels, subset=every[::-2])
         keys = cli._Table(subset, np.zeros(len(every[::-2]))).keys
         assert keys == [json.dumps(",".join(h)) for h in every[::-2]]
+
+
+def _no_constant(name):
+    raise ValueError(f"JSON constant {name} in a sample report")
+
+
+class TestSampleStatisticsNearFloatRange:
+    # spectral(H) of H = a*proj(u) + b*proj(v) on the standard basis, with the
+    # scalars written as plain decimal literals; each overflowed at some step
+    # of the mean or the variance: 0 * inf for the never-drawn -10^300 outcome,
+    # a squared spread of about 10^400, and a sum of a hundred 10^307 draws
+    @pytest.mark.parametrize(
+        "a, b, state, shots, seed",
+        [
+            ("1" + "0" * 300, "-1" + "0" * 300, "[1, 0]", 3, 1),
+            ("1" + "0" * 200, "1", "[1, 2]", 1000, 1),
+            ("1" + "0" * 307, "-1" + "0" * 307, "[1, 1]", 100, 3),
+        ],
+        ids=["undrawn-1e300", "spread-1e200", "sum-1e307"],
+    )
+    def test_mean_and_error_are_exact_and_finite(self, tmp_path, a, b, state, shots, seed):
+        source = (
+            f"ket u = [1, 0]\nket v = [0, 1]\nket s = {state}\n"
+            f"op H = {a}*proj(u) + {b}*proj(v)\npdi P = spectral(H)\n"
+            f"query sample s P shots {shots} seed {seed}\n"
+        )
+        env = parse_spec(source).environment
+        pdi = env["P"].value
+        values = dict(zip(pdi.labels, env["P"].extra))
+        result = sample_pdi(env["s"].value, pdi, RunConfig(shots, seed), values)
+        counts = result.counts
+        mean = sum(n * Fraction(values[l]) for l, n in counts.items()) / shots
+        variance = sum(n * (Fraction(values[l]) - mean) ** 2 for l, n in counts.items()) / shots
+        tol = Fraction(1e-12)
+        assert abs(Fraction(result.empirical_mean) - mean) <= abs(mean) * tol
+        # the square of the error, against variance / shots, to 2e-12
+        squared = Fraction(result.std_error) ** 2
+        assert abs(squared - variance / shots) <= variance / shots * 2 * tol
+        spec = tmp_path / "big.spec"
+        spec.write_text(source)
+        code, out = run_cli(["run", str(spec), "--format", "json"])
+        assert code == 0
+        report = json.loads(out, parse_constant=_no_constant)["results"][0]
+        assert report["empirical_mean"] == float(f"{result.empirical_mean:.12g}")
+        assert report["std_error"] == float(f"{result.std_error:.12g}")
+        code, out = run_cli(["run", str(spec)])
+        assert code == 0
+        assert "nan" not in out and "inf" not in out

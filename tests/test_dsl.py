@@ -156,6 +156,29 @@ class TestLoadErrors:
         assert (err.line, err.column) == (1, column)
         assert "number out of range" in err.message
 
+    TOP = "1" + "0" * 308  # 1e308, in range, but twice it is not
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            f"{TOP}*X + {TOP}*X",
+            f"-{TOP}*X - {TOP}*X",
+            f"{TOP}*X * 10",
+            f"{TOP}*proj(a) + {TOP}*proj(a)",
+            f"kron({TOP}*X, 10*X)",
+            f"{TOP}*X*B",
+        ],
+        ids=["sum", "difference", "scaled", "projector-sum", "kron", "composition"],
+    )
+    def test_overflowing_operator_is_located(self, expr):
+        # every literal is in range; the operator arithmetic is not, and used to
+        # bind an operator with inf entries (or raise a RuntimeWarning)
+        err = first_error(f"ket a = [1, 0]\nop B = 2*X\nop A = {expr}\npdi P = spectral(A)\n")
+        assert isinstance(err, ResolutionError)
+        assert (err.line, err.column) == (3, 4)
+        assert err.message == "operator entries overflow the float range"
+        assert len(err.all_errors) == 1
+
     def test_unknown_name_is_resolution_error(self):
         err = first_error("pdi P = spectral(A9)\n")
         assert isinstance(err, ResolutionError)

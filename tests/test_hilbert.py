@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import sys
 import threading
 
@@ -429,6 +430,16 @@ class TestSpectralDecompose:
         h = hermitian_with_spectrum(np.random.default_rng(8), [0.6e-8 * k for k in range(8)])
         with pytest.raises(AmbiguousSpectrumError):
             spectral_decompose(h)
+
+    def test_ambiguous_run_names_its_span(self):
+        # at 6 significant digits both ends read 1, which hid the span
+        op = Operator(np.diag([1.0, 1.000000009, 1.000000018]).astype(complex))
+        message = (
+            "eigenvalues 1.0..1.000000018 chain within the grouping gap 1e-08 "
+            "but span 1.8e-08, more than it"
+        )
+        with pytest.raises(AmbiguousSpectrumError, match=f"^{re.escape(message)}$"):
+            spectral_decompose(op)
 
     def test_grouping_gap_scales_with_norm(self):
         # at norm 1e4 the gap is 1e-4, so a 5e-5 split is jitter, a 2e-4 split is not

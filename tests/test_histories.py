@@ -320,6 +320,10 @@ class TestConsistencyDifferential:
         order = np.random.default_rng(len(every)).permutation(len(every))
         shuffled = HistoryFamily(full.grid, full.initial, full.event_pdis, [every[i] for i in order])
         assert consistency_check(shuffled).chains.tobytes() == full_chains[order].tobytes()
+        # Listed in product order, the subset walk keeps every stacked row and
+        # its last inverse is the identity, so it yields the exhaustive chains.
+        in_order = HistoryFamily(full.grid, full.initial, full.event_pdis, every)
+        assert consistency_check(in_order).chains.tobytes() == full_chains.tobytes()
         # A proper subset builds fewer rows per level, and a BLAS product over one
         # row can round apart from one over many, so its chains and chain_vector
         # (one row per level) match the exhaustive rows to rounding only.

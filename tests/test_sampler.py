@@ -199,6 +199,17 @@ class TestSamplePDI:
         )
         assert result.empirical_mean == pytest.approx(0.034, abs=1e-12)
 
+    def test_values_at_the_top_of_the_float_range(self):
+        # the statistics are formed in units of the largest power of two at or
+        # below max |value|; the next one up, 2^1024, is not a float
+        top = np.finfo(float).max
+        result = sample_pdi(
+            PLUS, PZ, RunConfig(shots=1000, seed=5), values={"0": top, "1": -top}
+        )
+        assert result.empirical_mean == pytest.approx(0.034 * top, rel=1e-12)
+        spread = math.sqrt(1 - 0.034**2) / math.sqrt(1000)
+        assert result.std_error == pytest.approx(spread * top, rel=1e-12)
+
     def test_non_numeric_labels_without_values(self):
         basis = PDI([Ket(v).projector() for v in np.eye(2, dtype=complex)], labels=("up", "dn"))
         result = sample_pdi(PLUS, basis, RunConfig(shots=100, seed=5))
