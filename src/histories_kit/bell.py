@@ -10,9 +10,9 @@ Correlators are always assembled the way a laboratory would assemble them:
 one Born-rule average per setting pair over the common refinement of the two
 commuting one-party decompositions, then combined with the CHSH signs. The
 direct operator expectation is computed alongside as a cross-check. Every
-joint is read from one table T[j, k] = Re<P_j psi|Q_k psi>, the Born weight
-of the refinement's member P_j Q_k: E(a,b) sums f_a f_b T, the fixed-setting
-model's prior is T, and Bob's marginal is T summed over Alice's outcomes.
+joint is read from one table T[j, k] = Re<P_j psi|Q_k psi> over the rows of
+`hilbert._projections`, the Born weight of P_j Q_k: E(a,b) sums f_a f_b T, the
+fixed-setting model's prior is T, and Bob's marginal sums T over Alice's j.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .hilbert import (
     _FrozenMap,
     _frozen,
     _kron,
+    _projections,
     builtin_operator,
     partial_trace,
     spectral_decompose,
@@ -263,9 +264,7 @@ def chsh_operator(ops: CHSHOperators) -> Operator:
 def _joint_table(psi: np.ndarray, p: PDI, q: PDI) -> np.ndarray:
     """T[j, k] = Re<P_j psi|Q_k psi>, the Born weight of P_j Q_k when p and q
     commute; a rank-0 member gives a zero row or column."""
-    left = np.array([pj.apply(psi) for pj in p.projectors])
-    right = np.array([qk.apply(psi) for qk in q.projectors])
-    return (left.conj() @ right.T).real
+    return (_projections(p.projectors, psi).conj() @ _projections(q.projectors, psi).T).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,14 +479,12 @@ def singlet_state() -> Ket:
 
 
 def joint_probabilities(state: Ket, alice_basis: PDI, bob_basis: PDI) -> np.ndarray:
-    """Pr(j,k) = |(V_j x W_k)-dagger psi|^2, V_j x W_k being a basis of A_j x B_k."""
+    """Pr(j,k), the Born weight Re(P_jk psi . psi-conj) of P_jk = A_j x B_k (basis V_j x W_k)."""
     _check_dims("state and factor product", state.dim, alice_basis.dim * bob_basis.dim)
     psi = state.amplitudes
-    table = np.zeros((len(alice_basis), len(bob_basis)))
-    for j, pj in enumerate(alice_basis.projectors):
-        for k, qk in enumerate(bob_basis.projectors):
-            amps = _kron(pj.basis, qk.basis).conj().T @ psi
-            table[j, k] = float(np.vdot(amps, amps).real)
+    pairs = product(alice_basis.projectors, bob_basis.projectors)
+    members = [Projector._of(_kron(pj.basis, qk.basis)) for pj, qk in pairs]
+    table = (_projections(members, psi) @ psi.conj()).real.reshape(len(alice_basis), -1)
     total = float(table.sum())
     message = f"joint table sums to {total!r}"
     check(abs(total - 1.0), tolerances().probability, VerificationFailedError, message)
@@ -510,18 +507,15 @@ def collapse_conditional(state: Ket, alice_outcome: Projector, bob_event: Projec
     """
     da, db = alice_outcome.dim, bob_event.dim
     _check_dims("state and factor product", state.dim, da * db)
-    psi = state.amplitudes
-    lifted_a = _kron(alice_outcome.basis, np.eye(db))
-    projected = lifted_a @ (lifted_a.conj().T @ psi)
-    pr_a = float(np.vdot(psi, projected).real)
+    projected = Projector._of(_kron(alice_outcome.basis, np.eye(db))).apply(state.amplitudes)
+    pr_a = float((projected @ state.amplitudes.conj()).real)
     if pr_a <= tolerances().probability:
         raise ZeroProbabilityOutcomeError(
             f"Alice outcome has probability {pr_a:.3g}; collapse undefined"
         )
     collapsed = Ket(projected / math.sqrt(pr_a))
-    lifted_b = _kron(np.eye(da), bob_event.basis)
-    kept = lifted_b @ (lifted_b.conj().T @ collapsed.amplitudes)
-    cond = float(np.vdot(collapsed.amplitudes, kept).real)
+    kept = Projector._of(_kron(np.eye(da), bob_event.basis)).apply(collapsed.amplitudes)
+    cond = float((kept @ collapsed.amplitudes.conj()).real)
     return CollapseResult(
         collapsed=collapsed,
         outcome_probability=pr_a,

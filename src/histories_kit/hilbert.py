@@ -3,20 +3,20 @@
 Everything lives on finite-dimensional Hilbert spaces (the spec language
 accepts dimensions up to `dsl.MAX_DIM` = 1024). Operators are dense matrices,
 checked in max-entry norm against the shared tolerance bundle. A projector is
-stored as an orthonormal basis V of its subspace alone and acts on vectors as
-V(V-dagger v); its dense matrix VV-dagger is built only for a caller that
-reads it. Given columns are certified by V-dagger V = I, and a matrix is
-factored once with `eigh` and certified by the distance of its eigenvalues
-from {0, 1}. A PDI is one isometry W whose column blocks are its members:
-it stacks their bases once and certifies W once, from one Gram matrix whose
-block Frobenius norms bound the max-entry defects of the projector products
-and yield the completeness defect in closed form. Members that a PDI is
-built from inside this module (eigenspaces, refinements) are certified by
-that Gram alone. Commutation of two PDIs is read pair by pair, in Frobenius
-norm, from one overlap matrix of their W, which also yields their common
-refinement. Degenerate eigenspaces are kept whole: spectral decomposition
-yields one rank-k projector per distinct eigenvalue, and all equality
-reasoning is done on subspaces, never on individual eigenvectors.
+stored as an orthonormal basis V of its subspace alone; the one projection,
+`_projections`, forms (v V-conj) V-transpose, every Born weight is read from
+it, and VV-dagger is built only on read. Given columns are certified by
+V-dagger V = I, and a matrix is factored once with `eigh` and certified by the
+distance of its eigenvalues from {0, 1}. A PDI is one isometry W whose column
+blocks are its members: it stacks their bases once and certifies W once, from
+one Gram matrix whose block Frobenius norms bound the max-entry defects of the
+projector products and yield the completeness defect in closed form. Members
+that a PDI is built from inside this module (eigenspaces, refinements) are
+certified by that Gram alone. Commutation of two PDIs is read pair by pair, in
+Frobenius norm, from one overlap matrix of their W, which also yields their
+common refinement. Degenerate eigenspaces are kept whole: spectral
+decomposition yields one rank-k projector per distinct eigenvalue, and all
+equality reasoning is done on subspaces, never on individual eigenvectors.
 
 One freeze rule holds across the package: every array a result holds, or a
 property such as `Projector.entries` returns, goes through `_frozen` and is
@@ -278,12 +278,20 @@ class Projector:
         return self.basis.shape[1]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """P v as V (V-dagger v), O(d r) per vector; vec is (d,) or (d, n)."""
-        return self.basis @ (self.basis.conj().T @ vec)
+        """P v through `_projections`, O(d r) per vector; vec is (d,) or (d, n)."""
+        return _projections((self,), np.asarray(vec).T)[..., 0, :].T
 
     def complement(self) -> "Projector":
         # the last d - r columns of a complete QR of V span the orthogonal complement
         return Projector.from_basis(np.linalg.qr(self.basis, mode="complete")[0][:, self.rank :])
+
+
+def _projections(members: Sequence[Projector], rows: np.ndarray) -> np.ndarray:
+    """The one projection: out[..., j, :] = (rows V_j-conj) V_j-transpose, P_j of each row."""
+    out = np.empty((*rows.shape[:-1], len(members), rows.shape[-1]), dtype=complex)
+    for j, p in enumerate(members):
+        out[..., j, :] = (rows @ p.basis.conj()) @ p.basis.T
+    return out
 
 
 @dataclass(frozen=True)
@@ -524,8 +532,8 @@ def spectral_decompose(h: Operator) -> Observable:
     the full eigenspace (rank k, not k rank-1 pieces). The gap bounds the
     span of a group, so near-equal eigenvalues never chain: a run of
     neighbours each within the gap whose ends lie farther apart has no
-    grouping within tolerance and raises AmbiguousSpectrumError. Eigenvalues
-    come back sorted descending.
+    grouping within tolerance and raises AmbiguousSpectrumError, and one past
+    the float range raises ValueError. Eigenvalues come back sorted descending.
 
     The result is memoized on `h` (outside its dataclass fields), keyed by the
     tolerance bundle in force, for as long as `h` lives: a later call under
@@ -540,6 +548,8 @@ def spectral_decompose(h: Operator) -> Observable:
         return memo[tol]
     check(h.hermiticity_defect(), tol.algebraic, NotHermitianError, "operator is not Hermitian")
     evals, evecs = np.linalg.eigh(h.entries)
+    if not np.isfinite(evals).all():
+        raise ValueError("operator spectrum overflows the float range")
     ascending = evals.tolist()
     gap = tol.eigen_grouping * max(1.0, -ascending[0], ascending[-1])
     # eigh sorts ascending, so each group is a run of neighbours at most gap apart

@@ -57,6 +57,7 @@ from .hilbert import (
     _check_dims,
     _frozen,
     _kron,
+    _projections,
     tensor_state,
 )
 
@@ -235,8 +236,8 @@ class ProbabilityTable:
 def _chain_matrix(fam: HistoryFamily) -> np.ndarray:
     """Chain vectors as rows, propagating each kept prefix-tree node once.
 
-    Each level moves the rows kept at the last one by propagator t and stacks
-    every event's projection (rows V-conj) V-transpose of each moved row, so
+    Each level moves the rows kept at the last one by propagator t, and
+    `_projections` stacks every event's projection of each moved row, so
     row parent * n_t + event is that child's node code. An exhaustive family
     keeps every row, in all_histories() order; a subset keeps the distinct
     codes its histories reach, and the last np.unique inverse puts the chains
@@ -246,10 +247,7 @@ def _chain_matrix(fam: HistoryFamily) -> np.ndarray:
     rows = fam.initial.amplitudes[None, :]
     inverse = np.zeros(1, dtype=np.intp)  # every history starts at the root, node 0
     for t, (pdi, prop) in enumerate(zip(fam.event_pdis, fam.grid.propagators)):
-        moved = rows @ prop.entries.T
-        rows = np.stack(
-            [(moved @ proj.basis.conj()) @ proj.basis.T for proj in pdi.projectors], axis=1
-        ).reshape(-1, fam.grid.dim)
+        rows = _projections(pdi.projectors, rows @ prop.entries.T).reshape(-1, fam.grid.dim)
         if subset:
             codes = inverse * len(pdi) + fam._label_index[:, t]
             nodes, inverse = np.unique(codes, return_inverse=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import check
 from .errors import ProbabilityNormalizationError
-from .hilbert import PDI, Ket, _check_dims, _frozen, spectral_decompose
+from .hilbert import PDI, Ket, _check_dims, _frozen, _projections, spectral_decompose
 from .bell import CHSHOperators, _chsh
 
 __all__ = [
@@ -182,9 +182,7 @@ def sample_pdi(
     """
     _check_dims("state and PDI", state.dim, pdi.dim)
     psi = state.amplitudes
-    weights = np.array(
-        [max(0.0, float(np.vdot(psi, p.apply(psi)).real)) for p in pdi.projectors]
-    )
+    weights = np.maximum((_projections(pdi.projectors, psi) @ psi.conj()).real, 0.0)
     total = float(weights.sum())
     message = f"outcome weights sum to {total!r}, not 1"
     check(abs(total - 1.0), _NORM_WINDOW, ProbabilityNormalizationError, message)

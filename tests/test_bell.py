@@ -741,6 +741,28 @@ class TestJointTable:
             )
             assert abs(e[a, b] - expected) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+    def test_factor_joints_and_collapse(self, da, db, seed):
+        # the factor PDIs themselves, whose members may be degenerate or rank 0
+        rng = np.random.default_rng(seed)
+        state = random_ket(rng, da * db)
+        psi = state.amplitudes
+        alice, bob = (
+            PDI([Projector.from_basis(v) for v in random_local_bases(rng, d)]) for d in (da, db)
+        )
+        joints = joint_probabilities(state, alice, bob)
+        pairs = itertools.product(enumerate(alice.projectors), enumerate(bob.projectors))
+        for (j, pa), (k, qb) in pairs:
+            dense = np.vdot(psi, np.kron(pa.entries, qb.entries) @ psi).real
+            assert abs(joints[j, k] - dense) < 1e-12
+            if pa.rank == 0:
+                with pytest.raises(ZeroProbabilityOutcomeError):
+                    collapse_conditional(state, pa, qb)
+                continue
+            res = collapse_conditional(state, pa, qb)
+            assert abs(res.outcome_probability * res.conditional_probability - joints[j, k]) < 1e-12
+
 
 class TestNoSignaling:
     def test_singlet_marginals_invariant(self):

@@ -179,6 +179,24 @@ class TestLoadErrors:
         assert err.message == "operator entries overflow the float range"
         assert len(err.all_errors) == 1
 
+    def test_overflowing_spectrum_is_located(self):
+        # entries of 1.7e308 are finite, but the eigenvalues +-sqrt(2)*1.7e308 are
+        # not; grouping them used to give "eigenvalues must be finite, got (nan,)"
+        # after numpy's RuntimeWarning, which the warning filter makes the error
+        top = "17" + "0" * 307
+        err = first_error(f"op H = {top}*X + {top}*Z\npdi P = spectral(H)\n")
+        assert isinstance(err, ResolutionError)
+        assert (err.line, err.column) == (2, 18)
+        assert err.message == "operator spectrum overflows the float range"
+
+    def test_spectrum_near_the_float_range_decomposes(self):
+        top = "12" + "0" * 307  # eigenvalues +-1.7e308, still finite
+        spec = parse_spec(f"ket k = [1, 0]\nop H = {top}*X + {top}*Z\npdi P = spectral(H)\n")
+        pdi = spec.environment["P"].value
+        assert len(pdi) == 2
+        result = sample_pdi(spec.environment["k"].value, pdi, RunConfig(shots=1000, seed=1))
+        assert sum(result.counts.values()) == 1000
+
     def test_unknown_name_is_resolution_error(self):
         err = first_error("pdi P = spectral(A9)\n")
         assert isinstance(err, ResolutionError)

@@ -270,7 +270,7 @@ class TestProjector:
         st.integers(0, 2**32 - 1),
     )
     def test_apply_matches_dense_product(self, dim_rank, seed):
-        # P v = V (V-dagger v) agrees with the dense matrix on vectors and blocks
+        # P v agrees with the dense matrix on vectors and blocks
         dim, rank = dim_rank
         rng = np.random.default_rng(seed)
         cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -234,6 +234,18 @@ class TestSamplePDI:
         assert result.empirical_mean is None
         assert result.std_error is None
 
+    def test_rank_zero_member_is_never_drawn(self):
+        # its Born weight is exactly +0.0, and the other members keep the counts
+        # and probabilities of the PDI without it
+        zero = Projector.from_basis(np.zeros((2, 0)))
+        padded = PDI([PZ.projectors[0], zero, PZ.projectors[1]], labels=("0", "none", "1"))
+        cfg = RunConfig(shots=100000, seed=42)
+        result, plain = sample_pdi(PLUS, padded, cfg), sample_pdi(PLUS, PZ, cfg)
+        assert result.counts == {"0": 50064, "none": 0, "1": 49936}
+        probabilities = dict(result.probabilities)
+        assert math.copysign(1.0, probabilities.pop("none")) == 1.0
+        assert probabilities == plain.probabilities
+
     def test_deterministic_across_calls(self):
         cfg = RunConfig(shots=5000, seed=99)
         assert sample_pdi(PLUS, PZ, cfg).counts == sample_pdi(PLUS, PZ, cfg).counts
