@@ -32,8 +32,9 @@ digits, `.`, `-`, commas and blanks, it converts with one float() per
 entry; otherwise, or if a float() fails, each entry is matched against the
 entry pattern and converted with complex(). Either way the literal is one
 token carrying its amplitudes. A literal that neither path accepts leaves
-its `[` as punctuation and is walked token by token, so its first error is
-reported where it occurs. In operator expressions a scalar is a single
+its `[` as punctuation and is walked token by token, only to locate its
+first error: the walk converts no values, since the lexer converts every
+literal the walk would accept. In operator expressions a scalar is a single
 real or pure-imaginary literal. A +/- chain evaluates in one loop, its
 terms c*proj(v) as one product over the stacked kets. Angles are degrees.
 `#` starts a comment; names are declared before use.
@@ -469,8 +470,6 @@ class _Parser:
         load-time ResolutionError at the given token."""
         try:
             return thunk()
-        except ParseError:
-            raise
         except Exception as err:  # noqa: BLE001 - load must not crash
             self.resolve_fail(tok, str(err) or type(err).__name__)
 
@@ -545,35 +544,41 @@ class _Parser:
         initial: _Token | None = None
         props: dict[int, _Token] = {}
         events: dict[int, _Token] = {}
-        while True:
-            self.skip_newlines()
-            tok = self.peek()
-            if tok.kind == "EOF":
-                self.fail(tok, "unterminated family block")
-            if self.at_punct("}"):
+        try:
+            while True:
+                self.skip_newlines()
+                tok = self.peek()
+                if tok.kind == "EOF":
+                    self.fail(tok, "unterminated family block")
+                if self.at_punct("}"):
+                    self.advance()
+                    break
+                if self.at_punct(";"):
+                    self.advance()
+                    continue
+                word = self.expect_name("initial, prop, or events")
+                if word.text == "initial":
+                    if initial is not None:
+                        self.resolve_fail(word, "initial state declared twice")
+                    initial = self.expect_name("a ket name")
+                elif word.text in ("prop", "events"):
+                    index, index_tok = self.expect_int("a time index")
+                    if index < 1:
+                        self.resolve_fail(index_tok, "time indices start at 1")
+                    self.expect_punct("=")
+                    target = self.expect_name("a name")
+                    table = props if word.text == "prop" else events
+                    if index in table:
+                        self.resolve_fail(index_tok, f"{word.text} {index} declared twice")
+                    table[index] = target
+                else:
+                    self.fail(word, "expected initial, prop, or events")
+                self.expect_punct(";")
+        except ParseError:
+            # resume after the block, not on the next line inside it
+            while self.peek().kind != "EOF" and not self.at_punct("}"):
                 self.advance()
-                break
-            if self.at_punct(";"):
-                self.advance()
-                continue
-            word = self.expect_name("initial, prop, or events")
-            if word.text == "initial":
-                if initial is not None:
-                    self.resolve_fail(word, "initial state declared twice")
-                initial = self.expect_name("a ket name")
-            elif word.text in ("prop", "events"):
-                index, index_tok = self.expect_int("a time index")
-                if index < 1:
-                    self.resolve_fail(index_tok, "time indices start at 1")
-                self.expect_punct("=")
-                target = self.expect_name("a name")
-                table = props if word.text == "prop" else events
-                if index in table:
-                    self.resolve_fail(index_tok, f"{word.text} {index} declared twice")
-                table[index] = target
-            else:
-                self.fail(word, "expected initial, prop, or events")
-            self.expect_punct(";")
+            raise
         self.end_statement()
         if initial is None:
             self.resolve_fail(name, "family block lacks an initial state")
@@ -717,55 +722,44 @@ class _Parser:
 
     def vector(self) -> np.ndarray:
         tok = self.peek()
-        if tok.kind == "VECTOR":
-            self.advance()
-            entries = tok.value
-            # the token keeps its text for errors but lets go of the array,
-            # so a long spec holds no more than one literal's array at a time
-            self.tokens[self.pos - 1] = tok._replace(value=None)
-            if not np.isfinite(entries).all():
-                # fail at the first number past the float range
-                for m in _NUMBER_RE.finditer(tok.text):
-                    self.number(_Token("NUMBER", m.group(), tok.line, tok.col + m.start()))
-        else:
-            # a malformed literal: walk its tokens to the first error
+        if tok.kind != "VECTOR":
+            # a literal the lexer did not convert: walk its tokens to the
+            # first error. The lexer converts every literal the walk accepts
             self.expect_punct("[")
-            entries = [self.centry()]
+            self.centry()
             while self.at_punct(","):
                 self.advance()
-                entries.append(self.centry())
+                self.centry()
             self.expect_punct("]")
-            entries = np.array(entries)
+            raise AssertionError(f"unconverted ket literal at line {tok.line}, col {tok.col}")
+        self.advance()
+        entries = tok.value
+        # the token keeps its text for errors but lets go of the array,
+        # so a long spec holds no more than one literal's array at a time
+        self.tokens[self.pos - 1] = tok._replace(value=None)
+        if not np.isfinite(entries).all():
+            # fail at the first number past the float range
+            for m in _NUMBER_RE.finditer(tok.text):
+                self.number(_Token("NUMBER", m.group(), tok.line, tok.col + m.start()))
         if len(entries) > MAX_DIM:
             self.resolve_fail(tok, f"vector longer than {MAX_DIM}")
         return entries
 
-    def centry(self) -> complex:
-        negate = False
+    def centry(self):
+        """Walk one entry of a malformed literal: a, ai, a+bi or a-bi, optionally
+        negated, failing at its first bad token or out-of-range number."""
         if self.at_punct("-"):
             self.advance()
-            negate = True
         tok = self.peek()
         if tok.kind == "IMAG":
-            self.advance()
-            imag = self.number(tok)
-            return complex(0.0, -imag if negate else imag)
+            self.number(self.advance())
+            return
         if tok.kind != "NUMBER":
             self.fail(tok, "expected a number")
-        self.advance()
-        real = self.number(tok)
-        if negate:
-            real = -real
-        sign = 0
-        if self.at_punct("+"):
-            sign = 1
-        elif self.at_punct("-"):
-            sign = -1
-        if sign and self.tokens[self.pos + 1].kind == "IMAG":
+        self.number(self.advance())
+        if (self.at_punct("+") or self.at_punct("-")) and self.tokens[self.pos + 1].kind == "IMAG":
             self.advance()
-            imag_tok = self.advance()
-            return complex(real, sign * self.number(imag_tok))
-        return complex(real, 0.0)
+            self.number(self.advance())
 
     def expr(self, depth: int):
         self.check_depth(depth)

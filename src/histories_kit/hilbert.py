@@ -66,7 +66,6 @@ __all__ = [
     "region_projector",
     "builtin_operator",
     "commutator_defect",
-    "commutes",
     "pdi_compatible",
     "partial_trace",
 ]
@@ -194,22 +193,12 @@ class Operator:
         """Max-entry norm of A-dagger A - I."""
         return float(np.abs(self.entries.conj().T @ self.entries - np.eye(self.dim)).max())
 
-    def is_hermitian(self) -> bool:
-        return self.hermiticity_defect() < tolerances().algebraic
-
-    def is_unitary(self) -> bool:
-        return self.unitarity_defect() < tolerances().algebraic
-
 
 def commutator_defect(a: Operator, b: Operator) -> float:
     """Max-entry norm of AB - BA; callers compare it with their tolerance."""
+    _check_dims("operator", a.dim, b.dim)
     x, y = a.entries, b.entries
     return float(np.abs(x @ y - y @ x).max())
-
-
-def commutes(a: Operator, b: Operator) -> bool:
-    _check_dims("operator", a.dim, b.dim)
-    return commutator_defect(a, b) < tolerances().algebraic
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,7 +569,7 @@ def spectral_decompose(h: Operator) -> Observable:
 
 
 def common_refinement(p: PDI, q: PDI) -> PDI:
-    """All nonzero products P^j Q^k, defined only when every pair commutes.
+    """All nonzero products P^j Q^k, defined only when all pairs commute.
 
     Labels join the members' labels as "j&k"; rank-0 products are dropped. A
     noncommuting pair means the two decompositions admit no common refinement;
@@ -670,7 +659,7 @@ def _commutator_defects(p: PDI | Projector, q: PDI | Projector) -> tuple[np.ndar
         (x._basis, x._ends) if isinstance(x, PDI) else _stacked((x, x.complement())) for x in (p, q)
     )
     overlaps = wp.conj().T @ wq
-    live = [j for j, (lo, hi) in enumerate(_blocks(ends_p)) if hi > lo]  # rank 0 commutes with all
+    live = [j for j, (lo, hi) in enumerate(_blocks(ends_p)) if hi > lo]  # rank-0 members commute
     defects = np.zeros((len(ends_p), len(ends_q)))
     for k, (lo, hi) in enumerate(_blocks(ends_q)):
         cols = overlaps[:, lo:hi]

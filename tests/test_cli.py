@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 from histories_kit import cli, hilbert
 from histories_kit.config import TOLERANCES, tolerances
 from histories_kit.dsl import parse_spec
-from histories_kit.hilbert import PDI, Ket, Operator, Projector, builtin_operator, commutes
+from histories_kit.hilbert import (
+    PDI,
+    Ket,
+    Operator,
+    Projector,
+    builtin_operator,
+    commutator_defect,
+)
 from histories_kit.histories import HistoryFamily, TimeGrid
 from histories_kit.sampler import MAX_SHOTS, RunConfig, sample_pdi
 
@@ -346,7 +353,7 @@ class TestToleranceOverrides:
             deadline = time.monotonic() + 60
             while thread.is_alive() and time.monotonic() < deadline:
                 seen.add(tolerances().algebraic)
-                leaks += commutes(z, a)
+                leaks += commutator_defect(z, a) < tolerances().algebraic
             thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)

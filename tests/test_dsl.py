@@ -283,6 +283,82 @@ class TestLoadErrors:
         err = first_error(src)
         assert len(err.all_errors) == 20
 
+    def test_parse_error_count_capped_at_twenty(self):
+        # parse errors, unlike lex errors, stop the parse at the twentieth
+        src = "".join(f"op A{i} = )\n" for i in range(25))
+        err = first_error(src)
+        assert [e.line for e in err.all_errors] == list(range(1, 21))
+
+    # a ket, an operator and its spectral PDI on lines 1-3
+    PREFIX = "ket a = [1, 0]\nop A = Z\npdi P = spectral(A)\n"
+    FAMILY = "family F {\n initial a;\n events 1 = P;\n}\n"
+
+    @pytest.mark.parametrize(
+        "source, line, column, message, error_class",
+        [
+            ("pdi Q = {P}\n", 4, 10, "'P' is a pdi, not a ket or operator", ResolutionError),
+            (
+                "family F {\n initial a;\n initial a;\n events 1 = P;\n}\n",
+                6, 2, "initial state declared twice", ResolutionError,
+            ),
+            (
+                "family F {\n initial a;\n events 0 = P;\n}\n",
+                6, 9, "time indices start at 1", ResolutionError,
+            ),
+            (
+                "family F {\n initial a;\n events 1 = P;\n events 1 = P;\n}\n",
+                7, 9, "events 1 declared twice", ResolutionError,
+            ),
+            (
+                FAMILY + "query conditional F 1:0 | 1:1.5\n",
+                8, 29, "expected an event label (name or integer)", ParseError,
+            ),
+            (
+                "query sample a P shots 10 seed 18446744073709551616\n",
+                4, 32, "seed must fit in 64 unsigned bits", ResolutionError,
+            ),
+            (
+                "query nosignal a dims 0 2 alice P bob P\n",
+                4, 23, "local dimensions start at 1", ResolutionError,
+            ),
+            ("op B = spectral + Z\n", 4, 8, "'spectral' cannot be used here", ParseError),
+        ],
+        ids=[
+            "pdi-member-is-pdi",
+            "initial-twice",
+            "time-index-zero",
+            "events-twice",
+            "decimal-event-label",
+            "seed-past-64-bits",
+            "zero-local-dimension",
+            "spectral-in-expression",
+        ],
+    )
+    def test_diagnostic_is_located(self, source, line, column, message, error_class):
+        err = first_error(self.PREFIX + source)
+        assert (err.line, err.column, err.message) == (line, column, message)
+        assert type(err) is error_class
+        assert len(err.all_errors) == 1
+
+    @pytest.mark.parametrize(
+        "body, first",
+        [
+            (" initial a;\n events 1 = P\n", (6, 14, "expected ';'")),
+            (" initial a;\n initial a;\n events 1 = P;\n", (6, 2, "initial state declared twice")),
+        ],
+        ids=["missing-semicolon", "initial-twice"],
+    )
+    def test_family_block_error_resumes_after_the_block(self, body, first):
+        # no error at the block's "}", and a later statement that uses F
+        # still reports F as unknown
+        src = self.PREFIX + "family F {\n" + body + "}\nquery probs F\n"
+        last = src.count("\n")
+        err = first_error(src)
+        assert [(e.line, e.column, e.message) for e in err.all_errors] == [
+            first,
+            (last, 13, "unknown name 'F'"),
+        ]
+
     def test_exponent_notation_rejected(self):
         assert first_error("ket a = [1e-3, 0]\n") is not None
 
@@ -473,7 +549,7 @@ def _number(draw, digits=_DIGITS):
 
 @st.composite
 def _entry(draw):
-    """One literal entry and its value by the token walk's sign rules: a
+    """One literal entry and its value by the language's sign rules: a
     leading minus negates the first component, the infix sign the second."""
     negate = draw(st.booleans())
     lead = "-" + draw(_WS) if negate else ""

@@ -36,7 +36,6 @@ from histories_kit.hilbert import (
     builtin_operator,
     common_refinement,
     commutator_defect,
-    commutes,
     partial_trace,
     pdi_compatible,
     pdi_validate,
@@ -161,12 +160,6 @@ class TestOperator:
         assert not np.shares_memory(op.entries, frozen)
         assert op.entries.tolist() == [[1.0, 3.0], [2.0, 4.0]]
         assert_frozen(op)
-
-    def test_hermitian_unitary_flags(self):
-        assert Z.is_hermitian() and Z.is_unitary()
-        upper = Operator(np.array([[0, 1], [0, 0]], dtype=complex))
-        assert not upper.is_hermitian()
-        assert not upper.is_unitary()
 
     def test_expectation(self):
         plus = Ket(np.array([1, 1], dtype=complex))
@@ -832,11 +825,6 @@ class TestRefinementAndCompatibility:
                 common_refinement(p, q)
             assert exc.value.pair == ("0", "0")
 
-    def test_commutes(self):
-        assert commutes(Z, Z)
-        assert not commutes(Z, X)
-        assert commutes(tensor_product(Z, I2), tensor_product(I2, X))
-
 
 def pdi_pair_blocks(seed, dim, coordinate, angle):
     """Bases of two PDIs that commute at angle 0: p's blocks from
@@ -1091,7 +1079,7 @@ class TestBuiltinsAndTensors:
         assert np.allclose(builtin_operator((1, 0, 0)).entries, X.entries)
         w = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
         op = builtin_operator(tuple(w))
-        assert op.is_hermitian()
+        assert op.hermiticity_defect() < TOLERANCES.algebraic
         assert np.allclose((op @ op).entries, np.eye(2))
 
     def test_non_unit_direction_rejected(self):
@@ -1211,7 +1199,8 @@ def _dimension_guard_sites():
         ("Operator.__matmul__", lambda: Z @ i3, "operator dims differ: 2 vs 3"),
         ("Operator.expectation", lambda: Z.expectation(k3),
          "state and operator dims differ: 3 vs 2"),
-        ("commutes", lambda: commutes(Z, i3), "operator dims differ: 2 vs 3"),
+        ("commutator_defect", lambda: commutator_defect(Z, i3),
+         "operator dims differ: 2 vs 3"),
         ("pdi_validate", lambda: pdi_validate([pz.projectors[0], p3.projectors[0]]),
          "projector dims differ: 2 vs 3"),
         ("possesses", lambda: possesses(k3, pz.projectors[0]),
