@@ -36,8 +36,11 @@ its `[` as punctuation and is walked token by token, only to locate its
 first error: the walk converts no values, since the lexer converts every
 literal the walk would accept. In operator expressions a scalar is a single
 real or pure-imaginary literal. A +/- chain evaluates in one loop, its
-terms c*proj(v) as one product over the stacked kets. Angles are degrees.
-`#` starts a comment; names are declared before use.
+terms c*proj(v) as one product over the stacked kets; a chain of d such
+terms on d kets, every c real and no other operator term, keeps its kets
+and weights, and `spectral(H)` of it reads its eigenpairs from them instead
+of factoring H. Angles are degrees. `#` starts a comment; names are
+declared before use.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .config import check, tolerances
 from .errors import ParseError, ResolutionError, ToolkitError
 from .hilbert import (
     PDI,
@@ -58,6 +60,7 @@ from .hilbert import (
     Operator,
     Projector,
     _check_dims,
+    _projector_sum,
     builtin_operator,
     spectral_decompose,
     tensor_product,
@@ -418,13 +421,17 @@ class _Parser:
             self.skip_newlines()
             if self.peek().kind == "EOF":
                 break
+            start = self.pos
             try:
                 self.statement()
             except ParseError as err:
                 self.errors.append(err)
                 if len(self.errors) >= MAX_ERRORS:
                     break
-                self.recover_to_next_line()
+                # a statement that read its line end (every resolution error
+                # after end_statement) already stands at the next statement
+                if self.pos == start or self.tokens[self.pos - 1].kind != "NEWLINE":
+                    self.recover_to_next_line()
         if self.errors:
             ordered = sorted(self.errors, key=lambda e: (e.line, e.column))
             first = ordered[0]
@@ -539,12 +546,14 @@ class _Parser:
 
     def family_decl(self):
         self.expect_keyword("family")
-        name = self.decl_name()
-        self.expect_punct("{")
+        opened = False
         initial: _Token | None = None
         props: dict[int, _Token] = {}
         events: dict[int, _Token] = {}
         try:
+            name = self.decl_name()
+            self.expect_punct("{")
+            opened = True
             while True:
                 self.skip_newlines()
                 tok = self.peek()
@@ -575,8 +584,14 @@ class _Parser:
                     self.fail(word, "expected initial, prop, or events")
                 self.expect_punct(";")
         except ParseError:
-            # resume after the block, not on the next line inside it
-            while self.peek().kind != "EOF" and not self.at_punct("}"):
+            # resume after the block's "}", not on the next line inside it; a
+            # header error skips a block only if its line opens one
+            while not opened and self.peek().kind not in ("NEWLINE", "EOF"):
+                opened = self.at_punct("{")
+                self.advance()
+            if opened:
+                while self.peek().kind != "EOF" and not self.at_punct("}"):
+                    self.advance()
                 self.advance()
             raise
         self.end_statement()
@@ -917,10 +932,10 @@ class _Parser:
         term-by-term sum in source order: each term matches the first in kind
         (operator or scalar) and in dimension.
 
-        The terms c*proj(v) stack v into the columns of K and become one
-        product, K diag(c) K-dagger, symmetrised when every c is real. The other
-        operator terms accumulate in source order, so a chain without such
-        terms sums exactly as term by term.
+        The terms c*proj(v) go to `hilbert._projector_sum` as one product,
+        which also keeps the kets and weights of a chain that states a
+        spectral form. The other operator terms accumulate in source order,
+        so a chain without such terms sums exactly as term by term.
         """
         dim = None  # the first term's dimension; None for a scalar chain
         total = dense = None
@@ -952,21 +967,7 @@ class _Parser:
         if dim is None:
             return total
         if kets:
-            k = np.array(kets).T
-            # the unit-norm check that Projector.from_basis runs on one ket
-            defect = float(np.abs(np.einsum("ij,ij->j", k.conj(), k) - 1.0).max())
-            message = "basis columns are not orthonormal"
-            self.evaluated(at, lambda: check(defect, tolerances().algebraic, ValueError, message))
-            weights = np.array(coeffs)
-            real = not weights.imag.any()
-            combined = (k * (weights.real if real else weights)) @ k.conj().T
-            if real:
-                combined += combined.conj().T
-                combined *= 0.5
-            if dense is None:
-                dense = combined
-            else:
-                dense += combined
+            return self.evaluated(at, lambda: _projector_sum(kets, coeffs, dense))
         return Operator(dense)
 
 

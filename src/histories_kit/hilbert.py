@@ -17,6 +17,9 @@ Frobenius norm, from one overlap matrix of their W, which also yields their
 common refinement. Degenerate eigenspaces are kept whole: spectral
 decomposition yields one rank-k projector per distinct eigenvalue, and all
 equality reasoning is done on subspaces, never on individual eigenvectors.
+An operator built as a sum of d real-weighted projectors on d kets has
+stated its spectral form, and is decomposed from those kets and weights
+instead of by `eigh`.
 
 One freeze rule holds across the package: every array a result holds, or a
 property such as `Projector.entries` returns, goes through `_frozen` and is
@@ -35,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import check, tolerances
+from .config import Tolerances, check, tolerances
 from .errors import (
     AmbiguousSpectrumError,
     DimensionMismatchError,
@@ -512,6 +515,36 @@ def tensor_state(a: Ket, b: Ket) -> Ket:
     return Ket(_kron(a.amplitudes, b.amplitudes))
 
 
+def _projector_sum(
+    kets: Sequence[np.ndarray], weights: Sequence[complex], rest: np.ndarray | None = None
+) -> Operator:
+    """sum_j c_j |k_j><k_j| (+ rest) as one product K diag(c) K-dagger over the
+    stacked kets K, symmetrised when every c is real.
+
+    A sum of exactly d real-weighted terms with no other operator term states
+    its spectral form: the weights and the kets' own (immutable) amplitude
+    arrays are recorded on the operator, outside its dataclass fields, and
+    `spectral_decompose` reads its eigenpairs from them instead of from `eigh`.
+    """
+    k = np.array(kets).T
+    # the unit-norm check that Projector.from_basis runs on one ket
+    defect = float(np.abs(np.einsum("ij,ij->j", k.conj(), k) - 1.0).max())
+    check(defect, tolerances().algebraic, ValueError, "basis columns are not orthonormal")
+    c = np.array(weights, dtype=complex)
+    real = not c.imag.any()
+    combined = (k * (c.real if real else c)) @ k.conj().T
+    del k  # hold no second d x d matrix beside the sum
+    if real:
+        combined += combined.conj().T
+        combined *= 0.5
+    if rest is not None:
+        combined += rest
+    op = Operator(combined)
+    if real and rest is None and len(kets) == op.dim:
+        vars(op)["_declared"] = (_frozen(c.real), tuple(kets))
+    return op
+
+
 def spectral_decompose(h: Operator) -> Observable:
     """Group the spectrum of a Hermitian operator into distinct eigenspaces.
 
@@ -523,6 +556,11 @@ def spectral_decompose(h: Operator) -> Observable:
     neighbours each within the gap whose ends lie farther apart has no
     grouping within tolerance and raises AmbiguousSpectrumError, and one past
     the float range raises ValueError. Eigenvalues come back sorted descending.
+
+    The eigenpairs come from `eigh`, or, for an operator `_projector_sum`
+    built from d real-weighted kets, from those kets and weights: the PDI's
+    Gram certifies the kets and the reconstruction check the values. Kets
+    that fail the Gram, or weights that chain, leave the decision to `eigh`.
 
     The result is memoized on `h` (outside its dataclass fields), keyed by the
     tolerance bundle in force, for as long as `h` lives: a later call under
@@ -536,12 +574,29 @@ def spectral_decompose(h: Operator) -> Observable:
     if tol in memo:
         return memo[tol]
     check(h.hermiticity_defect(), tol.algebraic, NotHermitianError, "operator is not Hermitian")
-    evals, evecs = np.linalg.eigh(h.entries)
+    obs = None
+    declared = vars(h).get("_declared")
+    if declared is not None:
+        weights, kets = declared
+        order = np.argsort(weights, kind="stable")
+        try:
+            obs = _grouped(h, tol, weights[order], np.stack([kets[i] for i in order], axis=1))
+        except (InvalidPDIError, AmbiguousSpectrumError):
+            pass  # not an orthonormal eigenbasis, or no grouping of it: eigh decides
+    if obs is None:
+        obs = _grouped(h, tol, *np.linalg.eigh(h.entries))
+    return memo.setdefault(tol, obs)  # a thread that stored first wins the race
+
+
+def _grouped(h: Operator, tol: Tolerances, evals: np.ndarray, evecs: np.ndarray) -> Observable:
+    """The Observable of h from its eigenpairs, evals ascending with evecs'
+    columns: grouped under the bundle tol, and certified by the PDI's Gram
+    and by reconstruction."""
     if not np.isfinite(evals).all():
         raise ValueError("operator spectrum overflows the float range")
     ascending = evals.tolist()
     gap = tol.eigen_grouping * max(1.0, -ascending[0], ascending[-1])
-    # eigh sorts ascending, so each group is a run of neighbours at most gap apart
+    # evals are sorted ascending, so each group is a run of neighbours at most gap apart
     cuts = [i for i in range(1, len(ascending)) if ascending[i] - ascending[i - 1] > gap]
     bounds = list(zip([0] + cuts, cuts + [len(ascending)]))
     values = []
@@ -565,7 +620,7 @@ def spectral_decompose(h: Operator) -> Observable:
     defect = float(np.abs(obs.operator().entries - h.entries).max())
     limit = tol.reconstruction * scale + shift
     check(defect, limit, VerificationFailedError, "spectral reconstruction")
-    return memo.setdefault(tol, obs)  # a thread that stored first wins the race
+    return obs
 
 
 def common_refinement(p: PDI, q: PDI) -> PDI:

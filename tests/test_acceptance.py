@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from histories_kit import cli, hilbert
+from histories_kit import cli, dsl, hilbert
 from histories_kit.bell import (
     CHSHOperators,
     LHVModel,
@@ -744,3 +744,53 @@ def test_criterion_20_projector_sum_parse_at_max_dim():
     # about 20 MB of spec text
     label = f"spectral(H) spec with a {MAX_DIM}-term projector sum parses"
     _check_projector_sum_parse(20, MAX_DIM, label, 6.0)
+
+
+def test_criterion_23_degenerate_projector_sum_at_max_dim(tmp_path, monkeypatch):
+    # criterion 20's form with two eigenspaces of rank 512 (weights 2.5 and 0.5)
+    # and a sample query: spectral(H) reads its spectral form from the kets and
+    # weights, so no eigh runs, and the merged eigenvalues are the weights exactly
+    dim, shots, seed = MAX_DIM, 4096, 23
+    rng = np.random.default_rng(dim + 23)
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0].T  # rows are orthonormal
+    high = rng.permutation(dim) < dim // 2
+    weights = np.where(high, 2.5, 0.5)
+    amps = rng.standard_normal(dim)
+    lines = [f"ket v{i} = [{', '.join(f'{x:.15f}' for x in row)}]" for i, row in enumerate(basis)]
+    lines.append(f"ket psi = [{', '.join(f'{x:.8f}' for x in amps)}]")
+    lines.append("op H = " + " + ".join(f"{w}*proj(v{i})" for i, w in enumerate(weights)))
+    lines += ["pdi P = spectral(H)", f"query sample psi P shots {shots} seed {seed}"]
+    spec = tmp_path / "degenerate_max_dim.spec"
+    spec.write_text("\n".join(lines) + "\n")
+
+    decomposed = []
+    decompose = dsl.spectral_decompose
+
+    def recording(op):
+        decomposed.append(decompose(op))
+        return decomposed[-1]
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(dsl, "spectral_decompose", recording)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    out = io.StringIO()
+    label = f"spectral(H) of a {dim}-term projector sum with two eigenspaces samples"
+    with _Budget(23, label, 4.0):
+        code = cli.execute(["run", str(spec), "--format", "json"], out=out)
+    assert code == 0
+    (obs,) = decomposed
+    assert obs.eigenvalues == (2.5, 0.5)
+    assert [p.rank for p in obs.pdi.projectors] == [dim // 2] * 2
+    (result,) = json.loads(out.getvalue())["results"]
+    assert sum(result["counts"].values()) == shots
+
+    # the Born weights of the two eigenspaces from the kets as written
+    kets = np.array([[float(f"{x:.15f}") for x in row] for row in basis])
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    psi = np.array([float(f"{x:.8f}") for x in amps])
+    overlaps = np.square(kets @ (psi / np.linalg.norm(psi)))
+    expected = [overlaps[high].sum(), overlaps[~high].sum()]
+    reported = [result["probabilities"][key] for key in ("0", "1")]
+    assert np.abs(np.subtract(reported, expected)).max() < 1e-9

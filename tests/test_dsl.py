@@ -172,12 +172,15 @@ class TestLoadErrors:
     )
     def test_overflowing_operator_is_located(self, expr):
         # every literal is in range; the operator arithmetic is not, and used to
-        # bind an operator with inf entries (or raise a RuntimeWarning)
+        # bind an operator with inf entries (or raise a RuntimeWarning); A stays
+        # unbound, so line 4, which uses it, reports it as unknown
         err = first_error(f"ket a = [1, 0]\nop B = 2*X\nop A = {expr}\npdi P = spectral(A)\n")
         assert isinstance(err, ResolutionError)
         assert (err.line, err.column) == (3, 4)
         assert err.message == "operator entries overflow the float range"
-        assert len(err.all_errors) == 1
+        assert [(e.line, e.column, e.message) for e in err.all_errors[1:]] == [
+            (4, 18, "unknown name 'A'")
+        ]
 
     def test_overflowing_spectrum_is_located(self):
         # entries of 1.7e308 are finite, but the eigenvalues +-sqrt(2)*1.7e308 are
@@ -358,6 +361,49 @@ class TestLoadErrors:
             first,
             (last, 13, "unknown name 'F'"),
         ]
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            (
+                "ket a = [1, 0, 0]\npdi P = {a}\nop B = )\n",
+                [(2, 5, "not a decomposition of the identity"), (3, 8, "expected an operator")],
+            ),
+            (
+                "op A = Q\nop B = )\nop C = )\n",
+                [
+                    (1, 4, "unknown name 'Q'"),
+                    (2, 8, "expected an operator"),
+                    (3, 8, "expected an operator"),
+                ],
+            ),
+            (
+                PREFIX + "family X {\n initial a;\n events 1 = P;\n}\nquery probs X\nop B = )\n",
+                [
+                    (4, 8, "'X' is reserved"),
+                    (8, 13, "unknown name 'X'"),
+                    (9, 8, "expected an operator"),
+                ],
+            ),
+            (
+                "family X\n initial a;\nop B = )\n",
+                [
+                    (1, 8, "'X' is reserved"),
+                    (2, 2, "unknown statement 'initial'"),
+                    (3, 8, "expected an operator"),
+                ],
+            ),
+        ],
+        ids=["resolution-error", "line-end", "header-opens-a-block", "header-without-block"],
+    )
+    def test_recovery_keeps_the_next_statement(self, source, expected):
+        # a statement that failed after reading its line end leaves the next
+        # one to be parsed; a header error skips the block its line opens, and
+        # only that line when it opens none
+        found = first_error(source).all_errors
+        assert [(e.line, e.column) for e in found] == [(line, col) for line, col, _ in expected]
+        for err, (*_, start) in zip(found, expected):
+            assert err.message.startswith(start)
 
     def test_exponent_notation_rejected(self):
         assert first_error("ket a = [1e-3, 0]\n") is not None

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -618,6 +619,97 @@ class TestSpectralMemo:
             op.entries[0, 0] = 3.0
         assert spectral_decompose(op) is before
         assert op.entries[0, 0] == 1.0
+
+
+def declared_sum(kets, weights, rest=None):
+    """The operator a spec's chain sum_j c_j*proj(k_j) (+ rest) evaluates to."""
+    return hilbert._projector_sum([k.amplitudes for k in kets], weights, rest)
+
+
+def assert_same_spectral_form(obs, ref, scale):
+    assert [p.rank for p in obs.pdi.projectors] == [p.rank for p in ref.pdi.projectors]
+    shifts = np.subtract(obs.eigenvalues, ref.eigenvalues)
+    assert np.abs(shifts).max() <= 1e-12 * max(1.0, scale)
+    for p, q in zip(obs.pdi.projectors, ref.pdi.projectors):
+        assert np.abs(p.entries - q.entries).max() <= 1e-12
+
+
+def orthonormal_kets(seed, dim, complex_basis):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((dim, dim))
+    if complex_basis:
+        m = m + 1j * rng.standard_normal((dim, dim))
+    return [Ket(column) for column in np.linalg.qr(m)[0].T]
+
+
+class TestDeclaredSpectralForm:
+    """A sum of d real-weighted projectors on d kets is decomposed from its
+    kets and weights; dataclasses.replace drops the record, so decomposing the
+    copy is the eigh reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 16),
+        st.booleans(),
+        st.data(),
+    )
+    def test_agrees_with_eigh(self, seed, dim, complex_basis, data):
+        # multiples of 0.37 in [-7.4, 7.4]: repeated and negative weights, and
+        # distinct ones far outside the grouping gap
+        steps = data.draw(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim))
+        weights = [0.37 * n for n in steps]
+        h = declared_sum(orthonormal_kets(seed, dim, complex_basis), weights)
+        ref = spectral_decompose(dataclasses.replace(h))
+        with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh called")):
+            obs = spectral_decompose(h)
+            assert spectral_decompose(h) is obs
+            with override(eigen_grouping=1e-10):
+                again = spectral_decompose(h)
+        scale = max(map(abs, weights))
+        assert_same_spectral_form(obs, ref, scale)
+        assert_same_spectral_form(again, ref, scale)
+        # the distinct weights are the eigenvalues, listed descending; a merged
+        # group's mean rounds in the last place
+        declared = sorted(set(weights), reverse=True)
+        assert np.abs(np.subtract(obs.eigenvalues, declared)).max() <= 1e-15 * max(1.0, scale)
+
+    @pytest.mark.parametrize("case", ["fewer-kets", "repeated-ket", "perturbed-ket", "extra-term"])
+    def test_falls_back_to_eigh(self, case):
+        dim = 2 if case == "extra-term" else 5
+        kets = orthonormal_kets(7, dim, True)
+        weights = [2.0, -1.0, 0.5, 3.0, 0.5][:dim]
+        rest = None
+        if case == "fewer-kets":
+            kets, weights = kets[:-1], weights[:-1]
+        elif case == "repeated-ket":
+            kets[1] = kets[0]
+        elif case == "perturbed-ket":
+            kets[1] = Ket(kets[1].amplitudes + 1e-6 * kets[0].amplitudes)
+        else:
+            rest = Z.entries
+        h = declared_sum(kets, weights, rest)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            obs = spectral_decompose(h)
+        assert eigh.call_count == 1
+        ref = spectral_decompose(dataclasses.replace(h))
+        assert_same_spectral_form(obs, ref, 3.0)
+
+    @pytest.mark.parametrize(
+        "weights, error",
+        [([2.0, 1j, 0.5], NotHermitianError), ([0.0, 0.6e-8, 1.2e-8], AmbiguousSpectrumError)],
+        ids=["complex-weight", "chained-weights"],
+    )
+    def test_errors_as_from_eigh(self, weights, error):
+        h = declared_sum(orthonormal_kets(3, 3, False), weights)
+        for op in (h, dataclasses.replace(h)):
+            with pytest.raises(error):
+                spectral_decompose(op)
+
+    def test_record_is_not_a_dataclass_field(self):
+        h = declared_sum(orthonormal_kets(5, 3, False), [1.0, 2.0, 3.0])
+        assert dataclasses.asdict(h).keys() == {"entries"}
+        assert repr(h).startswith("Operator(entries=array(")
 
 
 def isometry_blocks(seed, dim, coordinate, angle):
