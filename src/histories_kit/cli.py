@@ -8,8 +8,8 @@ walk that appends every piece of text to one list and joins it once;
 report carries the tool version and the tolerance bundle in force so
 numbers are auditable. json output is stable-keyed, 12 significant
 digits, newline terminated; human output prints 6 significant digits.
-A `probs` table is written from the family's arrays, keyed from the escaped
-event labels level by level, with each distinct weight formatted once.
+A `probs` table is written from the family's arrays, its keys as about sqrt(H)
+heads and sqrt(H) tails of escaped labels, each distinct weight formatted once.
 
 Exit codes: 0 success, 1 unreadable spec file or parse/resolution failure,
 2 numeric contract violation (inconsistent family queried for
@@ -87,25 +87,30 @@ def _json_float(value: float) -> str:
 
 
 class _Table:
-    """A family's probs table for `_json_text`, which formats each distinct weight
-    once and adds the table's lines as one piece: the JSON-quoted "label,...,label"
-    key of each history and the weights, in history order. Escaping maps each
-    character alone, so an exhaustive family's keys join its escaped labels."""
+    """A family's probs table for `_json_text`: the weights in history order, and
+    the JSON-quoted "label,...,label" key of history h as heads[h // m] + tails[h % m],
+    m = len(tails). Escaping maps each character alone, so an exhaustive family's
+    heads join its escaped labels over the first times, until there are about
+    sqrt(H), and its tails over the rest; an explicit subset's heads are its keys."""
 
     # a plain class: a dataclass would add about 0.8 ms to every cold import
-    __slots__ = ("keys", "weights")
+    __slots__ = ("heads", "tails", "weights")
 
     def __init__(self, family, weights: np.ndarray):
         self.weights = weights
         if not family.exhaustive:
-            self.keys = [_json_str(",".join(h)) for h in family.histories]
+            self.heads, self.tails = [_json_str(",".join(h)) for h in family.histories], [""]
             return
-        keys, last = [""], family.n_times - 1
-        for t, pdi in enumerate(family.event_pdis):
-            head, tail = "," if t else '"', '"' if t == last else ""
-            parts = [head + _json_str(label)[1:-1] + tail for label in pdi.labels]
-            keys = [k + x for k in keys for x in parts]
-        self.keys = keys
+        levels = [
+            [("," if t else "") + _json_str(label)[1:-1] for label in pdi.labels]
+            for t, pdi in enumerate(family.event_pdis)
+        ]
+        self.heads, self.tails, s = ['"'], ['"'], 0
+        while len(self.heads) ** 2 < len(weights):
+            self.heads = [k + x for k in self.heads for x in levels[s]]
+            s += 1
+        for level in reversed(levels[s:]):
+            self.tails = [x + k for x in level for k in self.tails]
 
 
 def _json_text(value, newline: str) -> str:
@@ -120,11 +125,20 @@ def _json_text(value, newline: str) -> str:
         elif isinstance(value, (np.floating, np.integer, np.ndarray)):
             walk(value.tolist(), newline)
         elif isinstance(value, _Table):
+            # history h's key head, key tail and weight text with its separator
+            # fill parts[start + 3h : start + 3h + 3], set by strided slices
             values, inverse = np.unique(value.weights, return_inverse=True)
-            texts = [": " + _json_float(v) for v in values.tolist()]
             inner = newline + "  "
-            lines = map(str.__add__, value.keys, map(texts.__getitem__, inverse.tolist()))
-            parts.extend(("{" + inner, ("," + inner).join(lines), newline + "}"))
+            texts = [": " + _json_float(v) + "," + inner for v in values.tolist()]
+            put("{" + inner)
+            start, m = len(parts), len(value.tails)
+            parts.extend([""] * (3 * len(inverse)))
+            for j in range(m):
+                parts[start + 3 * j :: 3 * m] = value.heads
+            parts[start + 1 :: 3] = value.tails * len(value.heads)
+            parts[start + 2 :: 3] = map(texts.__getitem__, inverse.tolist())
+            parts[-1] = parts[-1][: -len(inner) - 1]  # the last weight takes no separator
+            put(newline + "}")
         elif isinstance(value, dict) and value:
             if not all(type(k) is str for k in value):
                 value = {str(k): v for k, v in value.items()}  # str(), not json.dumps's key rule

@@ -401,15 +401,15 @@ def _capped_child(limit_bytes: int):
     return lambda: resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
 
-def _capped_run(spec: Path) -> subprocess.CompletedProcess:
+def _capped_run(spec: Path, limit_bytes: int) -> subprocess.CompletedProcess:
     """`histkit run spec --format json` as a fresh process with BLAS on one
-    thread and its address space capped at 1 GiB."""
+    thread and its address space capped at limit_bytes."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     argv = [sys.executable, "-m", "histories_kit.cli", "run", str(spec), "--format", "json"]
     return subprocess.run(
         argv, env=env, capture_output=True, text=True, timeout=60,
-        preexec_fn=_capped_child(1 << 30),
+        preexec_fn=_capped_child(limit_bytes),
     )
 
 
@@ -431,7 +431,7 @@ def test_criterion_13_spectral_spec_at_max_dim(tmp_path):
         f"ket psi = [{', '.join(amps)}]\nquery sample psi P shots {shots} seed {seed}\n"
     )
     with _Budget(13, f"spectral(H) spec at d={dim} samples within 1 GiB", 15.0):
-        child = _capped_run(spec)
+        child = _capped_run(spec, 1 << 30)
     assert child.returncode == 0, child.stderr[-2000:]
     (result,) = json.loads(child.stdout)["results"]
     assert sum(result["counts"].values()) == shots
@@ -673,8 +673,11 @@ def test_criterion_21_consistency_probs_and_a_conditional_of_a_262144_history_fa
 
 
 def test_criterion_22_consistency_probs_and_a_conditional_of_a_1048576_history_family(tmp_path):
-    # criterion 21's queries at 20 times, as a fresh process within 1 GiB: the
-    # report, about 100 MB of JSON, is built as one list of pieces joined once
+    # criterion 21's queries at 20 times, as a fresh process within 512 MiB: the
+    # report, about 100 MB of JSON, is built as one list of pieces joined once,
+    # and the probs table's keys as about 1,024 heads and 1,024 tails, never one
+    # string per history (with one key string per history the run needs more
+    # than 576 MiB of address space)
     times = 20
     rng = np.random.default_rng(22)
     lines, events, trajectories, weights = _flip_family(rng, times)
@@ -683,9 +686,9 @@ def test_criterion_22_consistency_probs_and_a_conditional_of_a_1048576_history_f
     lines += ["query consistency C", "query probs C", f"query conditional C {t}:{tl} | {g}:{gl}"]
     spec = tmp_path / "h1048576.spec"
     spec.write_text("\n".join(lines) + "\n")
-    label = f"consistency, probs and a conditional of a {2**times}-history family within 1 GiB"
+    label = f"consistency, probs and a conditional of a {2**times}-history family within 512 MiB"
     with _Budget(22, label, 3.7):
-        child = _capped_run(spec)
+        child = _capped_run(spec, 512 << 20)
     assert child.returncode == 0, child.stderr[-2000:]
     verdict, table, *conds = json.loads(child.stdout)["results"]
     assert verdict["consistent"] is True

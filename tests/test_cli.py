@@ -593,6 +593,12 @@ _PAYLOADS = st.recursive(
 )
 
 
+def table_keys(table) -> list[str]:
+    """A probs table's JSON-quoted keys in history order: each head joined with
+    each tail, the tail varying fastest."""
+    return [head + tail for head in table.heads for tail in table.tails]
+
+
 def jsonable(value):
     """The payload as plain JSON types, each float rounded to 12 significant
     digits and each key made a str: the writer's contract, kept apart from it."""
@@ -600,8 +606,9 @@ def jsonable(value):
         return float(f"{value:.12g}") + 0.0
     if isinstance(value, (np.floating, np.integer)):
         return jsonable(value.item())
-    if isinstance(value, cli._Table):  # a probs table: quoted keys and a weights array
-        return {json.loads(k): jsonable(w) for k, w in zip(value.keys, value.weights.tolist())}
+    if isinstance(value, cli._Table):  # a probs table: quoted key heads and tails, weights
+        keys = table_keys(value)
+        return {json.loads(k): jsonable(w) for k, w in zip(keys, value.weights.tolist())}
     if isinstance(value, np.ndarray):
         return [jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
@@ -650,6 +657,8 @@ class TestJsonWriter:
         (report,) = reports
         assert len(jsonable(report)["results"][0]["probabilities"]) == 2**times
         assert out == reference_json(report)
+        table = report["results"][0]["probabilities"]
+        assert (len(table.heads), len(table.tails)) == (64, 64)  # sqrt(H) strings each
 
 
 def labelled_family(labels: list[list[str]], subset=None) -> HistoryFamily:
@@ -677,8 +686,10 @@ _WEIGHTS = st.one_of(
 @st.composite
 def probs_tables(draw):
     """A library family with labels that need escaping, an optional subset of its
-    histories, and one drawn weight per history."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    histories, and one drawn weight per history. One to five times of one to
+    three members put the head/tail split at 0, inside and after the last time,
+    and one-member times give a one-entry head or tail."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
     labels = [draw(st.lists(_TEXT, min_size=n, max_size=n, unique=True)) for n in sizes]
     fam = labelled_family(labels)
     every = fam.all_histories()
@@ -710,15 +721,16 @@ class TestProbsTable:
             [["a"]],
             [["0", "1"], ["x"]],
             [['q"', "b\\"], ["\u00e9", "\t", "\U0001f600"], ["\x00", "z"]],
+            [["0", "1"], ["a", "b", "c"]],
         ],
     )
     def test_keys_of_exhaustive_and_subset_families(self, labels):
         fam = labelled_family(labels)
         every = fam.all_histories()
-        keys = cli._Table(fam, np.zeros(len(every))).keys
+        keys = table_keys(cli._Table(fam, np.zeros(len(every))))
         assert keys == [json.dumps(",".join(h)) for h in every]
         subset = labelled_family(labels, subset=every[::-2])
-        keys = cli._Table(subset, np.zeros(len(every[::-2]))).keys
+        keys = table_keys(cli._Table(subset, np.zeros(len(every[::-2]))))
         assert keys == [json.dumps(",".join(h)) for h in every[::-2]]
 
 

@@ -126,6 +126,37 @@ class TestDeclarations:
         assert isinstance(err, ResolutionError)
 
 
+# single-error statements for splicing into a corpus spec: each declares the
+# fresh name fresh<i> and names nothing that another statement declares, so
+# its one diagnostic cannot depend on where it stands; (text, line within the
+# statement, column, message), columns counted for a one-digit i
+_SPLICED_ERRORS = [
+    ("op fresh{i} = )", 1, 13, "expected an operator expression"),
+    ("op fresh{i} = spectral + Z", 1, 13, "'spectral' cannot be used here"),
+    ("op fresh{i} = kron(Z,", 1, 20, "expected an operator expression"),
+    ("op fresh{i} = missing{i} * Z", 1, 4, "unknown name 'missing{i}'"),
+    ("op fresh{i} = Z + I(3)", 1, 4, "operator dims differ: 2 vs 3"),
+    ("op fresh{i} = I(0)", 1, 15, "dimension must lie in 1..1024"),
+    ("ket fresh{i} = [1, 0", 1, 19, "expected ']'"),
+    ("ket fresh{i} = [0, 0]", 1, 5, "cannot normalize an (effectively) zero vector into a state"),
+    ("pdi fresh{i} = {{missing{i}}}", 1, 15, "unknown name 'missing{i}'"),
+    ("pdi fresh{i} = spectral(missing{i})", 1, 23, "unknown name 'missing{i}'"),
+    ("family fresh{i} ;", 1, 15, "expected '{{'"),
+    ("family fresh{i} {{\n}}", 1, 8, "family block lacks an initial state"),
+    ("family fresh{i} {{\n initial missing{i}\n}}", 2, 18, "expected ';'"),
+    (
+        "family fresh{i} {{\n initial missing{i};\n events 1 = Z;\n}}",
+        2, 10, "unknown name 'missing{i}'",
+    ),
+    ("family fresh{i} {{\n events 0 = Z;\n}}", 2, 9, "time indices start at 1"),
+    (
+        "family fresh{i} {{\n initial missing{i};\n initial missing{i};\n}}",
+        3, 2, "initial state declared twice",
+    ),
+    ("family fresh{i} {{\n events 1 = Z;\n events 1 = Z;\n}}", 3, 9, "events 1 declared twice"),
+]
+
+
 class TestLoadErrors:
     BIG = "1" + "0" * 309  # 1e309, past the largest float (about 1.8e308)
 
@@ -404,6 +435,39 @@ class TestLoadErrors:
         assert [(e.line, e.column) for e in found] == [(line, col) for line, col, _ in expected]
         for err, (*_, start) in zip(found, expected):
             assert err.message.startswith(start)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_spliced_errors_are_each_reported_once(self, data):
+        # k <= 5 single-error statements spliced between a corpus spec's
+        # top-level statements: each is reported once, in order, where it
+        # stands, and recovering from it costs no other statement
+        lines = data.draw(st.sampled_from(CORPUS), label="spec").read_text().splitlines()
+        depth, boundaries = 0, [0]
+        for end, line in enumerate(lines, start=1):
+            depth += line.count("{") - line.count("}")
+            if depth == 0:
+                boundaries.append(end)
+        splices = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(boundaries), st.sampled_from(_SPLICED_ERRORS)),
+                min_size=1,
+                max_size=5,
+            ),
+            label="splices",
+        )
+        source, expected, done = [], [], 0
+        # a stable sort keeps the drawn order of statements spliced at one boundary
+        for i, (at, (text, line, column, message)) in sorted(
+            enumerate(splices), key=lambda item: item[1][0]
+        ):
+            source += lines[done:at]
+            done = at
+            expected.append((len(source) + line, column, message.format(i=i)))
+            source += text.format(i=i).split("\n")
+        source += lines[done:]
+        found = first_error("\n".join(source) + "\n").all_errors
+        assert [(e.line, e.column, e.message) for e in found] == expected
 
     def test_exponent_notation_rejected(self):
         assert first_error("ket a = [1e-3, 0]\n") is not None
